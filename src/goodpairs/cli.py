@@ -5,6 +5,10 @@ oracle exit 0 on YES, 1 on NO; verify exits 0 when the claimed pair is
 a good pair; crosscheck exits 1 on any engine/oracle mismatch; every
 command exits 2 on malformed input or exceeded bounds.  Identical
 inputs and flags produce byte-identical output.
+
+Every echo names its stream: without `file=`, click caches a wrapper per
+`sys.stdout` object that keeps the object alive, so each in-process
+invocation (a test runner's fresh stream) would leak one.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ _ERRORS = (InvalidInput, ResourceExceeded, InternalInconsistency)
 
 
 def _die(message: str):
-    click.echo(f"error: {message}", err=True)
+    click.echo(f"error: {message}", file=sys.stderr)
     sys.exit(2)
 
 
@@ -133,7 +137,7 @@ def decide_cmd(source, u_name, v_name, klass):
     payload = {"names": list(doc.names)}
     payload.update(verdict_to_dict(verdict))
     lines.append("verdict-json " + json.dumps(payload, sort_keys=True))
-    click.echo("\n".join(lines))
+    click.echo("\n".join(lines), file=sys.stdout)
     sys.exit(0 if verdict.yes else 1)
 
 
@@ -172,9 +176,9 @@ def verify_cmd(source, pairfile, u_name, v_name):
     )
     violation = good_pair_violation(doc.flat, u, v, pair)
     if violation is None:
-        click.echo("pair accepted")
+        click.echo("pair accepted", file=sys.stdout)
         sys.exit(0)
-    click.echo(f"pair rejected: {violation}")
+    click.echo(f"pair rejected: {violation}", file=sys.stdout)
     sys.exit(1)
 
 
@@ -195,9 +199,9 @@ def oracle_cmd(source, u_name, v_name, max_n):
     except _ERRORS as exc:
         _die(str(exc))
     if pair is None:
-        click.echo("NO\nreason exhaustive-search")
+        click.echo("NO\nreason exhaustive-search", file=sys.stdout)
         sys.exit(1)
-    click.echo("\n".join(["YES"] + _pair_lines(doc, pair)))
+    click.echo("\n".join(["YES"] + _pair_lines(doc, pair)), file=sys.stdout)
     sys.exit(0)
 
 
@@ -240,7 +244,7 @@ def gen_cmd(family, t, back_arc, arcs, tu, ku, tv, kv, head, seed, n, index):
         )
     except _ERRORS as exc:
         _die(str(exc))
-    click.echo(emit_document(doc), nl=False)
+    click.echo(emit_document(doc), nl=False, file=sys.stdout)
 
 
 def _generate(
@@ -327,10 +331,11 @@ def crosscheck_cmd(
         bad += len(issues)
         click.echo(
             f"{label}: {instances} instances, {pairs} root pairs, "
-            f"{len(issues)} mismatches"
+            f"{len(issues)} mismatches",
+            file=sys.stdout,
         )
         for issue in issues[:10]:
-            click.echo(f"  {issue}")
+            click.echo(f"  {issue}", file=sys.stdout)
 
     if semi_n is not None:
         if semi_n > 4 or tournaments > 5:

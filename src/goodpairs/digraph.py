@@ -83,8 +83,20 @@ class Digraph:
         return Digraph(self.n, [(b, a) for a, b in self.arcs()])
 
     def without_arcs(self, removed) -> "Digraph":
-        gone = set(removed)
-        return Digraph(self.n, [e for e in self.arcs() if e not in gone])
+        """Copy with the removed arcs cleared; absent arcs are ignored."""
+        n = self.n
+        out_masks = self.out_masks[:]
+        in_masks = self.in_masks[:]
+        for a, b in removed:
+            if 0 <= a < n and 0 <= b < n:
+                out_masks[a] &= ~(1 << b)
+                in_masks[b] &= ~(1 << a)
+        h = Digraph.__new__(Digraph)
+        h.n = n
+        h.out_masks = out_masks
+        h.in_masks = in_masks
+        h._arcs = None
+        return h
 
     def with_arcs(self, added) -> "Digraph":
         return Digraph(self.n, set(self.arcs()) | set(added))

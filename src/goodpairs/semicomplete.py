@@ -139,6 +139,27 @@ def construct_good_pair(g: Digraph, u: int, v: int) -> BranchingPair:
     )
 
 
+def _obstruction_arc(g: Digraph, u: int, v: int) -> Arc | None:
+    """First arc, in g.arcs() order, cutting both reach from u and to v.
+
+    Needs every vertex reachable from u and reaching v.  An arc outside a
+    spanning out-branching at u cannot cut reach from u, nor one outside a
+    spanning in-branching at v reach to v, so only the (at most n-1) arcs
+    of both BFS trees are tested, in sorted order.
+    """
+    full = g.full_mask
+    tree_arcs = set(find_branching(g, u, "out").arcs)
+    tree_arcs &= set(find_branching(g, v, "in").arcs)
+    for e in sorted(tree_arcs):
+        banned = {e}
+        if (
+            reach_mask(g, 1 << u, banned=banned) != full
+            and coreach_mask(g, 1 << v, banned=banned) != full
+        ):
+            return e
+    return None
+
+
 def decide_semicomplete(g: Digraph, u: int, v: int) -> Verdict:
     if not is_semicomplete(g):
         raise InvalidInput("input digraph is not semicomplete")
@@ -162,13 +183,9 @@ def decide_semicomplete(g: Digraph, u: int, v: int) -> Verdict:
             exception_id=name,
             mapping=mapping,
         )
-    for e in g.arcs():
-        banned = {e}
-        if (
-            reach_mask(g, 1 << u, banned=banned) != full
-            and coreach_mask(g, 1 << v, banned=banned) != full
-        ):
-            return Verdict(yes=False, u=u, v=v, reason=ARC_OBSTRUCTION, arc=e)
+    e = _obstruction_arc(g, u, v)
+    if e is not None:
+        return Verdict(yes=False, u=u, v=v, reason=ARC_OBSTRUCTION, arc=e)
     for w in iter_type_a(g, u, v):
         if w.alpha >= 2:
             return Verdict(yes=False, u=u, v=v, reason=LAYERED_A, witness=w)

@@ -94,16 +94,17 @@ class _Block:
         if len(set(self.names)) != len(self.names):
             _fail(lineno, "duplicate vertex name in one block")
         index = {name: i for i, name in enumerate(self.names)}
-        arcs = []
+        arcs = set()
         for arc_line, a, b in self.arcs:
             for w in (a, b):
                 if w not in index:
                     _fail(arc_line, f"unknown vertex {w!r} in arc line")
             if a == b:
                 _fail(arc_line, f"loop arc at {a!r}")
-            if (index[a], index[b]) in arcs:
+            arc = (index[a], index[b])
+            if arc in arcs:
                 _fail(arc_line, f"duplicate arc {a!r} -> {b!r}")
-            arcs.append((index[a], index[b]))
+            arcs.add(arc)
         return Digraph(len(self.names), arcs), self.names
 
 

@@ -242,11 +242,12 @@ def _closed_supersets(
             comp_required.add(i)
         if m & excluded:
             comp_excluded.add(i)
-    preds: list[set[int]] = [set() for _ in range(t)]
-    for a, b in h.arcs():
-        ca, cb = scc.comp_of[a], scc.comp_of[b]
-        if ca != cb:
-            preds[cb].add(ca)
+    preds: list[set[int]] = []
+    for cb, m in enumerate(scc.components):
+        tails = 0
+        for b in bits(m):
+            tails |= h.in_masks[b]
+        preds.append({scc.comp_of[a] for a in bits(tails & ~m)})
 
     def rec(i: int, chosen: set[int], mask: int):
         counter[0] += 1

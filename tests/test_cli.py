@@ -1,5 +1,7 @@
 """Command line surface: exit codes, output shape, piping, determinism."""
 
+import gc
+import io
 import json
 
 from click.testing import CliRunner
@@ -162,3 +164,17 @@ def test_crosscheck_file_and_sweep():
     assert "0 mismatches" in r.output
     r = run("crosscheck")
     assert r.exit_code == 2
+
+
+def _live_text_wrappers():
+    gc.collect()
+    return sum(isinstance(o, io.TextIOWrapper) for o in gc.get_objects())
+
+
+def test_in_process_decides_do_not_keep_their_streams_alive():
+    args = ("decide", "-", "--u", "a", "--v", "b")
+    run(*args, stdin=DIGON_PAIR)
+    before = _live_text_wrappers()
+    for _ in range(100):
+        assert run(*args, stdin=DIGON_PAIR).exit_code == 0
+    assert _live_text_wrappers() - before <= 5

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goodpairs.digraph import (
     CutWitness,
@@ -190,3 +192,38 @@ def test_small_match_respects_pin():
     # pinning 0 to the sink of TT_3 cannot work: 0 has out-degree 2
     assert small_digraph_match(tt3(), tt3(), pinned={0: 2}) is None
     assert small_digraph_match(tt3(), tt3(), pinned={0: 0}) is not None
+
+
+@st.composite
+def _digraph_and_removal(draw: st.DrawFn):
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    arcs = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    removal = draw(
+        st.one_of(
+            st.just(set()),
+            st.just(set(arcs)),
+            st.sets(st.sampled_from(pairs)) if pairs else st.just(set()),
+        )
+    )
+    return n, arcs, removal
+
+
+@settings(max_examples=200, deadline=None)
+@given(_digraph_and_removal())
+def test_without_arcs_matches_rebuild(case):
+    # removals may be empty, absent from g, or every arc of g
+    n, arcs, removal = case
+    g = Digraph(n, arcs)
+    h = g.without_arcs(removal)
+    expected = Digraph(n, arcs - removal)
+    assert h == expected
+    assert h.in_masks == expected.in_masks
+    assert h.arcs() == expected.arcs()
+    assert g == Digraph(n, arcs)
+
+
+def test_without_arcs_ignores_arcs_outside_the_vertex_range():
+    g = complete_digraph(3)
+    h = g.without_arcs([(-1, 0), (0, -1), (2, 3), (5, 1)])
+    assert h == g and h.in_masks == g.in_masks

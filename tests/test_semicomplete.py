@@ -1,13 +1,16 @@
+import random
 from itertools import combinations, product
 
 import pytest
 
 from goodpairs.branchings import branching_violation, verify_good_pair
-from goodpairs.digraph import Digraph
+from goodpairs.digraph import Digraph, strong_components
 from goodpairs.errors import InvalidInput
+from goodpairs.families import all_semicomplete, random_strong_semicomplete
 from goodpairs.oracle import oracle_all_pairs
 from goodpairs.semicomplete import (
     EXCEPTION_PATTERNS,
+    _obstruction_arc,
     almost_good_pair,
     construct_good_pair,
     decide_semicomplete,
@@ -133,3 +136,69 @@ def test_almost_good_pair_kind_b_shares_backward_set():
         assert pair.shared_arcs == set(w.backward_arcs)
         assert branching_violation(g, pair.out_branching) is None
         assert branching_violation(g, pair.in_branching) is None
+
+
+def _first_obstruction_arcs(g):
+    """Full m-arc scan for every root pair at once: the first arc of
+    g.arcs() whose removal cuts both reach from u and reach to v."""
+    n, full = g.n, g.full_mask
+    first = {}
+    for a, b in g.arcs():
+        reach = [g.out_masks[x] | 1 << x for x in range(n)]
+        reach[a] = g.out_masks[a] & ~(1 << b) | 1 << a
+        for k in range(n):
+            for x in range(n):
+                if reach[x] >> k & 1:
+                    reach[x] |= reach[k]
+        cut_from = [x for x in range(n) if reach[x] != full]
+        cut_to = full
+        for r in reach:
+            cut_to &= r
+        for u in cut_from:
+            for v in range(n):
+                if not cut_to >> v & 1:
+                    first.setdefault((u, v), (a, b))
+    return first
+
+
+def _assert_tree_scan_matches_full_scan(g):
+    first = _first_obstruction_arcs(g)
+    for u in range(g.n):
+        for v in range(g.n):
+            assert _obstruction_arc(g, u, v) == first.get((u, v)), (g, u, v)
+    return len(first)
+
+
+def test_tree_scan_finds_the_full_scans_first_arc_exhaustively():
+    graphs = 0
+    obstructed = 0
+    for n in range(2, 6):
+        for g in all_semicomplete(n):
+            if strong_components(g).is_strong:
+                graphs += 1
+                obstructed += _assert_tree_scan_matches_full_scan(g)
+    assert graphs > 50000 and obstructed > 0
+
+
+def _near_transitive_tournament(rng, n):
+    # random tournaments are nearly always 2-arc-strong; reversing a few
+    # arcs of a transitive one leaves arcs whose removal cuts reachability
+    pairs = list(combinations(range(n), 2))
+    while True:
+        flipped = set(rng.sample(pairs, rng.randint(n // 4, n)))
+        g = Digraph(n, [(b, a) if (a, b) in flipped else (a, b) for a, b in pairs])
+        if strong_components(g).is_strong:
+            return g
+
+
+def test_tree_scan_finds_the_full_scans_first_arc_on_random_graphs():
+    obstructed = 0
+    for n in range(7, 41, 3):
+        rng = random.Random(f"tree-scan/{n}")
+        for g in (
+            random_strong_semicomplete(rng, n, 0.0),
+            random_strong_semicomplete(rng, n, 0.25),
+            _near_transitive_tournament(rng, n),
+        ):
+            obstructed += _assert_tree_scan_matches_full_scan(g) > 0
+    assert obstructed >= 10

@@ -99,6 +99,17 @@ def test_diagnostics_name_the_offense(text, needle):
     assert needle in str(err.value)
 
 
+def test_duplicate_arc_in_a_part_names_its_line():
+    text = (
+        "quotient {\n  vertices p q\n  arc p q\n  arc q p\n}\n"
+        "part p {\n  vertices a b\n  arc a b\n  arc b a\n  arc a b\n}\n"
+        "part q {\n  vertices c\n}\n"
+    )
+    with pytest.raises(InvalidInput) as err:
+        parse_document(text)
+    assert str(err.value) == "line 10: duplicate arc 'a' -> 'b'"
+
+
 def test_index_of_names():
     doc = parse_document(FLAT)
     assert doc.index_of("b") == 1
