@@ -1,0 +1,161 @@
+"""Pinned verdict bytes on a fixed corpus.
+
+Every group decides a deterministic set of inputs at fixed root pairs and
+hashes one line per decision: `repr(verdict)`, which also carries the
+`forcing` trace and the layered `refinement` that `verdict_to_dict`
+drops, or the exception a decision raised.  The digests were recorded
+from the engine as it stood before its duplicated helpers were merged,
+so any change to a verdict, its evidence or an error message shows up
+as a digest mismatch.  Regenerate with `python tests/test_corpus.py`
+only when a verdict is meant to change.
+"""
+
+import hashlib
+
+import pytest
+
+from goodpairs.composition import Composition, singleton, transitive_tournament
+from goodpairs.dispatch import decide
+from goodpairs.errors import InternalInconsistency, InvalidInput, ResourceExceeded
+from goodpairs.families import (
+    all_digraphs,
+    all_quasi_transitive,
+    all_semicomplete,
+    kind_a_instance,
+    kind_b_instance,
+    known_family_members,
+    near_miss_members,
+    random_composition,
+    random_quasi_transitive,
+)
+from goodpairs.forcing import force_trace, replay
+
+# random_composition seeds 908 and 943 are the only ones below 1200 whose
+# decisions end in an arc-forcing verdict
+COMPOSITION_SEEDS = (*range(60), 908, 943)
+
+
+def _all_roots(target):
+    return [(u, v) for u in range(target.n) for v in range(target.n)]
+
+
+def targets(group):
+    """(target, root pairs) for one corpus group, in a fixed order."""
+    if group == "semicomplete-n4":
+        for n in range(1, 5):
+            for g in all_semicomplete(n):
+                yield g, _all_roots(g)
+    elif group == "families":
+        for _, comp, u, v in known_family_members():
+            yield comp, [(u, v)]
+        for comp, u, v, _ in near_miss_members(20):
+            yield comp, [(u, v)]
+    elif group == "random-composition":
+        for seed in COMPOSITION_SEEDS:
+            comp = random_composition(seed)
+            yield comp, _all_roots(comp)
+    elif group == "random-qt":
+        for seed in range(60):
+            g = random_quasi_transitive(seed, 7)
+            yield g, _all_roots(g)
+    elif group == "all-qt-4":
+        for g in all_quasi_transitive(4):
+            yield g, _all_roots(g)
+    elif group == "kind-ab":
+        for make in (kind_a_instance, kind_b_instance):
+            for seed in range(10):
+                g, _ = make(seed)
+                yield g, _all_roots(g)
+    elif group == "transitive-3-parts":
+        # the only inputs that reach a tree-side verdict: no random
+        # generator produces that shape
+        for h in all_digraphs(3):
+            for parts in ((h, singleton()), (singleton(), h)):
+                comp = Composition(transitive_tournament(2), parts)
+                yield comp, _all_roots(comp)
+    elif group == "digraphs-3":
+        # every 3-vertex digraph, flat and as the only part of a
+        # composition; the ones outside every class pin the rejections
+        for h in all_digraphs(3):
+            yield h, _all_roots(h)
+            yield Composition(singleton(), (h,)), _all_roots(h)
+    else:
+        raise KeyError(group)
+
+
+GROUPS = (
+    "semicomplete-n4",
+    "families",
+    "random-composition",
+    "random-qt",
+    "all-qt-4",
+    "kind-ab",
+    "transitive-3-parts",
+    "digraphs-3",
+)
+
+
+def corpus(group):
+    """(target, u, v) for every decision of one group."""
+    for target, roots in targets(group):
+        for u, v in roots:
+            yield target, u, v
+
+
+def decision_line(target, u, v) -> str:
+    try:
+        return repr(decide(target, u, v))
+    except (InvalidInput, ResourceExceeded, InternalInconsistency) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def verdict_lines(group):
+    return [decision_line(t, u, v) for t, u, v in corpus(group)]
+
+
+def forcing_lines():
+    lines = []
+    for seed in COMPOSITION_SEEDS:
+        flat = random_composition(seed).flatten()
+        for u, v in _all_roots(flat):
+            status, trace = force_trace(flat, u, v)
+            lines.append(f"{status} {trace!r} {replay(flat, u, v, trace)!r}")
+    return lines
+
+
+def digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# group: (decisions, sha256 of the joined lines)
+VERDICT_DIGESTS = {
+    "semicomplete-n4": (11920, "3a365dfe15b43831f94f7ac82d40ce5aba8e42004b6d0e9148bd97f20261cbce"),
+    "families": (154, "07fe736381258edeacd24e26f21b66ff7ce7e45e92f3c18dd5fead1c53a52528"),
+    "random-composition": (1354, "016d6a523595382f7c4cbba5c4458d99e5fabd26f2c31c0431d756e5b910e0ee"),
+    "random-qt": (2940, "e1e6b0d5114729b9639d6d8bb914c3dcbaa5fe2cad1f2cf1e47812f85cc28e4c"),
+    "all-qt-4": (17424, "aee0ab75885ee88c5f0596169ef7c3148078157552f9c8b0fb3718b5000cce5e"),
+    "kind-ab": (685, "e286cc9bfa3629decf6d7b77fa6ccd86a04ce2a3029c454d7229da96885ff550"),
+    "transitive-3-parts": (2048, "c69f939ae1c6aace504ce2b6ba2ee10223a5832cbca0f211df683038ac8fd8b9"),
+    "digraphs-3": (1152, "b2007849b2cb4976ca211b5481aaeb4758a09ecd343dcd82c9656f2ec8284df0"),
+}
+
+FORCING_DIGEST = (1354, "d83b7d742e4ee20c288458546b65f1507b08bb50e54d253234fbf916a99a62df")
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_verdict_bytes_are_pinned(group):
+    lines = verdict_lines(group)
+    assert (len(lines), digest(lines)) == VERDICT_DIGESTS[group]
+
+
+def test_forcing_traces_and_replays_are_pinned():
+    lines = forcing_lines()
+    assert (len(lines), digest(lines)) == FORCING_DIGEST
+
+
+if __name__ == "__main__":
+    for name in GROUPS:
+        found = verdict_lines(name)
+        print(f'    "{name}": ({len(found)}, "{digest(found)}"),')
+    found = forcing_lines()
+    print(f'FORCING_DIGEST = ({len(found)}, "{digest(found)}")')
