@@ -1,4 +1,4 @@
-"""Out-/in-branchings, arc-disjoint packings, and branching-plus-path search.
+"""Out-/in-branchings, good-pair verification, and branching-plus-path search.
 
 A good (u,v)-pair is an out-branching rooted at u and an in-branching
 rooted at v sharing no arc.  Everything here returns explicit arc sets so
@@ -13,6 +13,8 @@ from .digraph import (
     Arc,
     CutWitness,
     Digraph,
+    _cut_from_side,
+    arc_disjoint_paths,
     bits,
     coreach_mask,
     reach_mask,
@@ -147,85 +149,6 @@ def find_branching(
     return Branching(root=root, arcs=tuple(arcs), kind=kind)
 
 
-def _edmonds_grow(g: Digraph, s: int, k: int) -> list[Branching]:
-    """Sequential invariant-guarded growth; assumes feasibility was checked."""
-    n = g.n
-    full = g.full_mask
-    used: set[Arc] = set()
-    trees: list[Branching] = []
-    for j in range(k):
-        remaining = k - j - 1
-        tree_mask = 1 << s
-        tree_arcs: list[Arc] = []
-        while tree_mask != full:
-            picked = None
-            for x in bits(tree_mask):
-                for y in bits(g.out_masks[x] & ~tree_mask):
-                    if (x, y) in used:
-                        continue
-                    if _edmonds_safe(g, s, used, tree_mask, (x, y), remaining):
-                        picked = (x, y)
-                        break
-                if picked:
-                    break
-            if picked is None:
-                raise InternalInconsistency(
-                    f"branching packing stuck at tree {j + 1} of {k}"
-                )
-            used.add(picked)
-            tree_arcs.append(picked)
-            tree_mask |= 1 << picked[1]
-        trees.append(Branching(root=s, arcs=tuple(tree_arcs), kind="out"))
-    return trees
-
-
-def _edmonds_safe(
-    g: Digraph, s: int, used: set[Arc], tree_mask: int, arc: Arc, remaining: int
-) -> bool:
-    """Does adding `arc` keep enough in-arcs for all unfinished demands?
-
-    Demand of a set X not containing s: one arc per future tree, plus one
-    when the current partial tree has not reached X yet.
-    """
-    banned = used | {arc}
-    new_tree = tree_mask | 1 << arc[1]
-    rest = g.full_mask & ~new_tree
-    # sets disjoint from the tree need remaining + 1 entering arcs
-    for t in bits(rest):
-        value, _ = unit_flow(g, new_tree, t, banned=banned, cap=remaining + 1)
-        if value < remaining + 1:
-            return False
-    # sets meeting the tree (but missing s) need `remaining` entering arcs
-    if remaining:
-        for w in bits(new_tree & ~(1 << s)):
-            value, _ = unit_flow(g, 1 << s, w, banned=banned, cap=remaining)
-            if value < remaining:
-                return False
-    return True
-
-
-def edmonds_branchings(g: Digraph, s: int, k: int):
-    """k arc-disjoint spanning out-branchings rooted at s, or a CutWitness."""
-    if k < 1:
-        raise InvalidInput("k must be positive")
-    if k == 1:
-        b = find_branching(g, s, "out")
-        if b is not None:
-            return [b]
-        side = reach_mask(g, 1 << s)
-        return CutWitness(side=side, direction="out", crossing=[])
-    for t in range(g.n):
-        if t == s:
-            continue
-        value, side = unit_flow(g, 1 << s, t, cap=k)
-        if value < k:
-            crossing = [
-                (a, b) for a, b in g.arcs() if side >> a & 1 and not side >> b & 1
-            ]
-            return CutWitness(side=side, direction="out", crossing=crossing)
-    return _edmonds_grow(g, s, k)
-
-
 def _extract_path(g: Digraph, y: int, b: int, banned: set[Arc]) -> list[int]:
     parents: dict[int, int] = {}
     seen = 1 << y
@@ -263,23 +186,15 @@ def branching_avoiding_path(g: Digraph, y: int, b: int):
     full = g.full_mask
     reached = reach_mask(g, 1 << y)
     if reached != full:
-        crossing = [
-            (a, c) for a, c in g.arcs() if reached >> a & 1 and not reached >> c & 1
-        ]
-        return CutWitness(side=reached, direction="out", crossing=crossing)
+        return _cut_from_side(g, reached, full)
     if y == b:
         return find_branching(g, y, "out"), [y]
     value, side = unit_flow(g, 1 << y, b, cap=2)
     if value < 2:
-        crossing = [
-            (a, c) for a, c in g.arcs() if side >> a & 1 and not side >> c & 1
-        ]
-        return CutWitness(side=side, direction="out", crossing=crossing)
+        return _cut_from_side(g, side, full)
 
     # cheap route: reserve one of two disjoint flow paths for the walk and
     # grow the branching on the rest
-    from .digraph import arc_disjoint_paths
-
     paths = arc_disjoint_paths(g, y, b, 2)
     if isinstance(paths, list):
         for p in paths:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .digraph import Digraph, bits, mask_of, strong_components
+from .digraph import Digraph, bits, strong_components
 from .errors import InternalInconsistency, InvalidInput
 
 
@@ -57,9 +57,6 @@ class Composition:
     def part_mask(self, part: int) -> int:
         return ((1 << self.parts[part].n) - 1) << self.offsets[part]
 
-    def representatives(self) -> list[int]:
-        return list(self.offsets)
-
     def flatten(self) -> Digraph:
         arcs = []
         for i, p in enumerate(self.parts):
@@ -72,20 +69,11 @@ class Composition:
         return Digraph(self.n, arcs)
 
 
-def canonical_roots(comp: Composition, u: int, v: int) -> tuple[int, int]:
-    """Quotient vertices holding the flat roots."""
-    return comp.part_of(u), comp.part_of(v)
-
-
 def is_semicomplete(g: Digraph) -> bool:
     full = g.full_mask
     return all(
         (g.out_masks[x] | g.in_masks[x] | 1 << x) == full for x in range(g.n)
     )
-
-
-def is_tournament(g: Digraph) -> bool:
-    return is_semicomplete(g) and is_oriented(g)
 
 
 def is_oriented(g: Digraph) -> bool:
@@ -112,19 +100,6 @@ def is_quasi_transitive(g: Digraph) -> bool:
     return True
 
 
-def recognize(g: Digraph) -> frozenset[str]:
-    names = set()
-    if is_semicomplete(g):
-        names.add("semicomplete")
-        if is_oriented(g):
-            names.add("tournament")
-    if is_transitive(g):
-        names.add("transitive")
-    if is_quasi_transitive(g):
-        names.add("quasi-transitive")
-    return frozenset(names)
-
-
 def composition_from_partition(g: Digraph, part_masks: list[int]):
     """Rebuild g as a composition over the given vertex partition.
 
@@ -149,15 +124,10 @@ def composition_from_partition(g: Digraph, part_masks: list[int]):
         for j, mj in enumerate(part_masks):
             if i == j:
                 continue
-            rows = {bool(g.out_masks[a] & mj) for a in bits(mi)}
-            cols = {
-                all(g.has_arc(a, b) for a in bits(mi)) for b in bits(mj)
-            }
-            if rows == {True}:
-                if cols != {True}:
-                    return None
+            rows = {g.out_masks[a] & mj for a in bits(mi)}
+            if rows == {mj}:
                 quotient_arcs.append((i, j))
-            elif rows != {False}:
+            elif rows != {0}:
                 return None
     comp = Composition(Digraph(len(part_masks), quotient_arcs), tuple(parts))
     return comp, order
@@ -287,10 +257,6 @@ def singleton() -> Digraph:
 
 def independent(n: int) -> Digraph:
     return Digraph(n, [])
-
-
-def complete_quotient(n: int) -> Digraph:
-    return Digraph(n, [(a, b) for a in range(n) for b in range(n) if a != b])
 
 
 def directed_cycle(n: int) -> Digraph:

@@ -270,6 +270,66 @@ class CutWitness:
         return sorted(want) == sorted(self.crossing)
 
 
+def _augmenting_flow(
+    g: Digraph, source_mask: int, sink: int, banned, allowed: int, cap: int | None
+) -> tuple[int, int, set[Arc]]:
+    """Augment unit flow from the source set to sink, up to cap paths.
+
+    Returns (value, side, used): side is everything the source set
+    reaches in the final residual graph, used the arcs carrying flow.
+    """
+    used: set[Arc] = set()
+    value = 0
+    while True:
+        # once the cap is met, one more search without a target yields
+        # the whole residual side
+        target = sink if cap is None or value < cap else -1
+        # BFS in the residual graph.
+        parents: dict[int, tuple[int, Arc, bool]] = {}
+        seen = source_mask & allowed
+        frontier = list(bits(seen))
+        found = False
+        while frontier and not found:
+            nxt = []
+            for v in frontier:
+                fwd = g.out_masks[v] & allowed & ~seen
+                for w in bits(fwd):
+                    if (v, w) in banned or (v, w) in used:
+                        continue
+                    parents[w] = (v, (v, w), True)
+                    seen |= 1 << w
+                    if w == target:
+                        found = True
+                        break
+                    nxt.append(w)
+                if found:
+                    break
+                bwd = g.in_masks[v] & allowed & ~seen
+                for w in bits(bwd):
+                    if (w, v) in used:
+                        parents[w] = (v, (w, v), False)
+                        seen |= 1 << w
+                        if w == target:
+                            found = True
+                            break
+                        nxt.append(w)
+                if found:
+                    break
+            frontier = nxt
+        if not found:
+            return value, seen, used
+        # Augment along the path.
+        v = sink
+        while not (source_mask >> v & 1):
+            prev, arc, forward = parents[v]
+            if forward:
+                used.add(arc)
+            else:
+                used.remove(arc)
+            v = prev
+        value += 1
+
+
 def unit_flow(
     g: Digraph,
     source_mask: int,
@@ -288,71 +348,8 @@ def unit_flow(
     allowed = g.full_mask if within is None else within
     if source_mask >> sink & 1:
         raise InvalidInput("sink inside the source set")
-    banned = banned or ()
-    used: set[Arc] = set()
-    value = 0
-    while cap is None or value < cap:
-        # BFS in the residual graph.
-        parents: dict[int, tuple[int, Arc, bool]] = {}
-        seen = source_mask & allowed
-        frontier = list(bits(seen))
-        found = False
-        while frontier and not found:
-            nxt = []
-            for v in frontier:
-                fwd = g.out_masks[v] & allowed & ~seen
-                for w in bits(fwd):
-                    if (v, w) in banned or (v, w) in used:
-                        continue
-                    parents[w] = (v, (v, w), True)
-                    seen |= 1 << w
-                    if w == sink:
-                        found = True
-                        break
-                    nxt.append(w)
-                if found:
-                    break
-                bwd = g.in_masks[v] & allowed & ~seen
-                for w in bits(bwd):
-                    if (w, v) in used:
-                        parents[w] = (v, (w, v), False)
-                        seen |= 1 << w
-                        if w == sink:
-                            found = True
-                            break
-                        nxt.append(w)
-                if found:
-                    break
-            frontier = nxt
-        if not found:
-            return value, seen
-        # Augment along the path.
-        v = sink
-        while not (source_mask >> v & 1):
-            prev, arc, forward = parents[v]
-            if forward:
-                used.add(arc)
-            else:
-                used.remove(arc)
-            v = prev
-        value += 1
-    # cap reached: recompute the residual side for completeness
-    seen = source_mask & allowed
-    frontier = list(bits(seen))
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in bits(g.out_masks[v] & allowed & ~seen):
-                if (v, w) in banned or (v, w) in used:
-                    continue
-                seen |= 1 << w
-                nxt.append(w)
-            for w in bits(g.in_masks[v] & allowed & ~seen):
-                if (w, v) in used:
-                    seen |= 1 << w
-                    nxt.append(w)
-        frontier = nxt
-    return value, seen
+    value, side, _ = _augmenting_flow(g, source_mask, sink, banned or (), allowed, cap)
+    return value, side
 
 
 def _cut_from_side(g: Digraph, side: int, within: int) -> CutWitness:
@@ -379,51 +376,9 @@ def arc_disjoint_paths(g: Digraph, x: int, y: int, k: int):
     """k arc-disjoint (x,y)-paths as vertex lists, or a failure CutWitness."""
     if x == y:
         raise InvalidInput("arc_disjoint_paths needs x != y")
-    # Re-run the flow to recover the used arc set.
-    used: set[Arc] = set()
-    value = 0
-    allowed = g.full_mask
-    while value < k:
-        parents: dict[int, tuple[int, Arc, bool]] = {}
-        seen = 1 << x
-        frontier = [x]
-        found = False
-        while frontier and not found:
-            nxt = []
-            for v in frontier:
-                for w in bits(g.out_masks[v] & ~seen):
-                    if (v, w) in used:
-                        continue
-                    parents[w] = (v, (v, w), True)
-                    seen |= 1 << w
-                    if w == y:
-                        found = True
-                        break
-                    nxt.append(w)
-                if found:
-                    break
-                for w in bits(g.in_masks[v] & ~seen):
-                    if (w, v) in used:
-                        parents[w] = (v, (w, v), False)
-                        seen |= 1 << w
-                        if w == y:
-                            found = True
-                            break
-                        nxt.append(w)
-                if found:
-                    break
-            frontier = nxt
-        if not found:
-            return _cut_from_side(g, seen, allowed)
-        v = y
-        while v != x:
-            prev, arc, forward = parents[v]
-            if forward:
-                used.add(arc)
-            else:
-                used.remove(arc)
-            v = prev
-        value += 1
+    value, side, used = _augmenting_flow(g, 1 << x, y, (), g.full_mask, k)
+    if value < k:
+        return _cut_from_side(g, side, g.full_mask)
     # Decompose the used arcs into k paths, shortcutting repeated vertices.
     succ: dict[int, list[int]] = {}
     for a, b in sorted(used):

@@ -23,14 +23,18 @@ CLASSES = ("auto", "semicomplete", "composition", "transitive", "qt")
 
 
 def recognize(target) -> str:
-    """The class `decide` would pick for this input, or raise InvalidInput."""
+    """The class whose route `decide` takes for this input, or raise
+    InvalidInput.  A single-part composition is its flattening."""
     if isinstance(target, Composition):
+        if target.s < 2:
+            return recognize(target.flatten())
         q = target.quotient
-        if is_semicomplete(q) and strong_components(q).is_strong and target.s >= 2:
+        semicomplete = is_semicomplete(q)
+        if semicomplete and strong_components(q).is_strong:
             return "composition"
         if is_transitive(q):
             return "transitive"
-        if is_semicomplete(q):
+        if semicomplete:
             return "composition"
         raise InvalidInput(
             "composition quotient is neither semicomplete nor transitive"
@@ -48,72 +52,50 @@ def decide(target, u: int, v: int, klass: str = "auto") -> Verdict:
     """Decide a good (u,v)-pair question for any supported input.
 
     `target` is a flat Digraph or a Composition.  `klass` forces a route
-    (useful for adversarial tests); "auto" recognizes the input.  The
-    verdict always speaks in the target's own vertex numbering.
+    (useful for adversarial tests); "auto" takes the class `recognize`
+    names.  The verdict always speaks in the target's own vertex
+    numbering.
     """
     if klass not in CLASSES:
         raise InvalidInput(f"unknown class {klass!r}")
-    if isinstance(target, Composition):
-        return _decide_composition_target(target, u, v, klass)
-    g: Digraph = target
-    if klass == "semicomplete":
-        if not is_semicomplete(g):
-            raise InvalidInput("digraph is not semicomplete")
-        return decide_semicomplete(g, u, v)
-    if klass == "qt":
-        return decide_quasi_transitive(g, u, v)
-    if klass == "transitive":
-        if not is_transitive(g):
-            raise InvalidInput("digraph is not transitive")
-        # transitive digraphs are quasi-transitive; reuse that front door
-        return decide_quasi_transitive(g, u, v)
-    if klass == "composition":
-        raise InvalidInput("composition class needs a composition input")
-    if is_semicomplete(g):
-        return decide_semicomplete(g, u, v)
-    if g.n == 1 or is_quasi_transitive(g):
-        return decide_quasi_transitive(g, u, v)
-    raise InvalidInput("digraph is neither semicomplete nor quasi-transitive")
-
-
-def _decide_composition_target(
-    comp: Composition, u: int, v: int, klass: str
-) -> Verdict:
-    if klass in ("semicomplete", "qt"):
-        flat = comp.flatten()
-        inner = decide(flat, u, v, klass)
-        return inner
-    q = comp.quotient
-    if comp.s < 2:
-        # single part: the quotient adds nothing, decide the flat digraph
+    if isinstance(target, Composition) and (
+        target.s < 2 or klass in ("semicomplete", "qt")
+    ):
+        # the quotient adds nothing to these routes: decide the flat digraph
         if klass in ("composition", "transitive"):
             raise InvalidInput("composition needs at least two parts")
-        return decide(comp.flatten(), u, v, "auto")
-    strong_semi = is_semicomplete(q) and strong_components(q).is_strong
-    if klass == "composition":
-        if strong_semi:
+        target = target.flatten()
+    if klass == "auto":
+        klass = recognize(target)
+    else:
+        _check_forced_class(target, klass)
+    if isinstance(target, Composition):
+        if klass == "transitive":
+            return decide_transitive_composition(target, u, v)
+        if strong_components(target.quotient).is_strong:
             from .composition_engine import decide_composition
 
-            return decide_composition(comp, u, v)
-        if is_semicomplete(q):
-            return _condensed_decide(comp, u, v)
-        raise InvalidInput("quotient is not semicomplete")
-    if klass == "transitive":
-        if not is_transitive(q):
-            raise InvalidInput("quotient is not transitive")
-        return decide_transitive_composition(comp, u, v)
-    # auto
-    if strong_semi:
-        from .composition_engine import decide_composition
+            return decide_composition(target, u, v)
+        return _condensed_decide(target, u, v)
+    if klass == "semicomplete":
+        return decide_semicomplete(target, u, v)
+    # transitive digraphs are quasi-transitive; reuse that front door
+    return decide_quasi_transitive(target, u, v)
 
-        return decide_composition(comp, u, v)
-    if is_transitive(q):
-        return decide_transitive_composition(comp, u, v)
-    if is_semicomplete(q):
-        return _condensed_decide(comp, u, v)
-    raise InvalidInput(
-        "composition quotient is neither semicomplete nor transitive"
-    )
+
+def _check_forced_class(target, klass: str) -> None:
+    """Raise InvalidInput unless the forced class's route accepts target."""
+    if isinstance(target, Composition):
+        if klass == "composition" and not is_semicomplete(target.quotient):
+            raise InvalidInput("quotient is not semicomplete")
+        if klass == "transitive" and not is_transitive(target.quotient):
+            raise InvalidInput("quotient is not transitive")
+    elif klass == "semicomplete" and not is_semicomplete(target):
+        raise InvalidInput("digraph is not semicomplete")
+    elif klass == "transitive" and not is_transitive(target):
+        raise InvalidInput("digraph is not transitive")
+    elif klass == "composition":
+        raise InvalidInput("composition class needs a composition input")
 
 
 def _condensed_decide(comp: Composition, u: int, v: int) -> Verdict:

@@ -16,7 +16,7 @@ per other vertex).  Pins on one side ban the arc on the other.
 
 from __future__ import annotations
 
-from .digraph import Arc, Digraph, bits
+from .digraph import Arc, Digraph, bits, coreach_mask, reach_mask
 from .errors import InvalidInput
 
 Step = tuple[str, str, int, int]
@@ -95,30 +95,10 @@ def _exit_candidates(g: Digraph, state: _State, w: int) -> list[Arc]:
     return [(w, b) for b in bits(g.out_masks[w]) if _exit_usable(g, state, w, b)]
 
 
-def _avail(g: Digraph, state: _State, side: str) -> list[Arc]:
+def _usable(g: Digraph, state: _State, side: str) -> Digraph:
+    """The arcs one side may still use, as a digraph of their own."""
     usable = _entry_usable if side == "out" else _exit_usable
-    return [arc for arc in g.arcs() if usable(g, state, *arc)]
-
-
-def _reach(n: int, arcs, start: int, banned: Arc | None = None) -> int:
-    out = [0] * n
-    for a, b in arcs:
-        if (a, b) != banned:
-            out[a] |= 1 << b
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        new = 0
-        for x in bits(frontier):
-            new |= out[x] & ~seen
-        seen |= new
-        frontier = new
-    return seen
-
-
-def _coreach(n: int, arcs, start: int, banned: Arc | None = None) -> int:
-    flipped = [(b, a) for a, b in arcs]
-    return _reach(n, flipped, start, None if banned is None else banned[::-1])
+    return Digraph(g.n, [arc for arc in g.arcs() if usable(g, state, *arc)])
 
 
 def _pin_entry(state: _State, arc: Arc) -> None:
@@ -163,30 +143,24 @@ def force_trace(g: Digraph, u: int, v: int) -> tuple[str, tuple[Step, ...]]:
         return None
 
     def cuts(side: str) -> str | None:
-        arcs = _avail(g, state, side)
-        if side == "out":
-            seen = _reach(g.n, arcs, u)
-        else:
-            seen = _coreach(g.n, arcs, v)
+        span, start, pinned, pin, rule = (
+            (reach_mask, 1 << u, state.entry_arcs, _pin_entry, CUT_ENTRY)
+            if side == "out"
+            else (coreach_mask, 1 << v, state.exit_arcs, _pin_exit, CUT_EXIT)
+        )
+        h = _usable(g, state, side)
+        seen = span(h, start)
         if seen != g.full_mask:
             missing = (g.full_mask & ~seen).bit_length() - 1
             trace.append((side, SEVERED, missing, -1))
             return "blocked"
-        for arc in arcs:
-            if side == "out":
-                if arc in state.entry_arcs:
-                    continue
-                if _reach(g.n, arcs, u, banned=arc) != g.full_mask:
-                    _pin_entry(state, arc)
-                    trace.append((side, CUT_ENTRY, *arc))
-                    return None
-            else:
-                if arc in state.exit_arcs:
-                    continue
-                if _coreach(g.n, arcs, v, banned=arc) != g.full_mask:
-                    _pin_exit(state, arc)
-                    trace.append((side, CUT_EXIT, *arc))
-                    return None
+        for arc in h.arcs():
+            if arc in pinned:
+                continue
+            if span(h, start, banned={arc}) != g.full_mask:
+                pin(state, arc)
+                trace.append((side, rule, *arc))
+                return None
         return None
 
     while True:
@@ -234,10 +208,10 @@ def replay(g: Digraph, u: int, v: int, trace) -> str | None:
                     return f"vertex {y} has other usable entries"
                 _pin_entry(state, (x, y))
             elif rule == CUT_ENTRY:
-                arcs = _avail(g, state, "out")
-                if (x, y) not in arcs:
+                h = _usable(g, state, "out")
+                if not h.has_arc(x, y):
                     return f"arc {(x, y)} is not usable"
-                if _reach(g.n, arcs, u, banned=(x, y)) == g.full_mask:
+                if reach_mask(h, 1 << u, banned={(x, y)}) == g.full_mask:
                     return f"arc {(x, y)} is not a necessity"
                 _pin_entry(state, (x, y))
             elif rule == STUCK:
@@ -246,7 +220,7 @@ def replay(g: Digraph, u: int, v: int, trace) -> str | None:
                 if _entry_candidates(g, state, x):
                     return f"vertex {x} still has a usable entry"
             elif rule == SEVERED:
-                if _reach(g.n, _avail(g, state, "out"), u) & (1 << x):
+                if reach_mask(_usable(g, state, "out"), 1 << u) & (1 << x):
                     return f"vertex {x} is still reachable"
             else:
                 return f"unknown rule {rule!r}"
@@ -258,10 +232,10 @@ def replay(g: Digraph, u: int, v: int, trace) -> str | None:
                     return f"vertex {x} has other usable exits"
                 _pin_exit(state, (x, y))
             elif rule == CUT_EXIT:
-                arcs = _avail(g, state, "in")
-                if (x, y) not in arcs:
+                h = _usable(g, state, "in")
+                if not h.has_arc(x, y):
                     return f"arc {(x, y)} is not usable"
-                if _coreach(g.n, arcs, v, banned=(x, y)) == g.full_mask:
+                if coreach_mask(h, 1 << v, banned={(x, y)}) == g.full_mask:
                     return f"arc {(x, y)} is not a necessity"
                 _pin_exit(state, (x, y))
             elif rule == STUCK:
@@ -270,7 +244,7 @@ def replay(g: Digraph, u: int, v: int, trace) -> str | None:
                 if _exit_candidates(g, state, x):
                     return f"vertex {x} still has a usable exit"
             elif rule == SEVERED:
-                if _coreach(g.n, _avail(g, state, "in"), v) & (1 << x):
+                if coreach_mask(_usable(g, state, "in"), 1 << v) & (1 << x):
                     return f"vertex {x} can still reach the in-root"
             else:
                 return f"unknown rule {rule!r}"

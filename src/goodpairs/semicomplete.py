@@ -24,7 +24,6 @@ from .digraph import (
     coreach_mask,
     mask_of,
     reach_mask,
-    strong_components,
 )
 from .composition import is_semicomplete
 from .errors import InternalInconsistency, InvalidInput
@@ -193,72 +192,6 @@ def decide_semicomplete(g: Digraph, u: int, v: int) -> Verdict:
     if not verify_good_pair(g, u, v, pair):
         raise InternalInconsistency("constructed pair failed verification")
     return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
-
-
-def funnel_structure(g: Digraph, u: int):
-    """Neighbourhood split around u when every (u,u)-pair is blocked.
-
-    Returns (X, Y, Z, e) where X are the pure out-neighbours, Y the pure
-    in-neighbours, Z the two-cycle partners, and e the single arc that
-    leaves the terminal component of g[X] and is also the single arc
-    entering the initial component of g[Y]; everything must route through
-    e, which is why the two branchings at u collide.  None when g around u
-    does not have this shape.
-    """
-    out = g.out_masks[u]
-    inn = g.in_masks[u]
-    z = out & inn
-    x = out & ~z
-    y = inn & ~z
-    if not x or not y:
-        return None
-    x_scc = strong_components(g, within=x)
-    terminal = x_scc.components[x_scc.terminal[0]]
-    leaving = [
-        (a, b) for a, b in g.arcs() if terminal >> a & 1 and not terminal >> b & 1
-    ]
-    if len(leaving) != 1:
-        return None
-    e = leaving[0]
-    y_scc = strong_components(g, within=y)
-    initial = y_scc.components[y_scc.initial[0]]
-    entering = [
-        (a, b) for a, b in g.arcs() if initial >> b & 1 and not initial >> a & 1
-    ]
-    if entering != [e] or not initial >> e[1] & 1:
-        return None
-    if any(not g.has_arc(e[1], w) for w in bits(z)):
-        return None
-    if any(not g.has_arc(w, e[0]) for w in bits(z)):
-        return None
-    return x, y, z, e
-
-
-def funnel_pair(g: Digraph, u: int):
-    """Out- and in-branching at u sharing exactly the funnel arc."""
-    structure = funnel_structure(g, u)
-    if structure is None:
-        return None
-    x, y, z, e = structure
-    ex, ey = e
-    out_arcs = [(u, w) for w in bits(x | z)]
-    out_arcs.append(e)
-    y_tree = find_branching(g, ey, "out", within=y)
-    if y_tree is None:
-        raise InternalInconsistency("funnel head does not span the in-side")
-    out_arcs.extend(y_tree.arcs)
-    in_arcs = [(w, u) for w in bits(y | z)]
-    in_arcs.append(e)
-    x_tree = find_branching(g, ex, "in", within=x)
-    if x_tree is None:
-        raise InternalInconsistency("funnel tail is not spanned by the out-side")
-    in_arcs.extend(x_tree.arcs)
-    pair = BranchingPair(
-        Branching(u, tuple(out_arcs), "out"), Branching(u, tuple(in_arcs), "in")
-    )
-    if pair.shared_arcs != {e}:
-        raise InternalInconsistency("funnel pair shares more than the funnel arc")
-    return pair, e
 
 
 def _level_path(g: Digraph, level: int, src: int, dst: int) -> list[int]:

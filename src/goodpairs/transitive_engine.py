@@ -49,6 +49,8 @@ from .verdicts import (
     TREE_SIDE,
     YES,
     Verdict,
+    middle_blocked_violation,
+    tree_side_violation,
 )
 
 # Exhaustive fallback bound; the templates handle everything seen above it.
@@ -76,57 +78,13 @@ def decide_transitive_composition(comp: Composition, u: int, v: int) -> Verdict:
     if u != v:
         if flat.out_degree(u) < 2 or flat.in_degree(v) < 2:
             return Verdict(yes=False, u=u, v=v, reason=DEGREE)
-        if _middle_blocked(flat, u, v):
+        if middle_blocked_violation(flat, u, v) is None:
             return Verdict(yes=False, u=u, v=v, reason=MIDDLE_BLOCKED)
-        side = _tree_side(flat, u, v)
-        if side is not None:
-            return Verdict(yes=False, u=u, v=v, reason=TREE_SIDE, side=side)
+        for side in ("out", "in"):
+            if tree_side_violation(flat, u, v, side) is None:
+                return Verdict(yes=False, u=u, v=v, reason=TREE_SIDE, side=side)
     pair = construct_transitive_pair(comp, flat, u, v)
     return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
-
-
-# --- flat obstruction shapes ---
-
-
-def _middle_blocked(g: Digraph, u: int, v: int) -> bool:
-    """u dominates all, all dominate v, rest is an independent middle
-    wired only as u -> x -> v.  Any pair would fight over the arc uv."""
-    if not g.has_arc(u, v):
-        return False
-    if g.out_masks[u] != g.full_mask & ~(1 << u):
-        return False
-    if g.in_masks[v] != g.full_mask & ~(1 << v):
-        return False
-    middle = g.full_mask & ~(1 << u | 1 << v)
-    for x in bits(middle):
-        if g.in_masks[x] != 1 << u or g.out_masks[x] != 1 << v:
-            return False
-    return True
-
-
-def _tree_side(g: Digraph, u: int, v: int) -> str | None:
-    if _one_side_tree(g, u, v):
-        return "out"
-    if _one_side_tree(g.converse(), v, u):
-        return "in"
-    return None
-
-
-def _one_side_tree(g: Digraph, u: int, v: int) -> bool:
-    """Every arc either feeds the sink v or belongs to an out-tree on the
-    other vertices rooted at u.  That is 2n-3 arcs, one short of the
-    2n-2 that two arc-disjoint spanning branchings must use."""
-    rest = g.full_mask & ~(1 << v)
-    if g.out_masks[v]:
-        return False
-    if g.in_masks[v] != rest:
-        return False
-    if g.in_degree(u, within=rest) != 0:
-        return False
-    for x in bits(rest & ~(1 << u)):
-        if g.in_degree(x, within=rest) != 1:
-            return False
-    return reach_mask(g, 1 << u, within=rest) == rest
 
 
 # --- construction ---

@@ -7,7 +7,7 @@ without trusting the engine.  `validate_verdict` is that re-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .branchings import Branching, BranchingPair, good_pair_violation
 from .composition import Composition, composition_from_partition, is_semicomplete
@@ -257,32 +257,42 @@ def _check_forcing(flat, comp, verdict: Verdict) -> str | None:
     return _replay_forcing(flat, verdict.u, verdict.v, verdict.forcing)
 
 
-def _check_middle_blocked(flat, comp, verdict: Verdict) -> str | None:
-    u, v = verdict.u, verdict.v
-    if u == v or not flat.has_arc(u, v):
+def middle_blocked_violation(g: Digraph, u: int, v: int) -> str | None:
+    """None if g has the middle-blocked shape at (u,v), else what breaks it.
+
+    The shape: u dominates all, all dominate v, and the rest is an
+    independent middle wired only as u -> x -> v.  Any pair would fight
+    over the arc uv.
+    """
+    if u == v or not g.has_arc(u, v):
         return "shape needs distinct roots joined by an arc"
-    middle = flat.full_mask & ~(1 << u | 1 << v)
-    if flat.out_masks[u] != flat.full_mask & ~(1 << u):
+    middle = g.full_mask & ~(1 << u | 1 << v)
+    if g.out_masks[u] != g.full_mask & ~(1 << u):
         return "out-root does not dominate everything"
-    if flat.in_masks[v] != flat.full_mask & ~(1 << v):
+    if g.in_masks[v] != g.full_mask & ~(1 << v):
         return "in-root is not dominated by everything"
     for x in bits(middle):
-        if flat.out_masks[x] & middle or flat.in_masks[x] & middle:
+        if g.out_masks[x] & middle or g.in_masks[x] & middle:
             return "middle vertices are not independent"
-        if flat.in_masks[x] != 1 << u or flat.out_masks[x] != 1 << v:
+        if g.in_masks[x] != 1 << u or g.out_masks[x] != 1 << v:
             return "middle vertex with stray arcs"
     return None
 
 
-def _check_tree_side(flat, comp, verdict: Verdict) -> str | None:
-    u, v = verdict.u, verdict.v
-    if verdict.side == "in":
-        g = flat.converse()
+def tree_side_violation(g: Digraph, u: int, v: int, side: str) -> str | None:
+    """None if g has the tree-side shape on `side` at (u,v), else what
+    breaks it.
+
+    On the "out" side every arc either feeds the sink v or belongs to an
+    out-tree on the other vertices rooted at u; the "in" side is the same
+    shape in the converse with the roots swapped.  That is 2n-3 arcs, one
+    short of the 2n-2 that two arc-disjoint spanning branchings must use.
+    """
+    if side == "in":
+        g = g.converse()
         u, v = v, u
-    elif verdict.side != "out":
-        return f"bad side {verdict.side!r}"
-    else:
-        g = flat
+    elif side != "out":
+        return f"bad side {side!r}"
     rest = g.full_mask & ~(1 << v)
     if u == v:
         return "shape needs distinct roots"
@@ -308,8 +318,8 @@ _NO_CHECKS = {
     LAYERED_B: _check_layered,
     KNOWN_FAMILY: _check_known_family,
     DEGREE: _check_degree,
-    MIDDLE_BLOCKED: _check_middle_blocked,
-    TREE_SIDE: _check_tree_side,
+    MIDDLE_BLOCKED: lambda flat, comp, w: middle_blocked_violation(flat, w.u, w.v),
+    TREE_SIDE: lambda flat, comp, w: tree_side_violation(flat, w.u, w.v, w.side),
     ARC_FORCING: _check_forcing,
 }
 

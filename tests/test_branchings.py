@@ -1,11 +1,8 @@
-import pytest
-
 from goodpairs.branchings import (
     Branching,
     BranchingPair,
     branching_avoiding_path,
     branching_violation,
-    edmonds_branchings,
     extend_pair,
     find_branching,
     good_pair_violation,
@@ -22,14 +19,6 @@ def cycle3():
 
 def complete_digraph(n):
     return Digraph(n, [(a, b) for a in range(n) for b in range(n) if a != b])
-
-
-def check_disjoint_branchings(g, trees):
-    all_arcs = []
-    for t in trees:
-        assert branching_violation(g, t) is None
-        all_arcs.extend(t.arcs)
-    assert len(all_arcs) == len(set(all_arcs))
 
 
 def test_find_branching_out_and_in():
@@ -72,38 +61,6 @@ def test_good_pair_verification():
         Branching(2, ((0, 2), (1, 2)), "in"),
     )
     assert "shared" in good_pair_violation(g, 0, 2, shared)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_edmonds_packing_complete_digraph(k):
-    # [DERIVED] all local connectivities from 0 equal 3 in the complete
-    # digraph on 4 vertices, so k <= 3 branchings pack
-    g = complete_digraph(4)
-    trees = edmonds_branchings(g, 0, k)
-    assert isinstance(trees, list) and len(trees) == k
-    check_disjoint_branchings(g, trees)
-
-
-def test_edmonds_packing_cut_witness():
-    # [DERIVED] every vertex of a directed triangle has in-degree 1
-    result = edmonds_branchings(cycle3(), 0, 2)
-    assert isinstance(result, CutWitness)
-    assert result.validate(cycle3())
-    assert len(result.crossing) < 2
-
-
-def test_edmonds_packing_two_in_tripartite():
-    parts = [(0, 1), (2, 3), (4, 5)]
-    arcs = [
-        (a, b)
-        for i in range(3)
-        for a in parts[i]
-        for b in parts[(i + 1) % 3]
-    ]
-    g = Digraph(6, arcs)
-    trees = edmonds_branchings(g, 0, 2)
-    assert isinstance(trees, list)
-    check_disjoint_branchings(g, trees)
 
 
 def assert_branching_plus_path(g, result, root, start, end):

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goodpairs.composition import (
     Composition,
-    canonical_roots,
     complement_components,
     composition_from_partition,
     directed_cycle,
@@ -10,15 +11,13 @@ from goodpairs.composition import (
     is_oriented,
     is_quasi_transitive,
     is_semicomplete,
-    is_tournament,
     is_transitive,
     qt_decompose,
-    recognize,
     ring_tournament,
     singleton,
     transitive_tournament,
 )
-from goodpairs.digraph import Digraph, mask_of
+from goodpairs.digraph import Digraph, bits, mask_of
 from goodpairs.errors import InvalidInput
 
 
@@ -46,8 +45,6 @@ def test_indexing_helpers():
     assert comp.local(4) == 1
     assert comp.flat_index(2, 1) == 4
     assert comp.part_mask(0) == mask_of([0, 1])
-    assert comp.representatives() == [0, 2, 3]
-    assert canonical_roots(comp, 1, 5) == (0, 2)
 
 
 def test_size_validation():
@@ -58,13 +55,15 @@ def test_size_validation():
 def test_class_predicates():
     c3 = directed_cycle(3)
     tt3 = transitive_tournament(3)
-    assert is_semicomplete(c3) and is_tournament(c3)
+    assert is_semicomplete(c3) and is_oriented(c3)
     assert not is_transitive(c3) and is_quasi_transitive(c3)
     assert is_transitive(tt3) and is_quasi_transitive(tt3)
-    assert recognize(tt3) == {"semicomplete", "tournament", "transitive", "quasi-transitive"}
-    assert recognize(independent(2)) == {"transitive", "quasi-transitive"}
+    assert is_semicomplete(tt3) and is_oriented(tt3)
+    indep = independent(2)
+    assert not is_semicomplete(indep) and is_oriented(indep)
+    assert is_transitive(indep) and is_quasi_transitive(indep)
     two_cycle = Digraph(2, [(0, 1), (1, 0)])
-    assert is_semicomplete(two_cycle) and not is_tournament(two_cycle)
+    assert is_semicomplete(two_cycle)
     assert not is_oriented(two_cycle)
     # [DERIVED] 0 -> 1 -> 2 with 0,2 non-adjacent is not quasi-transitive
     path = Digraph(3, [(0, 1), (1, 2)])
@@ -73,7 +72,7 @@ def test_class_predicates():
 
 def test_ring_tournament_shape():
     g = ring_tournament(4)
-    assert is_tournament(g)
+    assert is_semicomplete(g) and is_oriented(g)
     assert sorted(g.arcs()) == [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (3, 1)]
     assert ring_tournament(3) == directed_cycle(3)
 
@@ -98,6 +97,57 @@ def test_composition_from_partition_uniform():
 def test_composition_from_partition_rejects_nonuniform():
     g = Digraph(3, [(0, 2), (2, 1)])
     assert composition_from_partition(g, [mask_of([0, 1]), 1 << 2]) is None
+
+
+def uniform_quotient_arcs(g, masks):
+    """Quotient arcs by definition: each ordered part pair has all of its
+    vertex pairs joined or none; None when some pair is mixed."""
+    arcs = []
+    for i, mi in enumerate(masks):
+        for j, mj in enumerate(masks):
+            if i == j:
+                continue
+            joins = {g.has_arc(a, b) for a in bits(mi) for b in bits(mj)}
+            if len(joins) > 1:
+                return None
+            if joins == {True}:
+                arcs.append((i, j))
+    return arcs
+
+
+@st.composite
+def _digraph_and_partition(draw: st.DrawFn):
+    n = draw(st.integers(min_value=1, max_value=7))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    masks = [mask_of(x for x in range(n) if labels[x] == c) for c in range(n)]
+    masks = [m for m in masks if m]
+    k = len(masks)
+    between = [(i, j) for i in range(k) for j in range(k) if i != j]
+    joined = draw(st.sets(st.sampled_from(between))) if between else set()
+    arcs = {(a, b) for i, j in joined for a in bits(masks[i]) for b in bits(masks[j])}
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    inside = [(a, b) for a, b in pairs if labels[a] == labels[b]]
+    arcs |= draw(st.sets(st.sampled_from(inside))) if inside else set()
+    # a few toggled vertex pairs usually break some join
+    toggled = draw(st.sets(st.sampled_from(pairs), max_size=2)) if pairs else set()
+    return n, arcs ^ toggled, masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraph_and_partition())
+def test_composition_from_partition_matches_per_arc_uniformity(case):
+    n, arcs, masks = case
+    g = Digraph(n, arcs)
+    expected = uniform_quotient_arcs(g, masks)
+    built = composition_from_partition(g, masks)
+    if expected is None:
+        assert built is None
+        return
+    comp, order = built
+    assert comp.quotient.arcs() == expected
+    assert order == [x for m in masks for x in bits(m)]
+    relabeled = [(order[a], order[b]) for a, b in comp.flatten().arcs()]
+    assert Digraph(n, relabeled) == g
 
 
 def test_qt_decompose_strong():

@@ -14,8 +14,6 @@ from goodpairs.semicomplete import (
     almost_good_pair,
     construct_good_pair,
     decide_semicomplete,
-    funnel_pair,
-    funnel_structure,
     match_small_exception,
 )
 from goodpairs.verdicts import validate_verdict
@@ -109,12 +107,6 @@ def test_funnel_structure_and_pair():
     # out-side ends and the in-side starts share the single bridge arc
     g = Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1), (2, 3)])
     assert not decide_semicomplete(g, 0, 0).yes
-    st = funnel_structure(g, 0)
-    assert st is not None
-    pair, bridge = funnel_pair(g, 0)
-    assert branching_violation(g, pair.out_branching) is None
-    assert branching_violation(g, pair.in_branching) is None
-    assert pair.shared_arcs == {bridge}
 
 
 def test_almost_good_pair_kind_a_each_shared_arc():
