@@ -1,4 +1,4 @@
-"""Out-/in-branchings, good-pair verification, and branching-plus-path search.
+"""Branchings, good-pair verification and search, branching-plus-path search.
 
 A good (u,v)-pair is an out-branching rooted at u and an in-branching
 rooted at v sharing no arc.  Everything here returns explicit arc sets so
@@ -295,30 +295,95 @@ def out_branching_avoiding_path(
     return walk([w], set())
 
 
-def extend_pair(g: Digraph, pair: BranchingPair, core: int) -> BranchingPair:
-    """Attach vertices outside `core` to a good pair living on `core`.
+# Node budget of search_good_pair: the bound of the oracle's own search.
+SEARCH_BUDGET = 4_000_000
 
-    Every new vertex hangs off the core directly: an arc from a core
-    in-neighbour joins the out-branching and an arc to a core out-neighbour
-    joins the in-branching, so the two new arc sets cannot meet.
+
+def search_good_pair(
+    g: Digraph, u: int, v: int, shared: frozenset[Arc] = frozenset()
+) -> BranchingPair | None:
+    """First pair rooted (u, v) sharing exactly `shared`, or None.
+
+    A complete include/exclude search over out-branching arcs at u.
+    Each node branches on its first unbanned arc (x, y) with x in the
+    tree and y outside it, x then y increasing, "include" first.  A
+    spanning tree T is answered with the BFS in-branching at v that
+    avoids T - shared, and the pair is accepted when it shares exactly
+    `shared`.  With `shared` empty this is the search of
+    `oracle.oracle_good_pair`, and the pair returned is the same.
+
+    Pruning only ever bans arcs that no accepted tree below the node
+    can use, so it cuts the search without reordering it.  The
+    in-branching must avoid F, the tree arcs plus the only unbanned
+    entry of each vertex outside the tree, less `shared`: every vertex
+    must reach v without F, and a vertex w != v with a single exit e
+    outside F leaves by e, which the out-tree then cannot use unless e
+    is shared.  Bans repeat until none is new, and the tree must still
+    reach every vertex past them.  Good pairs are NP-complete to decide
+    in general digraphs, so the search counts its nodes and raises
+    ResourceExceeded past SEARCH_BUDGET.
     """
-    outside = g.full_mask & ~core
-    if not outside:
-        return pair
-    out_arcs = list(pair.out_branching.arcs)
-    in_arcs = list(pair.in_branching.arcs)
-    for x in bits(outside):
-        parents = g.in_masks[x] & core
-        children = g.out_masks[x] & core
-        if not parents or not children:
-            raise InternalInconsistency(
-                f"vertex {x} lacks a core in- or out-neighbour"
-            )
-        p = next(bits(parents))
-        c = next(bits(children))
-        out_arcs.append((p, x))
-        in_arcs.append((x, c))
-    return BranchingPair(
-        Branching(pair.out_branching.root, tuple(out_arcs), "out"),
-        Branching(pair.in_branching.root, tuple(in_arcs), "in"),
-    )
+    full = g.full_mask
+    banned: set[Arc] = set()
+    nodes = 0
+
+    def alive(tree_mask: int, tree_arcs: tuple[Arc, ...], added: list[Arc]) -> bool:
+        """Ban what the node rules out (logged in `added`); False if it is dead."""
+        while reach_mask(g, tree_mask, banned=banned) == full:
+            forced = set(tree_arcs)
+            for y in bits(full & ~tree_mask):
+                entries = [(x, y) for x in bits(g.in_masks[y]) if (x, y) not in banned]
+                if len(entries) == 1:
+                    forced.add(entries[0])
+            forced -= shared
+            if coreach_mask(g, 1 << v, banned=forced) != full:
+                return False
+            new = set()
+            for w in range(g.n):
+                exits = [(w, z) for z in bits(g.out_masks[w]) if (w, z) not in forced]
+                if w != v and len(exits) == 1 and exits[0] not in shared:
+                    new.add(exits[0])
+            new -= banned
+            if not new:
+                return True
+            banned.update(new)
+            added.extend(new)
+        return False
+
+    def grow(tree_mask: int, tree_arcs: tuple[Arc, ...]) -> BranchingPair | None:
+        # the exclude branch of a node is the same node with one more ban,
+        # so recursion only goes as deep as the tree
+        nonlocal nodes
+        added: list[Arc] = []
+        try:
+            while True:
+                nodes += 1
+                if nodes > SEARCH_BUDGET:
+                    raise ResourceExceeded(
+                        f"good-pair search budget of {SEARCH_BUDGET} nodes "
+                        f"exhausted at n={g.n}"
+                    )
+                if not alive(tree_mask, tree_arcs, added):
+                    return None
+                if tree_mask == full:
+                    tree = Branching(u, tree_arcs, "out")
+                    inn = find_branching(g, v, "in", banned=tree.arc_set - shared)
+                    if inn is None:
+                        return None
+                    pair = BranchingPair(tree, inn)
+                    return pair if pair.shared_arcs == shared else None
+                arc = next(
+                    (x, y)
+                    for x in bits(tree_mask)
+                    for y in bits(g.out_masks[x] & ~tree_mask)
+                    if (x, y) not in banned
+                )
+                found = grow(tree_mask | 1 << arc[1], tree_arcs + (arc,))
+                if found is not None:
+                    return found
+                banned.add(arc)
+                added.append(arc)
+        finally:
+            banned.difference_update(added)
+
+    return grow(1 << u, ())

@@ -20,7 +20,6 @@ import click
 
 from . import families
 from .branchings import Branching, BranchingPair, good_pair_violation
-from .composition import Composition
 from .crosscheck import (
     check_target,
     sweep_compositions,

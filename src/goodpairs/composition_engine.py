@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import product
 
 from . import semicomplete
-from .branchings import Branching, BranchingPair, extend_pair, verify_good_pair
+from .branchings import Branching, BranchingPair, verify_good_pair
 from .composition import Composition, finest_refinement, is_semicomplete
 from .digraph import (
     Arc,
@@ -23,13 +23,11 @@ from .digraph import (
     bits,
     coreach_mask,
     is_k_arc_strong,
-    mask_of,
     reach_mask,
     small_digraph_match,
 )
 from .errors import InternalInconsistency, InvalidInput, ResourceExceeded
 from .forcing import force_trace
-from .oracle import oracle_good_pair
 from .verdicts import (
     ARC_FORCING,
     ARC_OBSTRUCTION,
@@ -262,53 +260,7 @@ def match_known_family(comp: Composition, u: int, v: int):
 
 def two_arc_strong_pair(g: Digraph, u: int, v: int) -> BranchingPair:
     """Good (u, v)-pair in a 2-arc-strong digraph outside the blocked shape."""
-    pair = semicomplete.try_construct_pair(g, u, v)
-    if pair is not None and verify_good_pair(g, u, v, pair):
-        return pair
-    if g.n <= 9:
-        pair = oracle_good_pair(g, u, v)
-        if pair is not None:
-            return pair
-        raise InternalInconsistency(
-            f"2-arc-strong digraph refused a good ({u},{v})-pair"
-        )
-    # shrink to a 2-arc-strong core that keeps the roots and stays off
-    # the blocked shape, search the core, then hang the rest back on
-    core = g.full_mask
-    changed = True
-    while core.bit_count() > 9 and changed:
-        changed = False
-        for w in range(g.n):
-            if w == u or w == v or not core >> w & 1:
-                continue
-            cand = core & ~(1 << w)
-            sub, old = g.induced(cand)
-            iu, iv = old.index(u), old.index(v)
-            if not is_k_arc_strong(sub, 2)[0]:
-                continue
-            if _match_head_pair(sub, iu, iv):
-                continue
-            if _match_head_pair(sub.converse(), iv, iu):
-                continue
-            core = cand
-            changed = True
-            break
-    if core.bit_count() <= 9:
-        sub, old = g.induced(core)
-        iu, iv = old.index(u), old.index(v)
-        found = oracle_good_pair(sub, iu, iv)
-        if found is not None:
-            plus = tuple((old[x], old[y]) for x, y in found.out_branching.arcs)
-            minus = tuple((old[x], old[y]) for x, y in found.in_branching.arcs)
-            core_pair = BranchingPair(
-                Branching(u, plus, "out"), Branching(v, minus, "in")
-            )
-            pair = extend_pair(g, core_pair, core)
-            if verify_good_pair(g, u, v, pair):
-                return pair
-    raise InternalInconsistency(
-        f"no construction route for the 2-arc-strong input at n={g.n}"
-    )
+    return semicomplete.construct_good_pair(g, u, v)
 
 
 def _lift_pair(
@@ -535,61 +487,14 @@ def _lift_from_witnesses(comp, flat, u, v) -> BranchingPair | None:
     return None
 
 
-def _construct_by_trimming(comp, flat, u, v) -> BranchingPair | None:
-    """Shrink every part, solve the small core, and extend back out."""
-    caps = [c for c in (4, 3, 2) if comp.s * c <= 12]
-    pu, pv = comp.part_of(u), comp.part_of(v)
-    for cap in caps:
-        keep: list[int] = []
-        keep_locals: list[list[int]] = []
-        for p in range(comp.s):
-            members = sorted(bits(comp.part_mask(p)))
-
-            def priority(w: int) -> tuple[int, int]:
-                if w in (u, v):
-                    rank = 0
-                elif p == pu and flat.has_arc(u, w):
-                    rank = 1
-                elif p == pv and flat.has_arc(w, v):
-                    rank = 1
-                else:
-                    rank = 2
-                return rank, w
-
-            chosen = sorted(sorted(members, key=priority)[:cap])
-            keep.extend(chosen)
-            keep_locals.append([comp.local(w) for w in chosen])
-        parts = []
-        for p, locals_ in enumerate(keep_locals):
-            sub, _ = comp.parts[p].induced(mask_of(locals_))
-            parts.append(sub)
-        comp2 = Composition(comp.quotient, tuple(parts))
-        old_of = sorted(keep)
-        new_of = {w: i for i, w in enumerate(old_of)}
-        try:
-            verdict2 = decide_composition(comp2, new_of[u], new_of[v])
-        except (ResourceExceeded, InternalInconsistency):
-            continue
-        if not verdict2.yes:
-            continue
-        plus = tuple((old_of[x], old_of[y]) for x, y in verdict2.pair.out_branching.arcs)
-        minus = tuple((old_of[x], old_of[y]) for x, y in verdict2.pair.in_branching.arcs)
-        core_pair = BranchingPair(
-            Branching(u, plus, "out"), Branching(v, minus, "in")
-        )
-        try:
-            pair = extend_pair(flat, core_pair, mask_of(old_of))
-        except InternalInconsistency:
-            continue
-        if verify_good_pair(flat, u, v, pair):
-            return pair
-    return None
-
-
 def construct_composition_pair(
     comp: Composition, flat: Digraph, u: int, v: int
 ) -> BranchingPair:
-    """Build a verified pair once the decision promised one exists."""
+    """Build a verified pair once the decision promised one exists.
+
+    Structured lifts of quotient pairs come first; the flat digraph then
+    goes to `semicomplete.construct_good_pair`.
+    """
     quotient = comp.quotient
     pu, pv = comp.part_of(u), comp.part_of(v)
     s_verdict = semicomplete.decide_semicomplete(quotient, pu, pv)
@@ -601,23 +506,7 @@ def construct_composition_pair(
         pair = _lift_from_witnesses(comp, flat, u, v)
         if pair is not None:
             return pair
-    pair = semicomplete.try_construct_pair(flat, u, v)
-    if pair is not None and verify_good_pair(flat, u, v, pair):
-        return pair
-    if flat.n <= 12:
-        pair = oracle_good_pair(flat, u, v, max_n=12)
-        if pair is not None:
-            return pair
-        raise InternalInconsistency(
-            f"characterization promised a good ({u},{v})-pair but none was built"
-        )
-    pair = _construct_by_trimming(comp, flat, u, v)
-    if pair is not None:
-        return pair
-    raise InternalInconsistency(
-        f"good ({u},{v})-pair promised but every construction route "
-        f"ran out at n={flat.n}"
-    )
+    return semicomplete.construct_good_pair(flat, u, v)
 
 
 def decide_composition(comp: Composition, u: int, v: int) -> Verdict:

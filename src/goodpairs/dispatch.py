@@ -8,7 +8,7 @@ from .composition import (
     is_semicomplete,
     is_transitive,
 )
-from .digraph import Digraph, strong_components
+from .digraph import strong_components
 from .errors import InvalidInput
 from .semicomplete import decide_semicomplete
 from .transitive_engine import (

@@ -4,8 +4,10 @@ A good (u,v)-pair exists unless one of four obstructions is present: a
 root that does not span, one of six small exceptional digraphs with the
 roots in fixed position, a single arc whose removal starves both roots,
 or a layered kind-A witness with at least five levels.  On YES a pair is
-built greedily and re-verified; bounded exhaustive search backs up the
-greedy layer so construction never silently fails.
+built greedily and re-verified, and `branchings.search_good_pair` builds
+it when the greedy misses.  `construct_good_pair` is that construction
+tail for every engine: the composition and transitive engines call it
+once their structured recipes fail.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from .branchings import (
     BranchingPair,
     find_branching,
     path_arcs,
+    search_good_pair,
     verify_good_pair,
 )
 from .digraph import (
@@ -27,7 +30,6 @@ from .digraph import (
 )
 from .composition import is_semicomplete
 from .errors import InternalInconsistency, InvalidInput
-from .oracle import enumerate_out_branchings, oracle_good_pair
 from .verdicts import (
     ARC_OBSTRUCTION,
     LAYERED_A,
@@ -125,14 +127,19 @@ def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
 
 
 def construct_good_pair(g: Digraph, u: int, v: int) -> BranchingPair:
-    """Greedy attempts, then bounded exhaustive search; never a silent miss."""
+    """A good (u,v)-pair the caller's decision promised; never a silent miss.
+
+    The verified greedy pair when there is one, else the pair of the
+    complete `search_good_pair`.  No pair at all contradicts the promise
+    and raises InternalInconsistency; a search past its node budget
+    raises ResourceExceeded.
+    """
     pair = try_construct_pair(g, u, v)
     if pair is not None and verify_good_pair(g, u, v, pair):
         return pair
-    if g.n <= 12:
-        pair = oracle_good_pair(g, u, v, max_n=12)
-        if pair is not None:
-            return pair
+    pair = search_good_pair(g, u, v)
+    if pair is not None:
+        return pair
     raise InternalInconsistency(
         f"characterization promised a good ({u},{v})-pair but none was built"
     )
@@ -417,7 +424,7 @@ def _almost_pair_b(g: Digraph, w: TypeABWitness) -> BranchingPair:
 
 
 def _pair_shape_ok(
-    g: Digraph, w: TypeABWitness, pair: BranchingPair, want: set[Arc]
+    g: Digraph, w: TypeABWitness, pair: BranchingPair, want: frozenset[Arc]
 ) -> bool:
     from .branchings import branching_violation
 
@@ -435,8 +442,9 @@ def almost_good_pair(
 
     For a kind-A witness the result shares exactly the designated arc
     selected by shared_index; for kind B it shares exactly the whole
-    designated arc set.  Structured recipes run first and a verified
-    bounded search backs them up, so the result is always checked.
+    designated arc set.  A recipe's pair is returned once its shape
+    checks out; otherwise `search_good_pair` with that shared set builds
+    one.
     """
     from .witnesses import validate_witness
 
@@ -446,9 +454,9 @@ def almost_good_pair(
     if w.kind == "A":
         if not 0 <= shared_index < len(w.backward_arcs):
             raise InvalidInput("shared_index out of range")
-        want = {w.backward_arcs[shared_index]}
+        want = frozenset({w.backward_arcs[shared_index]})
     else:
-        want = set(w.backward_arcs)
+        want = frozenset(w.backward_arcs)
     builders = []
     if w.kind == "A" and w.alpha >= 2:
         builders.append(lambda: _almost_pair_a(g, w, shared_index + 1))
@@ -461,13 +469,9 @@ def almost_good_pair(
             continue
         if _pair_shape_ok(g, w, pair, want):
             return pair
-    for out_b in enumerate_out_branchings(g, w.a):
-        inn = find_branching(g, w.b, "in", banned=out_b.arc_set - want)
-        if inn is None:
-            continue
-        pair = BranchingPair(out_b, inn)
-        if pair.shared_arcs == want:
-            return pair
-    raise InternalInconsistency(
-        "no branching pair with the promised sharing pattern exists"
-    )
+    pair = search_good_pair(g, w.a, w.b, shared=want)
+    if pair is None:
+        raise InternalInconsistency(
+            "no branching pair with the promised sharing pattern exists"
+        )
+    return pair

@@ -4,10 +4,12 @@ A transitive quotient collapses reachability into domination: once the
 out-root reaches every vertex it dominates everything outside its own
 part, and dually everything outside the in-root's part dominates the
 in-root.  That rigidity leaves exactly three flat obstruction shapes on
-top of the generic root-component and degree failures, and it makes
-every remaining instance constructible from a small bank of fan and
-tree templates.  Every candidate from the bank is verified before it is
-returned, so an odd shape slipping past a template costs nothing.
+top of the generic root-component and degree failures, and it lets a
+small bank of fan and tree templates build the pair for the remaining
+instances.  Every candidate from the bank is verified before it is
+returned; an instance no template fits goes to
+`semicomplete.construct_good_pair`, the greedy and complete search that
+ends every engine.
 
 `decide_quasi_transitive` is the front door for flat quasi-transitive
 digraphs: it decomposes the input, routes strong inputs to the
@@ -17,13 +19,7 @@ evidence back to the original vertex labels.
 
 from __future__ import annotations
 
-from .branchings import (
-    Branching,
-    BranchingPair,
-    extend_pair,
-    find_branching,
-    verify_good_pair,
-)
+from .branchings import Branching, BranchingPair, find_branching, verify_good_pair
 from .composition import (
     Composition,
     composition_from_partition,
@@ -39,7 +35,7 @@ from .digraph import (
     strong_components,
 )
 from .errors import InternalInconsistency, InvalidInput
-from .oracle import oracle_good_pair
+from .semicomplete import construct_good_pair
 from .verdicts import (
     DEGREE,
     LAYERED_A,
@@ -52,10 +48,6 @@ from .verdicts import (
     middle_blocked_violation,
     tree_side_violation,
 )
-
-# Exhaustive fallback bound; the templates handle everything seen above it.
-_ORACLE_CAP = 10
-
 
 def decide_transitive_composition(comp: Composition, u: int, v: int) -> Verdict:
     """Decide a composition whose quotient is a transitive digraph.
@@ -96,25 +88,16 @@ def construct_transitive_pair(
     """A verified pair for a transitive composition that is not blocked.
 
     Candidates come from a template bank run on the digraph and on its
-    converse with the roots swapped; a representative core solved
-    exhaustively and grafted back covers thin instances the bank
-    misses, and a bounded exhaustive search backs both up.
+    converse with the roots swapped; an instance the bank misses goes to
+    `semicomplete.construct_good_pair`, the greedy and the complete
+    search every engine ends in.
     """
     a_mask = comp.part_mask(comp.part_of(u))
     b_mask = comp.part_mask(comp.part_of(v))
     pair = _bank_pair(flat, a_mask, b_mask, u, v)
     if pair is not None:
         return pair
-    pair = _core_pair(flat, a_mask, b_mask, u, v)
-    if pair is not None:
-        return pair
-    if flat.n <= _ORACLE_CAP:
-        found = oracle_good_pair(flat, u, v, max_n=_ORACLE_CAP)
-        if found is not None:
-            return found
-    raise InternalInconsistency(
-        "no construction route produced a pair for an unblocked input"
-    )
+    return construct_good_pair(flat, u, v)
 
 
 def _as_pair(u, v, out_arcs, in_arcs) -> BranchingPair:
@@ -285,58 +268,6 @@ def _same_part_proposals(g, part, u, v):
             out = [(u, v), (v, z)] + [(z, y) for y in bits(inner)]
             inn = [(u, z), (z, v)] + [(y, z) for y in bits(inner)]
             yield out, inn
-
-
-def _core_pair(flat, a_mask, b_mask, u, v) -> BranchingPair | None:
-    """Solve a small representative core exactly, then graft the rest on.
-
-    A root whose part takes outside arcs into it (out of it for the
-    in-root) collapses to a single representative plus one such
-    neighbor; everything outside the core hangs off it by one arc each
-    way, which never collides with the core pair.
-    """
-    if a_mask == b_mask:
-        return None
-    in_u = flat.in_masks[u] & ~a_mask
-    out_v = flat.out_masks[v] & ~b_mask
-    base = (a_mask if not in_u else 1 << u) | (b_mask if not out_v else 1 << v)
-    spare = flat.full_mask & ~base & ~in_u & ~out_v
-    picks = [0]
-    for p in _first(in_u, 2):
-        for q in _first(out_v, 2):
-            picks.append(1 << p | 1 << q)
-            for r in _first(spare, 1):
-                picks.append(1 << p | 1 << q | 1 << r)
-    for extra in picks:
-        core = base | extra
-        if core == flat.full_mask:
-            continue
-        sub, old = flat.induced(core)
-        if sub.n > _ORACLE_CAP:
-            continue
-        ok = True
-        for x in bits(flat.full_mask & ~core):
-            if not (flat.in_masks[x] & core) or not (
-                flat.out_masks[x] & core
-            ):
-                ok = False
-                break
-        if not ok:
-            continue
-        iu, iv = old.index(u), old.index(v)
-        small = oracle_good_pair(sub, iu, iv, max_n=_ORACLE_CAP)
-        if small is None:
-            continue
-        lifted = _as_pair(
-            u,
-            v,
-            [(old[a], old[b]) for a, b in small.out_branching.arcs],
-            [(old[a], old[b]) for a, b in small.in_branching.arcs],
-        )
-        full_pair = extend_pair(flat, lifted, core)
-        if verify_good_pair(flat, u, v, full_pair):
-            return full_pair
-    return None
 
 
 # --- quasi-transitive front door ---

@@ -1,16 +1,23 @@
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from goodpairs.branchings import (
     Branching,
     BranchingPair,
     branching_avoiding_path,
     branching_violation,
-    extend_pair,
     find_branching,
     good_pair_violation,
     out_branching_avoiding_path,
     path_arcs,
+    search_good_pair,
     verify_good_pair,
 )
 from goodpairs.digraph import CutWitness, Digraph, mask_of
+from goodpairs.families import all_semicomplete, kind_a_instance, kind_b_instance
+from goodpairs.oracle import enumerate_out_branchings, oracle_good_pair
 
 
 def cycle3():
@@ -104,12 +111,55 @@ def test_out_branching_avoiding_path():
     assert out_branching_avoiding_path(cycle3(), 0, 1, 2) is None
 
 
-def test_extend_pair_attaches_outside_vertices():
-    g = complete_digraph(4)
-    core = mask_of([0, 1])
-    pair = BranchingPair(
-        Branching(0, ((0, 1),), "out"), Branching(0, ((1, 0),), "in")
-    )
-    assert verify_good_pair(g, 0, 0, pair, span=core)
-    full = extend_pair(g, pair, core)
-    assert verify_good_pair(g, 0, 0, full)
+def test_search_matches_the_oracle_on_small_semicomplete_digraphs():
+    for n in range(1, 5):
+        for g in all_semicomplete(n):
+            for u in range(n):
+                for v in range(n):
+                    assert search_good_pair(g, u, v) == oracle_good_pair(g, u, v)
+
+
+@st.composite
+def _rooted_digraph(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    u = draw(st.integers(min_value=0, max_value=n - 1))
+    v = draw(st.integers(min_value=0, max_value=n - 1))
+    return Digraph(n, arcs), u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_rooted_digraph())
+def test_search_matches_the_oracle_on_random_digraphs(case):
+    g, u, v = case
+    assert search_good_pair(g, u, v) == oracle_good_pair(g, u, v)
+
+
+def enumerated_pair(g, a, b, shared):
+    """Reference for the shared form: the first out-branching at a, in
+    enumeration order, whose BFS in-branching at b avoiding its arcs
+    outside `shared` makes a pair sharing exactly `shared`."""
+    for out_b in enumerate_out_branchings(g, a):
+        inn = find_branching(g, b, "in", banned=out_b.arc_set - shared)
+        if inn is None:
+            continue
+        pair = BranchingPair(out_b, inn)
+        if pair.shared_arcs == shared:
+            return pair
+    return None
+
+
+def test_shared_search_matches_enumeration_on_witnesses():
+    found = 0
+    for seed in range(10):
+        for make in (kind_a_instance, kind_b_instance):
+            g, w = make(seed)
+            back = w.backward_arcs
+            for r in range(len(back) + 1):
+                for chosen in combinations(back, r):
+                    shared = frozenset(chosen)
+                    pair = search_good_pair(g, w.a, w.b, shared=shared)
+                    assert pair == enumerated_pair(g, w.a, w.b, shared)
+                    found += pair is not None
+    assert found

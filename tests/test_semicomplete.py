@@ -3,11 +3,12 @@ from itertools import combinations, product
 
 import pytest
 
+from goodpairs import branchings
 from goodpairs.branchings import branching_violation, verify_good_pair
 from goodpairs.digraph import Digraph, strong_components
-from goodpairs.errors import InvalidInput
+from goodpairs.errors import InvalidInput, ResourceExceeded
 from goodpairs.families import all_semicomplete, random_strong_semicomplete
-from goodpairs.oracle import oracle_all_pairs
+from goodpairs.oracle import oracle_all_pairs, oracle_good_pair
 from goodpairs.semicomplete import (
     EXCEPTION_PATTERNS,
     _obstruction_arc,
@@ -15,6 +16,7 @@ from goodpairs.semicomplete import (
     construct_good_pair,
     decide_semicomplete,
     match_small_exception,
+    try_construct_pair,
 )
 from goodpairs.verdicts import validate_verdict
 from goodpairs.witnesses import iter_type_a, iter_type_b
@@ -100,6 +102,24 @@ def test_construct_good_pair_on_strong_tournaments():
         for v in range(5):
             pair = construct_good_pair(g, u, v)
             assert verify_good_pair(g, u, v, pair)
+
+
+def test_search_budget_overrun_names_budget_and_size(monkeypatch):
+    def greedy_misses(g, u, v):
+        pair = try_construct_pair(g, u, v)
+        return pair is None or not verify_good_pair(g, u, v, pair)
+
+    g, u, v = next(
+        (g, u, v)
+        for g in all_semicomplete(4)
+        for u in range(4)
+        for v in range(4)
+        if greedy_misses(g, u, v) and oracle_good_pair(g, u, v) is not None
+    )
+    assert construct_good_pair(g, u, v) == oracle_good_pair(g, u, v)
+    monkeypatch.setattr(branchings, "SEARCH_BUDGET", 1)
+    with pytest.raises(ResourceExceeded, match=r"budget of 1 nodes .* n=4$"):
+        construct_good_pair(g, u, v)
 
 
 def test_funnel_structure_and_pair():
