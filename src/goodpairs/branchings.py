@@ -119,20 +119,24 @@ def verify_good_pair(
     return good_pair_violation(g, u, v, pair, span) is None
 
 
-def find_branching(
+def reach_tree(
     g: Digraph,
     root: int,
     kind: str = "out",
     within: int | None = None,
     banned=None,
-) -> Branching | None:
-    """BFS spanning branching, or None when the root does not cover `within`."""
+) -> tuple[int, set[Arc]]:
+    """BFS tree at root: (mask of the vertices it covers, its arcs).
+
+    An arc off this tree cannot cut the root from any covered vertex:
+    the tree still reaches it once that arc is gone.
+    """
     within = g.full_mask if within is None else within
     banned = banned or ()
     rows = g.out_masks if kind == "out" else g.in_masks
     seen = 1 << root
     frontier = [root]
-    arcs: list[Arc] = []
+    arcs: set[Arc] = set()
     while frontier:
         nxt = []
         for x in frontier:
@@ -141,10 +145,22 @@ def find_branching(
                 if arc in banned:
                     continue
                 seen |= 1 << y
-                arcs.append(arc)
+                arcs.add(arc)
                 nxt.append(y)
         frontier = nxt
-    if seen != within:
+    return seen, arcs
+
+
+def find_branching(
+    g: Digraph,
+    root: int,
+    kind: str = "out",
+    within: int | None = None,
+    banned=None,
+) -> Branching | None:
+    """BFS spanning branching, or None when the root does not cover `within`."""
+    seen, arcs = reach_tree(g, root, kind, within, banned)
+    if seen != (g.full_mask if within is None else within):
         return None
     return Branching(root=root, arcs=tuple(arcs), kind=kind)
 
@@ -262,10 +278,13 @@ def out_branching_avoiding_path(
         if value < 2:
             return None
 
-    critical = set()
-    for arc in g.arcs():
-        if reach_mask(g, 1 << u, banned={arc}) != g.full_mask:
-            critical.add(arc)
+    # u spans g, so only an arc of its BFS tree can cut it off
+    _, tree_arcs = reach_tree(g, u)
+    critical = {
+        arc
+        for arc in tree_arcs
+        if reach_mask(g, 1 << u, banned={arc}) != g.full_mask
+    }
 
     nodes = 0
 
@@ -273,7 +292,9 @@ def out_branching_avoiding_path(
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise ResourceExceeded("path search budget exhausted")
+            raise ResourceExceeded(
+                f"path search budget of {budget} nodes exhausted at n={g.n}"
+            )
         here = prefix[-1]
         if here == v:
             tree = find_branching(g, u, "out", banned=banned)

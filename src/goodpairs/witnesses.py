@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .branchings import reach_tree
 from .composition import Composition, is_semicomplete
 from .digraph import (
     Arc,
@@ -252,7 +253,9 @@ def _closed_supersets(
     def rec(i: int, chosen: set[int], mask: int):
         counter[0] += 1
         if counter[0] > budget:
-            raise ResourceExceeded("witness enumeration budget exhausted")
+            raise ResourceExceeded(
+                f"witness enumeration budget of {budget} nodes exhausted at n={g.n}"
+            )
         if i == t:
             yield mask
             return
@@ -272,12 +275,33 @@ def _closed_supersets(
     yield from rec(0, set(), 0)
 
 
+def _opens(tree: tuple[int, set[Arc]], f: Arc) -> bool:
+    """Can a `_closed_supersets` call that excludes the root of `tree`,
+    a BFS out-tree in g - banned, and requires f's head yield?
+
+    Not when f is off the tree and its head on it: the root still
+    reaches that head in g - banned - f, so it lies in the coreach of
+    the required set and the call returns before it counts a node.
+    """
+    reached, tree_arcs = tree
+    return f in tree_arcs or not reached >> f[1] & 1
+
+
 def iter_type_a(
     g: Digraph, u: int, v: int, budget: int = DEFAULT_WITNESS_BUDGET
 ):
-    """All kind-A witnesses of g with out-root u and in-root v."""
+    """All kind-A witnesses of g with out-root u and in-root v.
+
+    Every designated-arc loop excludes u and requires the new arc's
+    head, so it skips the arcs on which `_opens` says the call cannot
+    yield, with one BFS out-tree at u in g less the arcs already banned
+    (the crossing arc in `grow`, none in the first loop).  Skipped
+    calls count no node and the loops keep the order of g.arcs(), so
+    the witnesses, their order and the budget used are unchanged.
+    """
     counter = [0]
     full = g.full_mask
+    trees: dict[Arc, tuple[int, set[Arc]]] = {}  # per crossing arc
 
     def close(prefix: int, level: int, sets: list[int], intro: list[Arc]):
         # level = index of the level being created = 2a; the arc introduced
@@ -318,8 +342,11 @@ def iter_type_a(
         # option 2: keep stacking with a fresh designated arc into this level
         landing = intro[level - 3][0] if level >= 3 else None
         crossing = intro[level - 2]
+        if crossing not in trees:
+            trees[crossing] = reach_tree(g, u, banned={crossing})
+        tree = trees[crossing]
         for f in g.arcs():
-            if f in intro:
+            if f in intro or not _opens(tree, f):
                 continue
             xf, yf = f
             include = 1 << yf | (1 << landing if landing is not None else 0)
@@ -340,9 +367,10 @@ def iter_type_a(
                     continue
                 yield from grow(w_mask, level + 1, sets + [new_level], intro + [f])
 
+    tree = reach_tree(g, u)
     for e in g.arcs():
         xe, ye = e
-        if ye in (u, v):
+        if ye in (u, v) or not _opens(tree, e):
             continue
         exclude = 1 << xe | 1 << u | 1 << v
         for w1 in _closed_supersets(g, 1 << ye, exclude, {e}, counter, budget):
@@ -354,11 +382,17 @@ def iter_type_a(
 def iter_type_b(
     g: Digraph, u: int, v: int, budget: int = DEFAULT_WITNESS_BUDGET
 ):
-    """All kind-B witnesses of g with out-root u and in-root v."""
+    """All kind-B witnesses of g with out-root u and in-root v.
+
+    As in `iter_type_a`, the loops skip the arcs on which `_opens` says
+    the call cannot yield; only the new arc is banned, so one BFS
+    out-tree at u in g serves every loop.
+    """
     if u == v:
         return
     counter = [0]
     full = g.full_mask
+    tree = reach_tree(g, u)
 
     def close(prefix: int, sets: list[int], intro: list[Arc]):
         top = full & ~prefix
@@ -379,7 +413,7 @@ def iter_type_b(
         yield from close(prefix, sets, intro)
         pending = intro[-1][0]
         for f in g.arcs():
-            if f in intro:
+            if f in intro or not _opens(tree, f):
                 continue
             xf, yf = f
             include = 1 << yf | 1 << pending
@@ -400,7 +434,7 @@ def iter_type_b(
 
     for e in g.arcs():
         xe, ye = e
-        if ye == u or xe == v:
+        if ye == u or xe == v or not _opens(tree, e):
             continue
         for w1 in _closed_supersets(
             g, 1 << ye | 1 << v, 1 << xe | 1 << u, {e}, counter, budget

@@ -1,10 +1,24 @@
+import random
+from dataclasses import astuple
+from itertools import combinations
+
 import pytest
 
+from goodpairs.branchings import out_branching_avoiding_path
 from goodpairs.composition import Composition, directed_cycle, independent, singleton
-from goodpairs.digraph import Digraph, mask_of
+from goodpairs.digraph import Digraph, local_arc_connectivity, mask_of
 from goodpairs.errors import ResourceExceeded
+from goodpairs.families import (
+    all_semicomplete,
+    kind_a_instance,
+    kind_b_instance,
+    random_strong_semicomplete,
+)
 from goodpairs.witnesses import (
     TypeABWitness,
+    _closed_supersets,
+    _in_initial_component,
+    _in_terminal_component,
     arc_condition,
     iter_type_a,
     iter_type_b,
@@ -158,8 +172,182 @@ def test_enumerate_nothing_on_well_connected():
 
 def test_enumeration_budget():
     g = back_arc_order4()
-    with pytest.raises(ResourceExceeded):
+    with pytest.raises(
+        ResourceExceeded,
+        match=r"^witness enumeration budget of 2 nodes exhausted at n=4$",
+    ):
         list(iter_type_a(g, 1, 2, budget=2))
+
+
+def test_path_search_budget_names_budget_and_size():
+    # u = 0 spans the complete digraph on 4 vertices, and a 1 -> 3 path
+    # plus an out-branching at 0 exist, so the walk runs into its budget
+    with pytest.raises(
+        ResourceExceeded,
+        match=r"^path search budget of 0 nodes exhausted at n=4$",
+    ):
+        out_branching_avoiding_path(complete_digraph(4), 0, 1, 3, budget=0)
+
+
+# Unfiltered copies of iter_type_a and iter_type_b: they call
+# _closed_supersets on every candidate designated arc, and their nodes
+# are counted in `counter` without a budget.
+UNLIMITED = float("inf")
+
+
+def reference_type_a(g, u, v, counter):
+    full = g.full_mask
+
+    def close(prefix, level, sets, intro):
+        if level % 2 or level < 2:
+            return
+        landing = intro[level - 3][0] if level >= 3 else None
+        top_arc = intro[level - 2]
+        include = 1 << u | (1 << landing if landing is not None else 0)
+        if level == 2:
+            include |= 1 << v
+        if prefix & include:
+            return
+        for w_mask in _closed_supersets(
+            g, prefix | include, 1 << top_arc[0], {top_arc}, counter, UNLIMITED
+        ):
+            new_level = w_mask & ~prefix
+            top = full & ~w_mask
+            if not top:
+                continue
+            if landing is not None and not _in_terminal_component(
+                g, new_level, landing
+            ):
+                continue
+            if not _in_terminal_component(g, top, top_arc[0]):
+                continue
+            yield TypeABWitness(
+                "A", tuple(sets + [new_level, top]), tuple(reversed(intro)), u, v
+            )
+
+    def grow(prefix, level, sets, intro):
+        yield from close(prefix, level, sets, intro)
+        landing = intro[level - 3][0] if level >= 3 else None
+        crossing = intro[level - 2]
+        for f in g.arcs():
+            if f in intro:
+                continue
+            xf, yf = f
+            include = 1 << yf | (1 << landing if landing is not None else 0)
+            if level == 2:
+                include |= 1 << v
+            exclude = 1 << xf | 1 << u | 1 << crossing[0]
+            if include & exclude or prefix & include:
+                continue
+            for w_mask in _closed_supersets(
+                g, prefix | include, exclude, {crossing, f}, counter, UNLIMITED
+            ):
+                new_level = w_mask & ~prefix
+                if not _in_initial_component(g, new_level, yf):
+                    continue
+                if landing is not None and not _in_terminal_component(
+                    g, new_level, landing
+                ):
+                    continue
+                yield from grow(w_mask, level + 1, sets + [new_level], intro + [f])
+
+    for e in g.arcs():
+        xe, ye = e
+        if ye in (u, v):
+            continue
+        exclude = 1 << xe | 1 << u | 1 << v
+        for w1 in _closed_supersets(g, 1 << ye, exclude, {e}, counter, UNLIMITED):
+            if _in_initial_component(g, w1, ye):
+                yield from grow(w1, 2, [w1], [e])
+
+
+def reference_type_b(g, u, v, counter):
+    if u == v:
+        return
+    full = g.full_mask
+
+    def grow(prefix, sets, intro):
+        top = full & ~prefix
+        if top >> u & 1 and _in_terminal_component(g, top, intro[-1][0]):
+            yield TypeABWitness("B", tuple(sets + [top]), tuple(reversed(intro)), u, v)
+        pending = intro[-1][0]
+        for f in g.arcs():
+            if f in intro:
+                continue
+            xf, yf = f
+            include = 1 << yf | 1 << pending
+            exclude = 1 << xf | 1 << u
+            if include & exclude or prefix & include:
+                continue
+            for w_mask in _closed_supersets(
+                g, prefix | include, exclude, {f}, counter, UNLIMITED
+            ):
+                new_level = w_mask & ~prefix
+                if yf != pending:
+                    k, _ = local_arc_connectivity(
+                        g, yf, pending, within=new_level, cap=2
+                    )
+                    if k < 2:
+                        continue
+                yield from grow(w_mask, sets + [new_level], intro + [f])
+
+    for e in g.arcs():
+        xe, ye = e
+        if ye == u or xe == v:
+            continue
+        for w1 in _closed_supersets(
+            g, 1 << ye | 1 << v, 1 << xe | 1 << u, {e}, counter, UNLIMITED
+        ):
+            if _in_initial_component(g, w1, ye):
+                yield from grow(w1, [w1], [e])
+
+
+def assert_filtered_matches_reference(g, u, v) -> int:
+    """Same witnesses, same order and the same node count N as the
+    reference: the filtered enumerators raise at budget N-1 and finish
+    at budget N.  Returns the number of witnesses found."""
+    found = 0
+    for filtered, reference in (
+        (iter_type_a, reference_type_a),
+        (iter_type_b, reference_type_b),
+    ):
+        counter = [0]
+        expected = [astuple(w) for w in reference(g, u, v, counter)]
+        nodes = counter[0]
+        got = [astuple(w) for w in filtered(g, u, v, budget=nodes)]
+        assert got == expected, (g, u, v, filtered.__name__)
+        if nodes:
+            with pytest.raises(ResourceExceeded):
+                list(filtered(g, u, v, budget=nodes - 1))
+        found += len(expected)
+    return found
+
+
+def near_transitive(rng, n):
+    # a transitive tournament with a few reversed arcs; often not strong,
+    # so u misses some heads and the unreached-head rule is exercised
+    pairs = list(combinations(range(n), 2))
+    flipped = set(rng.sample(pairs, rng.randint(1, n)))
+    return Digraph(n, [(b, a) if (a, b) in flipped else (a, b) for a, b in pairs])
+
+
+def test_filtered_enumeration_matches_unfiltered_reference():
+    found = 0
+    for g in all_semicomplete(4):
+        for u in range(4):
+            for v in range(4):
+                found += assert_filtered_matches_reference(g, u, v)
+    rng = random.Random(5)
+    for n in range(5, 15):
+        for g in (random_strong_semicomplete(rng, n), near_transitive(rng, n)):
+            for _ in range(2):
+                found += assert_filtered_matches_reference(
+                    g, rng.randrange(n), rng.randrange(n)
+                )
+    for seed in range(20):
+        for g, w in (kind_a_instance(seed), kind_b_instance(seed)):
+            assert assert_filtered_matches_reference(g, w.a, w.b) > 0
+    assert found > 0
 
 
 def test_arc_condition():
