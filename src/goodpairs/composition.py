@@ -58,15 +58,21 @@ class Composition:
         return ((1 << self.parts[part].n) - 1) << self.offsets[part]
 
     def flatten(self) -> Digraph:
-        arcs = []
+        """Each flat row is its part row, shifted to the part's offset,
+        plus every vertex of the quotient successor (or predecessor) parts."""
+        masks = [self.part_mask(i) for i in range(self.s)]
+        out_masks: list[int] = []
+        in_masks: list[int] = []
         for i, p in enumerate(self.parts):
             off = self.offsets[i]
-            arcs.extend((off + a, off + b) for a, b in p.arcs())
-        for i, j in self.quotient.arcs():
-            for a in bits(self.part_mask(i)):
-                for b in bits(self.part_mask(j)):
-                    arcs.append((a, b))
-        return Digraph(self.n, arcs)
+            succ = pred = 0
+            for j in bits(self.quotient.out_masks[i]):
+                succ |= masks[j]
+            for j in bits(self.quotient.in_masks[i]):
+                pred |= masks[j]
+            out_masks.extend(row << off | succ for row in p.out_masks)
+            in_masks.extend(row << off | pred for row in p.in_masks)
+        return Digraph.from_rows(out_masks, in_masks)
 
 
 def is_semicomplete(g: Digraph) -> bool:
@@ -80,31 +86,36 @@ def is_oriented(g: Digraph) -> bool:
     return all(not g.out_masks[x] & g.in_masks[x] for x in range(g.n))
 
 
+def _two_step_row(g: Digraph, x: int) -> int:
+    """Every z != x with a path xyz."""
+    row = 0
+    for y in bits(g.out_masks[x]):
+        row |= g.out_masks[y]
+    return row & ~(1 << x)
+
+
 def is_transitive(g: Digraph) -> bool:
     """Arcs xy and yz with x != z always force xz."""
-    for y in range(g.n):
-        targets = g.out_masks[y]
-        for x in bits(g.in_masks[y]):
-            if targets & ~(1 << x) & ~g.out_masks[x]:
-                return False
-    return True
+    return all(
+        not _two_step_row(g, x) & ~g.out_masks[x] for x in range(g.n)
+    )
 
 
 def is_quasi_transitive(g: Digraph) -> bool:
     """Arcs xy and yz with x != z always force xz or zx."""
-    for y in range(g.n):
-        targets = g.out_masks[y]
-        for x in bits(g.in_masks[y]):
-            if targets & ~(1 << x) & ~(g.out_masks[x] | g.in_masks[x]):
-                return False
-    return True
+    return all(
+        not _two_step_row(g, x) & ~(g.out_masks[x] | g.in_masks[x])
+        for x in range(g.n)
+    )
 
 
 def composition_from_partition(g: Digraph, part_masks: list[int]):
     """Rebuild g as a composition over the given vertex partition.
 
     Returns (Composition, order) with order[flat index] = g vertex, or
-    None when some part pair is not uniformly joined.
+    None when some part pair is not uniformly joined.  The pairs are
+    uniform exactly when the vertices of each part share one row outside
+    it and that row holds every other part whole or not at all.
     """
     cover = 0
     for m in part_masks:
@@ -113,22 +124,23 @@ def composition_from_partition(g: Digraph, part_masks: list[int]):
         cover |= m
     if cover != g.full_mask:
         raise InvalidInput("part masks must partition the vertex set")
+    quotient_arcs = []
+    for i, mi in enumerate(part_masks):
+        row = g.out_masks[(mi & -mi).bit_length() - 1] & ~mi
+        if any(g.out_masks[a] & ~mi != row for a in bits(mi)):
+            return None
+        for j, mj in enumerate(part_masks):
+            joined = row & mj
+            if joined == mj:
+                quotient_arcs.append((i, j))
+            elif joined:
+                return None
     parts = []
     order: list[int] = []
     for m in part_masks:
         sub, old = g.induced(m)
         parts.append(sub)
         order.extend(old)
-    quotient_arcs = []
-    for i, mi in enumerate(part_masks):
-        for j, mj in enumerate(part_masks):
-            if i == j:
-                continue
-            rows = {g.out_masks[a] & mj for a in bits(mi)}
-            if rows == {mj}:
-                quotient_arcs.append((i, j))
-            elif rows != {0}:
-                return None
     comp = Composition(Digraph(len(part_masks), quotient_arcs), tuple(parts))
     return comp, order
 
@@ -229,7 +241,7 @@ def qt_decompose(g: Digraph) -> QtDecomposition:
     if g.n < 2:
         raise InvalidInput("decomposition needs at least two vertices")
     if not is_quasi_transitive(g):
-        raise InvalidInput("input is not quasi-transitive")
+        raise InvalidInput("input digraph is not quasi-transitive")
     scc = strong_components(g)
     if scc.is_strong:
         masks = complement_components(g)

@@ -79,8 +79,19 @@ class Digraph:
             row &= within
         return row.bit_count()
 
+    @classmethod
+    def from_rows(cls, out_masks: list[int], in_masks: list[int]) -> "Digraph":
+        """Digraph on the given rows, taken as they are: the caller owns
+        that they describe one loopless arc set inside 0..n-1."""
+        h = cls.__new__(cls)
+        h.n = len(out_masks)
+        h.out_masks = out_masks
+        h.in_masks = in_masks
+        h._arcs = None
+        return h
+
     def converse(self) -> "Digraph":
-        return Digraph(self.n, [(b, a) for a, b in self.arcs()])
+        return Digraph.from_rows(self.in_masks[:], self.out_masks[:])
 
     def without_arcs(self, removed) -> "Digraph":
         """Copy with the removed arcs cleared; absent arcs are ignored."""
@@ -91,12 +102,7 @@ class Digraph:
             if 0 <= a < n and 0 <= b < n:
                 out_masks[a] &= ~(1 << b)
                 in_masks[b] &= ~(1 << a)
-        h = Digraph.__new__(Digraph)
-        h.n = n
-        h.out_masks = out_masks
-        h.in_masks = in_masks
-        h._arcs = None
-        return h
+        return Digraph.from_rows(out_masks, in_masks)
 
     def with_arcs(self, added) -> "Digraph":
         return Digraph(self.n, set(self.arcs()) | set(added))
@@ -104,13 +110,25 @@ class Digraph:
     def induced(self, vertex_mask: int) -> tuple["Digraph", list[int]]:
         """Subgraph on the masked vertices; returns (graph, new-to-old map)."""
         old = list(bits(vertex_mask))
-        index = {v: i for i, v in enumerate(old)}
-        arcs = [
-            (index[a], index[b])
-            for a, b in self.arcs()
-            if vertex_mask >> a & 1 and vertex_mask >> b & 1
-        ]
-        return Digraph(len(old), arcs), old
+        # maximal runs of consecutive kept vertices: (first old vertex,
+        # run mask at bit 0, first new index)
+        runs = []
+        rest = vertex_mask
+        while rest:
+            start = (rest & -rest).bit_length() - 1
+            width = ((rest >> start) + 1 & ~(rest >> start)).bit_length() - 1
+            runs.append((start, (1 << width) - 1, len(old) - rest.bit_count()))
+            rest &= ~(((1 << width) - 1) << start)
+
+        def compress(row: int) -> int:
+            new = 0
+            for start, run, at in runs:
+                new |= (row >> start & run) << at
+            return new
+
+        out_masks = [compress(self.out_masks[a]) for a in old]
+        in_masks = [compress(self.in_masks[a]) for a in old]
+        return Digraph.from_rows(out_masks, in_masks), old
 
     def __eq__(self, other) -> bool:
         return (
@@ -237,16 +255,18 @@ def strong_components(g: Digraph, within: int | None = None) -> SccDecomposition
         for v in bits(comp):
             comp_of[v] = i
 
-    entered = [False] * len(components)
-    left = [False] * len(components)
-    for a, b in g.arcs():
-        if allowed >> a & 1 and allowed >> b & 1:
-            ca, cb = comp_of[a], comp_of[b]
-            if ca != cb:
-                entered[cb] = True
-                left[ca] = True
-    initial = [i for i, e in enumerate(entered) if not e]
-    terminal = [i for i, e in enumerate(left) if not e]
+    initial = []
+    terminal = []
+    for i, comp in enumerate(components):
+        outside = allowed & ~comp
+        out_row = in_row = 0
+        for v in bits(comp):
+            out_row |= g.out_masks[v]
+            in_row |= g.in_masks[v]
+        if not in_row & outside:
+            initial.append(i)
+        if not out_row & outside:
+            terminal.append(i)
     return SccDecomposition(components, comp_of, initial, terminal)
 
 
@@ -275,15 +295,13 @@ def _augmenting_flow(
 ) -> tuple[int, int, set[Arc]]:
     """Augment unit flow from the source set to sink, up to cap paths.
 
-    Returns (value, side, used): side is everything the source set
-    reaches in the final residual graph, used the arcs carrying flow.
+    Returns (value, side, used): used is the arcs carrying flow, side
+    everything the source set reaches in the final residual graph when
+    value < cap (or cap is None) and 0 once the cap is met.
     """
     used: set[Arc] = set()
     value = 0
-    while True:
-        # once the cap is met, one more search without a target yields
-        # the whole residual side
-        target = sink if cap is None or value < cap else -1
+    while cap is None or value < cap:
         # BFS in the residual graph.
         parents: dict[int, tuple[int, Arc, bool]] = {}
         seen = source_mask & allowed
@@ -298,7 +316,7 @@ def _augmenting_flow(
                         continue
                     parents[w] = (v, (v, w), True)
                     seen |= 1 << w
-                    if w == target:
+                    if w == sink:
                         found = True
                         break
                     nxt.append(w)
@@ -309,7 +327,7 @@ def _augmenting_flow(
                     if (w, v) in used:
                         parents[w] = (v, (w, v), False)
                         seen |= 1 << w
-                        if w == target:
+                        if w == sink:
                             found = True
                             break
                         nxt.append(w)
@@ -328,6 +346,7 @@ def _augmenting_flow(
                 used.remove(arc)
             v = prev
         value += 1
+    return value, 0, used
 
 
 def unit_flow(
@@ -363,12 +382,15 @@ def _cut_from_side(g: Digraph, side: int, within: int) -> CutWitness:
 
 def local_arc_connectivity(
     g: Digraph, x: int, y: int, within: int | None = None, cap: int | None = None
-) -> tuple[int, CutWitness]:
-    """Maximum number of arc-disjoint (x,y)-paths and a minimum cut."""
+) -> tuple[int, CutWitness | None]:
+    """Maximum number of arc-disjoint (x,y)-paths, up to cap, and a
+    minimum cut; the cut is None once the cap is met."""
     if x == y:
         raise InvalidInput("local_arc_connectivity needs x != y")
     allowed = g.full_mask if within is None else within
     k, side = unit_flow(g, 1 << x, y, within=allowed, cap=cap)
+    if cap is not None and k >= cap:
+        return k, None
     return k, _cut_from_side(g, side, allowed)
 
 

@@ -17,6 +17,7 @@ from .branchings import (
     BranchingPair,
     find_branching,
     path_arcs,
+    reach_tree,
     search_good_pair,
     verify_good_pair,
 )
@@ -99,18 +100,22 @@ def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
         if inn is not None:
             return BranchingPair(out_first, inn)
     # guarded growth: accept a frontier arc only while every vertex can
-    # still reach v without the chosen arcs
+    # still reach v without the chosen arcs; an arc off v's BFS in-tree in
+    # g - chosen cannot cut anything from v, and when that tree does not
+    # span no arc is acceptable
     tree = 1 << u
     arcs: list[Arc] = []
     chosen: set[Arc] = set()
     while tree != full:
+        spanned, in_tree = reach_tree(g, v, "in", banned=chosen)
+        if spanned != full:
+            return None
         picked = None
         for x in bits(tree):
             for y in bits(g.out_masks[x] & ~tree):
-                chosen.add((x, y))
-                ok = coreach_mask(g, 1 << v, banned=chosen) == full
-                chosen.remove((x, y))
-                if ok:
+                if (x, y) not in in_tree or coreach_mask(
+                    g, 1 << v, banned=chosen | {(x, y)}
+                ) == full:
                     picked = (x, y)
                     break
             if picked:

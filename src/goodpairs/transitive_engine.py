@@ -23,7 +23,6 @@ from .branchings import Branching, BranchingPair, find_branching, verify_good_pa
 from .composition import (
     Composition,
     composition_from_partition,
-    is_quasi_transitive,
     is_transitive,
     qt_decompose,
 )
@@ -287,8 +286,6 @@ def decide_quasi_transitive(g: Digraph, u: int, v: int) -> Verdict:
         return Verdict(
             yes=True, u=u, v=v, reason=YES, pair=_as_pair(u, v, [], [])
         )
-    if not is_quasi_transitive(g):
-        raise InvalidInput("input digraph is not quasi-transitive")
     dec = qt_decompose(g)
     inv = [0] * g.n
     for new, old in enumerate(dec.order):

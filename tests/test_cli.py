@@ -4,9 +4,13 @@ import gc
 import io
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from goodpairs.cli import main
+from goodpairs.composition import qt_decompose
+from goodpairs.digraph import Digraph
+from goodpairs.errors import InvalidInput
 
 TRIANGLE = "vertices a b c\narc a b\narc b c\narc c a\n"
 DIGON_PAIR = (
@@ -60,6 +64,17 @@ def test_decide_rejects_bad_roots_and_class():
     assert r.exit_code == 2
     r = run("decide", "-", "--u", "a", stdin=TRIANGLE)
     assert r.exit_code == 2
+
+
+def test_decide_forced_qt_rejects_a_non_quasi_transitive_digraph():
+    # the quasi-transitive route keeps one class check, inside qt_decompose
+    message = "input digraph is not quasi-transitive"
+    path = "vertices a b c\narc a b\narc b c\n"
+    r = run("decide", "-", "--class", "qt", "--u", "a", "--v", "c", stdin=path)
+    assert r.exit_code == 2
+    assert f"error: {message}" in r.output
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        qt_decompose(Digraph(3, [(0, 1), (1, 2)]))
 
 
 def test_decide_parse_error_names_the_line():

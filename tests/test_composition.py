@@ -176,3 +176,84 @@ def test_qt_decompose_non_strong():
 def test_qt_decompose_rejects_non_qt():
     with pytest.raises(InvalidInput):
         qt_decompose(Digraph(3, [(0, 1), (1, 2)]))
+
+
+def flatten_by_arcs(comp):
+    """The arc-list rebuild of the flattening."""
+    arcs = []
+    for i, p in enumerate(comp.parts):
+        off = comp.offsets[i]
+        arcs.extend((off + a, off + b) for a, b in p.arcs())
+    for i, j in comp.quotient.arcs():
+        arcs.extend(
+            (a, b) for a in bits(comp.part_mask(i)) for b in bits(comp.part_mask(j))
+        )
+    return Digraph(comp.n, arcs)
+
+
+@st.composite
+def _digraphs(draw: st.DrawFn, min_n: int = 1, max_n: int = 8):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    return Digraph(n, draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+
+
+@st.composite
+def _compositions(draw: st.DrawFn):
+    s = draw(st.integers(min_value=1, max_value=4))
+    quotient = draw(_digraphs(s, s))
+    return Composition(quotient, tuple(draw(_digraphs(1, 3)) for _ in range(s)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_compositions())
+def test_flatten_matches_arc_rebuild(comp):
+    g = comp.flatten()
+    want = flatten_by_arcs(comp)
+    assert g == want and g.in_masks == want.in_masks
+    assert g.arcs() == want.arcs()
+
+
+def classes_by_triples(g):
+    """(transitive, quasi-transitive) from every arc pair xy, yz, x != z."""
+    transitive = quasi = True
+    for x, y in g.arcs():
+        for z in bits(g.out_masks[y]):
+            if z == x:
+                continue
+            if not g.has_arc(x, z):
+                transitive = False
+                if not g.has_arc(z, x):
+                    quasi = False
+    return transitive, quasi
+
+
+def test_transitivity_predicates_match_triples_exhaustively():
+    seen = set()
+    for n in range(1, 5):
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for choice in range(1 << len(pairs)):
+            g = Digraph(n, [p for i, p in enumerate(pairs) if choice >> i & 1])
+            want = classes_by_triples(g)
+            assert (is_transitive(g), is_quasi_transitive(g)) == want, g
+            seen.add(want)
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_digraphs(5, 8), _compositions().map(Composition.flatten)))
+def test_transitivity_predicates_match_triples_on_random_digraphs(g):
+    # flattenings over transitive quotients and parts give the YES cases
+    assert (is_transitive(g), is_quasi_transitive(g)) == classes_by_triples(g)
+
+
+def test_transitivity_predicates_on_flattened_compositions():
+    # a transitive quotient over transitive parts is transitive; over a
+    # directed cycle part only quasi-transitive
+    tt = transitive_tournament(3)
+    g = Composition(tt, (directed_cycle(3), independent(2), singleton())).flatten()
+    assert classes_by_triples(g) == (False, True)
+    assert not is_transitive(g) and is_quasi_transitive(g)
+    g = Composition(tt, (transitive_tournament(2), independent(2), singleton())).flatten()
+    assert classes_by_triples(g) == (True, True)
+    assert is_transitive(g) and is_quasi_transitive(g)

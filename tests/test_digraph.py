@@ -139,8 +139,8 @@ def test_local_connectivity_cut_is_minimum():
 
 def test_local_connectivity_cap_stops_early():
     g = complete_digraph(5)
-    k, _ = local_arc_connectivity(g, 0, 1, cap=2)
-    assert k == 2
+    k, cut = local_arc_connectivity(g, 0, 1, cap=2)
+    assert k == 2 and cut is None
 
 
 def test_arc_disjoint_paths_found():
@@ -227,3 +227,105 @@ def test_without_arcs_ignores_arcs_outside_the_vertex_range():
     g = complete_digraph(3)
     h = g.without_arcs([(-1, 0), (0, -1), (2, 3), (5, 1)])
     assert h == g and h.in_masks == g.in_masks
+
+
+@st.composite
+def _digraph_and_mask(draw: st.DrawFn):
+    n = draw(st.integers(min_value=1, max_value=8))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    arcs = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    mask = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    return n, arcs, mask
+
+
+def induced_by_arcs(g, vertex_mask):
+    """The arc-list rebuild of the induced subgraph."""
+    old = list(bits(vertex_mask))
+    index = {v: i for i, v in enumerate(old)}
+    arcs = [
+        (index[a], index[b])
+        for a, b in g.arcs()
+        if vertex_mask >> a & 1 and vertex_mask >> b & 1
+    ]
+    return Digraph(len(old), arcs), old
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraph_and_mask())
+def test_induced_and_converse_match_arc_rebuild(case):
+    # masks may be empty, full, one run of vertices or scattered ones
+    n, arcs, mask = case
+    g = Digraph(n, arcs)
+    sub, old = g.induced(mask)
+    want, want_old = induced_by_arcs(g, mask)
+    assert old == want_old
+    assert sub == want and sub.in_masks == want.in_masks
+    assert sub.arcs() == want.arcs()
+    conv = g.converse()
+    want = Digraph(n, [(b, a) for a, b in arcs])
+    assert conv == want and conv.in_masks == want.in_masks
+    assert g == Digraph(n, arcs)
+
+
+def ends_by_arc_walk(g, components, within):
+    """Initial and terminal component indices from a walk over g's arcs."""
+    allowed = g.full_mask if within is None else within
+    comp_of = {v: i for i, c in enumerate(components) for v in bits(c)}
+    entered = [False] * len(components)
+    left = [False] * len(components)
+    for a, b in g.arcs():
+        if allowed >> a & 1 and allowed >> b & 1 and comp_of[a] != comp_of[b]:
+            entered[comp_of[b]] = True
+            left[comp_of[a]] = True
+    initial = [i for i, e in enumerate(entered) if not e]
+    terminal = [i for i, e in enumerate(left) if not e]
+    return initial, terminal
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraph_and_mask())
+def test_scc_ends_match_arc_walk(case):
+    n, arcs, mask = case
+    g = Digraph(n, arcs)
+    for within in (None, mask):
+        scc = strong_components(g, within=within)
+        initial, terminal = ends_by_arc_walk(g, scc.components, within)
+        assert scc.initial == initial and scc.terminal == terminal
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(
+                st.sampled_from(
+                    [(a, b) for a in range(n) for b in range(n) if a != b]
+                )
+            ),
+            st.integers(min_value=0, max_value=3),
+        )
+    )
+)
+def test_k_arc_strong_matches_all_pairs_connectivity(case):
+    n, arcs, k = case
+    g = Digraph(n, arcs)
+    lowest = min(
+        local_arc_connectivity(g, x, y)[0]
+        for x in range(n)
+        for y in range(n)
+        if x != y
+    )
+    ok, cut = is_k_arc_strong(g, k)
+    assert ok == (lowest >= k)
+    if ok:
+        assert cut is None
+    else:
+        assert cut.validate(g) and len(cut.crossing) < k
+    for x, y in ((0, 1), (1, 0), (n - 1, 0)):
+        full, _ = local_arc_connectivity(g, x, y)
+        value, capped_cut = local_arc_connectivity(g, x, y, cap=k)
+        assert value == min(full, k)
+        assert (capped_cut is None) == (full >= k)
+        if capped_cut is not None:
+            assert capped_cut.validate(g) and len(capped_cut.crossing) == full

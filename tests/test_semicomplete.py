@@ -4,8 +4,13 @@ from itertools import combinations, product
 import pytest
 
 from goodpairs import branchings
-from goodpairs.branchings import branching_violation, verify_good_pair
-from goodpairs.digraph import Digraph, strong_components
+from goodpairs.branchings import (
+    Branching,
+    BranchingPair,
+    branching_violation,
+    verify_good_pair,
+)
+from goodpairs.digraph import Digraph, bits, coreach_mask, strong_components
 from goodpairs.errors import InvalidInput, ResourceExceeded
 from goodpairs.families import all_semicomplete, random_strong_semicomplete
 from goodpairs.oracle import oracle_all_pairs, oracle_good_pair
@@ -214,3 +219,75 @@ def test_tree_scan_finds_the_full_scans_first_arc_on_random_graphs():
         ):
             obstructed += _assert_tree_scan_matches_full_scan(g) > 0
     assert obstructed >= 10
+
+
+def _try_construct_pair_by_full_coreach(g, u, v):
+    """The greedy with its guarded growth testing every frontier arc by a
+    full coreach from v; also says whether the growth ran."""
+    full = g.full_mask
+    in_first = branchings.find_branching(g, v, "in")
+    if in_first is not None:
+        out = branchings.find_branching(g, u, "out", banned=in_first.arc_set)
+        if out is not None:
+            return BranchingPair(out, in_first), False
+    out_first = branchings.find_branching(g, u, "out")
+    if out_first is not None:
+        inn = branchings.find_branching(g, v, "in", banned=out_first.arc_set)
+        if inn is not None:
+            return BranchingPair(out_first, inn), False
+    tree = 1 << u
+    arcs = []
+    chosen = set()
+    while tree != full:
+        picked = None
+        for x in bits(tree):
+            for y in bits(g.out_masks[x] & ~tree):
+                chosen.add((x, y))
+                ok = coreach_mask(g, 1 << v, banned=chosen) == full
+                chosen.remove((x, y))
+                if ok:
+                    picked = (x, y)
+                    break
+            if picked:
+                break
+        if picked is None:
+            return None, True
+        chosen.add(picked)
+        arcs.append(picked)
+        tree |= 1 << picked[1]
+    inn = branchings.find_branching(g, v, "in", banned=chosen)
+    if inn is None:
+        return None, True
+    return BranchingPair(Branching(u, tuple(arcs), "out"), inn), True
+
+
+def _assert_greedy_matches_full_coreach(g, roots):
+    grown = 0
+    for u, v in roots:
+        want, grew = _try_construct_pair_by_full_coreach(g, u, v)
+        assert try_construct_pair(g, u, v) == want, (g, u, v)
+        grown += grew and want is not None
+    return grown
+
+
+def test_guarded_growth_matches_full_coreach_exhaustively():
+    grown = 0
+    for n in range(1, 5):
+        roots = list(product(range(n), repeat=2))
+        for g in all_semicomplete(n):
+            grown += _assert_greedy_matches_full_coreach(g, roots)
+    assert grown > 3000
+
+
+def test_guarded_growth_matches_full_coreach_on_random_graphs():
+    grown = 0
+    for n in range(5, 31):
+        rng = random.Random(f"guarded-growth/{n}")
+        roots = rng.sample(list(product(range(n), repeat=2)), 8)
+        for g in (
+            random_strong_semicomplete(rng, n, 0.0),
+            random_strong_semicomplete(rng, n, 0.25),
+            _near_transitive_tournament(rng, n),
+        ):
+            grown += _assert_greedy_matches_full_coreach(g, roots)
+    assert grown > 300
