@@ -88,9 +88,13 @@ def is_oriented(g: Digraph) -> bool:
 
 def _two_step_row(g: Digraph, x: int) -> int:
     """Every z != x with a path xyz."""
+    out_masks = g.out_masks
     row = 0
-    for y in bits(g.out_masks[x]):
-        row |= g.out_masks[y]
+    ys = out_masks[x]
+    while ys:  # bits() inlined: this runs for every vertex of every input
+        low = ys & -ys
+        row |= out_masks[low.bit_length() - 1]
+        ys ^= low
     return row & ~(1 << x)
 
 

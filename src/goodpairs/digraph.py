@@ -292,59 +292,73 @@ class CutWitness:
 
 def _augmenting_flow(
     g: Digraph, source_mask: int, sink: int, banned, allowed: int, cap: int | None
-) -> tuple[int, int, set[Arc]]:
+) -> tuple[int, int, list[int]]:
     """Augment unit flow from the source set to sink, up to cap paths.
 
-    Returns (value, side, used): used is the arcs carrying flow, side
-    everything the source set reaches in the final residual graph when
-    value < cap (or cap is None) and 0 once the cap is met.
+    Returns (value, side, used): used[v] is the mask of heads of v's arcs
+    carrying flow, side everything the source set reaches in the final
+    residual graph when value < cap (or cap is None) and 0 once the cap
+    is met.
+
+    Flow and bans live in bitset rows: used[v] and used_in[v] hold the
+    heads and tails of v's arcs carrying flow, ban_out[v] the heads of
+    its banned arcs (banned arcs outside 0..n-1 are ignored), so each
+    BFS step takes its residual arcs as whole-row masks.  The BFS visits
+    forward arcs before backward ones, each in increasing vertex order.
     """
-    used: set[Arc] = set()
+    n = g.n
+    out_masks = g.out_masks
+    used = [0] * n
+    used_in = [0] * n
+    ban_out = [0] * n
+    for a, b in banned:
+        if 0 <= a < n and 0 <= b < n:
+            ban_out[a] |= 1 << b
+    sink_bit = 1 << sink
     value = 0
     while cap is None or value < cap:
-        # BFS in the residual graph.
-        parents: dict[int, tuple[int, Arc, bool]] = {}
+        # BFS in the residual graph; parent[w] is v for a forward arc
+        # (v, w) and ~v for a backward step along the used arc (w, v).
+        parent = [0] * n
         seen = source_mask & allowed
         frontier = list(bits(seen))
         found = False
         while frontier and not found:
             nxt = []
             for v in frontier:
-                fwd = g.out_masks[v] & allowed & ~seen
+                fwd = out_masks[v] & allowed & ~seen & ~used[v] & ~ban_out[v]
+                if fwd & sink_bit:
+                    parent[sink] = v
+                    found = True
+                    break
                 for w in bits(fwd):
-                    if (v, w) in banned or (v, w) in used:
-                        continue
-                    parents[w] = (v, (v, w), True)
-                    seen |= 1 << w
-                    if w == sink:
-                        found = True
-                        break
+                    parent[w] = v
                     nxt.append(w)
-                if found:
+                seen |= fwd
+                bwd = used_in[v] & allowed & ~seen
+                if bwd & sink_bit:
+                    parent[sink] = ~v
+                    found = True
                     break
-                bwd = g.in_masks[v] & allowed & ~seen
                 for w in bits(bwd):
-                    if (w, v) in used:
-                        parents[w] = (v, (w, v), False)
-                        seen |= 1 << w
-                        if w == sink:
-                            found = True
-                            break
-                        nxt.append(w)
-                if found:
-                    break
+                    parent[w] = ~v
+                    nxt.append(w)
+                seen |= bwd
             frontier = nxt
         if not found:
             return value, seen, used
         # Augment along the path.
         v = sink
         while not (source_mask >> v & 1):
-            prev, arc, forward = parents[v]
-            if forward:
-                used.add(arc)
+            p = parent[v]
+            if p >= 0:
+                used[p] |= 1 << v
+                used_in[v] |= 1 << p
             else:
-                used.remove(arc)
-            v = prev
+                p = ~p
+                used[v] &= ~(1 << p)
+                used_in[p] &= ~(1 << v)
+            v = p
         value += 1
     return value, 0, used
 
@@ -402,9 +416,7 @@ def arc_disjoint_paths(g: Digraph, x: int, y: int, k: int):
     if value < k:
         return _cut_from_side(g, side, g.full_mask)
     # Decompose the used arcs into k paths, shortcutting repeated vertices.
-    succ: dict[int, list[int]] = {}
-    for a, b in sorted(used):
-        succ.setdefault(a, []).append(b)
+    succ = [list(bits(row)) for row in used]
     paths = []
     for _ in range(k):
         walk = [x]

@@ -94,6 +94,8 @@ def _check_forced_class(target, klass: str) -> None:
         raise InvalidInput("digraph is not semicomplete")
     elif klass == "transitive" and not is_transitive(target):
         raise InvalidInput("digraph is not transitive")
+    elif klass == "qt" and not is_quasi_transitive(target):
+        raise InvalidInput("input digraph is not quasi-transitive")
     elif klass == "composition":
         raise InvalidInput("composition class needs a composition input")
 

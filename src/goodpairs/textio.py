@@ -56,11 +56,13 @@ class InputDocument:
             raise InvalidInput(f"unknown vertex name {name!r}") from None
 
 
-def _tokens(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+def _tokens(text: str) -> list[tuple[int, list[str]]]:
+    """(line number, words) of every line with words left after '#'."""
+    return [
+        (lineno, words)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (words := raw.split("#", 1)[0].split())
+    ]
 
 
 def _fail(lineno: int, msg: str):
@@ -68,49 +70,61 @@ def _fail(lineno: int, msg: str):
 
 
 class _Block:
-    """One vertices line plus arc lines, as found inside any block."""
+    """One vertices line plus arc lines, as found inside any block.
+
+    Arc lines may come before the vertices line, so they are kept until
+    `digraph` fills the bitset rows: each name is looked up once, and a
+    duplicate arc is the bit already set in its tail's row.
+    """
 
     def __init__(self):
         self.names: list[str] = []
-        self.arcs: list[tuple[int, str, str]] = []
+        self.arcs: list[tuple[int, list[str]]] = []
 
     def feed(self, lineno, words):
-        if words[0] == "vertices":
+        if words[0] == "arc":
+            if len(words) != 3:
+                _fail(lineno, "arc lines read: arc <tail> <head>")
+            self.arcs.append((lineno, words))
+        elif words[0] == "vertices":
             if self.names:
                 _fail(lineno, "second vertices line in one block")
             if len(words) == 1:
                 _fail(lineno, "vertices line needs at least one name")
             self.names = words[1:]
-        elif words[0] == "arc":
-            if len(words) != 3:
-                _fail(lineno, "arc lines read: arc <tail> <head>")
-            self.arcs.append((lineno, words[1], words[2]))
         else:
             _fail(lineno, f"unexpected {words[0]!r} inside a block")
 
     def digraph(self, lineno) -> tuple[Digraph, list[str]]:
-        if not self.names:
+        names = self.names
+        if not names:
             _fail(lineno, "block is missing its vertices line")
-        if len(set(self.names)) != len(self.names):
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != len(names):
             _fail(lineno, "duplicate vertex name in one block")
-        index = {name: i for i, name in enumerate(self.names)}
-        arcs = set()
-        for arc_line, a, b in self.arcs:
-            for w in (a, b):
-                if w not in index:
-                    _fail(arc_line, f"unknown vertex {w!r} in arc line")
-            if a == b:
+        get = index.get
+        out_masks = [0] * len(names)
+        in_masks = [0] * len(names)
+        for arc_line, (_, a, b) in self.arcs:
+            i = get(a)
+            if i is None:
+                _fail(arc_line, f"unknown vertex {a!r} in arc line")
+            j = get(b)
+            if j is None:
+                _fail(arc_line, f"unknown vertex {b!r} in arc line")
+            if i == j:
                 _fail(arc_line, f"loop arc at {a!r}")
-            arc = (index[a], index[b])
-            if arc in arcs:
+            row = out_masks[i]
+            if row >> j & 1:
                 _fail(arc_line, f"duplicate arc {a!r} -> {b!r}")
-            arcs.add(arc)
-        return Digraph(len(self.names), arcs), self.names
+            out_masks[i] = row | 1 << j
+            in_masks[j] |= 1 << i
+        return Digraph.from_rows(out_masks, in_masks), names
 
 
 def parse_document(text: str) -> InputDocument:
     """Parse a flat or composition document, with line-number diagnostics."""
-    lines = list(_tokens(text))
+    lines = _tokens(text)
     if not lines:
         raise InvalidInput("empty document")
     head = lines[0][1][0]

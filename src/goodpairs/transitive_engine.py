@@ -12,9 +12,10 @@ returned; an instance no template fits goes to
 ends every engine.
 
 `decide_quasi_transitive` is the front door for flat quasi-transitive
-digraphs: it decomposes the input, routes strong inputs to the
-semicomplete composition engine and non-strong ones here, and maps the
-evidence back to the original vertex labels.
+digraphs: it answers a starved root side from a reach test on the input
+itself, decomposes the rest, routes strong inputs to the semicomplete
+composition engine and non-strong ones here, and maps the evidence back
+to the original vertex labels.
 """
 
 from __future__ import annotations
@@ -275,10 +276,14 @@ def _same_part_proposals(g, part, u, v):
 def decide_quasi_transitive(g: Digraph, u: int, v: int) -> Verdict:
     """Decide a flat quasi-transitive digraph.
 
-    Strong inputs decompose over a semicomplete quotient and go to the
-    composition engine; non-strong ones decompose over a transitive
-    quotient and stay here.  All evidence comes back relabelled to the
-    input's own vertices.
+    A root side that misses a vertex (u does not reach everything, or
+    not everything reaches v) is a NO in any digraph, so that test runs
+    on g itself, out side first, and such inputs never decompose; the
+    caller owns the class check for them.  The rest decompose through
+    `qt_decompose`, which checks the class: strong inputs go over a
+    semicomplete quotient to the composition engine, non-strong ones
+    over a transitive quotient stay here.  All evidence comes back
+    relabelled to the input's own vertices.
     """
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise InvalidInput("roots out of range")
@@ -286,6 +291,11 @@ def decide_quasi_transitive(g: Digraph, u: int, v: int) -> Verdict:
         return Verdict(
             yes=True, u=u, v=v, reason=YES, pair=_as_pair(u, v, [], [])
         )
+    full = g.full_mask
+    if reach_mask(g, 1 << u) != full:
+        return Verdict(yes=False, u=u, v=v, reason=ROOT_COMPONENT, side="out")
+    if coreach_mask(g, 1 << v) != full:
+        return Verdict(yes=False, u=u, v=v, reason=ROOT_COMPONENT, side="in")
     dec = qt_decompose(g)
     inv = [0] * g.n
     for new, old in enumerate(dec.order):

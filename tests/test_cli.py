@@ -67,12 +67,14 @@ def test_decide_rejects_bad_roots_and_class():
 
 
 def test_decide_forced_qt_rejects_a_non_quasi_transitive_digraph():
-    # the quasi-transitive route keeps one class check, inside qt_decompose
+    # the forced route checks the class before its root test: with roots
+    # c, a both root sides are starved, a NO in any digraph
     message = "input digraph is not quasi-transitive"
     path = "vertices a b c\narc a b\narc b c\n"
-    r = run("decide", "-", "--class", "qt", "--u", "a", "--v", "c", stdin=path)
-    assert r.exit_code == 2
-    assert f"error: {message}" in r.output
+    for u, v in (("a", "c"), ("c", "a")):
+        r = run("decide", "-", "--class", "qt", "--u", u, "--v", v, stdin=path)
+        assert r.exit_code == 2
+        assert f"error: {message}" in r.output
     with pytest.raises(InvalidInput, match=f"^{message}$"):
         qt_decompose(Digraph(3, [(0, 1), (1, 2)]))
 

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goodpairs import digraph
 from goodpairs.digraph import (
     CutWitness,
     Digraph,
@@ -329,3 +332,118 @@ def test_k_arc_strong_matches_all_pairs_connectivity(case):
         assert (capped_cut is None) == (full >= k)
         if capped_cut is not None:
             assert capped_cut.validate(g) and len(capped_cut.crossing) == full
+
+
+def augmenting_flow_by_sets(g, source_mask, sink, banned, allowed, cap):
+    """The set-based augmenting loop that bitset rows replaced: used and
+    banned arcs are tuples looked up once per candidate bit."""
+    used = set()
+    value = 0
+    while cap is None or value < cap:
+        parents = {}
+        seen = source_mask & allowed
+        frontier = list(bits(seen))
+        found = False
+        while frontier and not found:
+            nxt = []
+            for v in frontier:
+                fwd = g.out_masks[v] & allowed & ~seen
+                for w in bits(fwd):
+                    if (v, w) in banned or (v, w) in used:
+                        continue
+                    parents[w] = (v, (v, w), True)
+                    seen |= 1 << w
+                    if w == sink:
+                        found = True
+                        break
+                    nxt.append(w)
+                if found:
+                    break
+                bwd = g.in_masks[v] & allowed & ~seen
+                for w in bits(bwd):
+                    if (w, v) in used:
+                        parents[w] = (v, (w, v), False)
+                        seen |= 1 << w
+                        if w == sink:
+                            found = True
+                            break
+                        nxt.append(w)
+                if found:
+                    break
+            frontier = nxt
+        if not found:
+            return value, seen, used
+        v = sink
+        while not (source_mask >> v & 1):
+            prev, arc, forward = parents[v]
+            if forward:
+                used.add(arc)
+            else:
+                used.remove(arc)
+            v = prev
+        value += 1
+    return value, 0, used
+
+
+# Flow 0 -> 6: the first path 0-1-2-6 must be rerouted.  The second BFS
+# reaches 2 with the forward arc 2 -> 4 and the backward step to 1 both
+# open, and whichever of 4 and 1 goes first claims 5, so the used arcs
+# tell the two visiting orders apart.
+REROUTE = [(0, 1), (0, 3), (1, 2), (2, 6), (3, 2), (1, 5), (2, 4), (4, 5), (5, 6)]
+
+
+def _flow_samples(rng):
+    """(g, source, sink) triples: the reroute digraph under random
+    labels, then random digraphs with random source sets."""
+    for _ in range(30):
+        perm = rng.sample(range(7), 7)
+        g = Digraph(7, [(perm[a], perm[b]) for a, b in REROUTE])
+        yield g, 1 << perm[0], perm[6]
+    for _ in range(300):
+        n = rng.randint(2, 14)
+        density = rng.choice((0.2, 0.4, 0.7))
+        g = Digraph(
+            n, [(a, b) for a in range(n) for b in range(n) if a != b and rng.random() < density]
+        )
+        for _ in range(6):
+            sink = rng.randrange(n)
+            yield g, rng.getrandbits(n) & ~(1 << sink) or 1 << (sink + 1) % n, sink
+
+
+def augmenting_flow_as_rows(g, source_mask, sink, banned, allowed, cap):
+    """The set reference with its used arcs handed back as rows."""
+    value, side, used = augmenting_flow_by_sets(g, source_mask, sink, banned, allowed, cap)
+    rows = [0] * g.n
+    for a, b in used:
+        rows[a] |= 1 << b
+    return value, side, rows
+
+
+def test_row_flow_matches_the_set_reference(monkeypatch):
+    rng = random.Random(14)
+    queries = 0
+    for g, source_mask, sink in _flow_samples(rng):
+        n = g.n
+        arcs = g.arcs()
+        banned = set(rng.sample(arcs, rng.randint(0, len(arcs) // 3)))
+        allowed = rng.choice((g.full_mask, rng.getrandbits(n) | source_mask | 1 << sink))
+        for bans, within in (((), g.full_mask), (banned, allowed)):
+            for cap in (None, 1, 2, 3):
+                value, side, used = digraph._augmenting_flow(
+                    g, source_mask, sink, bans, within, cap
+                )
+                used = {(a, b) for a in range(n) for b in bits(used[a])}
+                assert (value, side, used) == augmenting_flow_by_sets(
+                    g, source_mask, sink, bans, within, cap
+                ), (g, source_mask, sink, bans, within, cap)
+                queries += 1
+        if source_mask & (source_mask - 1):
+            continue
+        x = source_mask.bit_length() - 1
+        for k in (1, 2, 3):
+            paths = arc_disjoint_paths(g, x, sink, k)
+            with monkeypatch.context() as m:
+                m.setattr(digraph, "_augmenting_flow", augmenting_flow_as_rows)
+                want = arc_disjoint_paths(g, x, sink, k)
+            assert paths == want
+    assert queries == (30 + 300 * 6) * 2 * 4

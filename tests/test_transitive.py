@@ -5,18 +5,25 @@ import pytest
 from goodpairs.composition import (
     Composition,
     independent,
+    qt_decompose,
     singleton,
     transitive_tournament,
 )
+from goodpairs.composition_engine import decide_composition
 from goodpairs.digraph import Digraph
 from goodpairs.dispatch import decide, recognize
 from goodpairs.errors import InvalidInput
-from goodpairs.families import family_b, random_quasi_transitive
+from goodpairs.families import (
+    all_quasi_transitive,
+    family_b,
+    random_quasi_transitive,
+)
 from goodpairs.oracle import oracle_good_pair
 from goodpairs.transitive_engine import (
     condensed_transitive,
     decide_quasi_transitive,
     decide_transitive_composition,
+    translate_verdict,
 )
 from goodpairs.verdicts import Verdict, validate_verdict
 
@@ -217,3 +224,35 @@ def test_dispatch_recognize_and_overrides():
         decide(qt, 0, 1, klass="semicomplete")
     ver = decide(comp, u, v, klass="transitive")
     assert ver.reason == "middle-blocked"
+
+
+def decide_by_decomposition(g, dec, u, v):
+    """The verdict of the decomposition route at every root pair:
+    qt_decompose, then the engine its kind names, then translate_verdict."""
+    inv = [0] * g.n
+    for new, old in enumerate(dec.order):
+        inv[old] = new
+    if dec.kind == "strong":
+        inner = decide_composition(dec.composition, inv[u], inv[v])
+    else:
+        inner = decide_transitive_composition(dec.composition, inv[u], inv[v])
+    return translate_verdict(g, dec.composition, dec.order, inner, u, v)
+
+
+def _root_check_samples():
+    for seed in range(60):
+        yield random_quasi_transitive(seed, 8 + seed * 32 // 59)
+    yield from all_quasi_transitive(4)
+
+
+def test_root_check_agrees_with_the_decomposition_route():
+    starved = 0
+    for g in _root_check_samples():
+        dec = qt_decompose(g)
+        for u in range(g.n):
+            for v in range(g.n):
+                ver = decide_quasi_transitive(g, u, v)
+                assert ver == decide_by_decomposition(g, dec, u, v), (g, u, v)
+                assert validate_verdict(g, ver) is None
+                starved += ver.reason == "root-component"
+    assert starved
