@@ -61,11 +61,9 @@ class BranchingPair:
         return not self.shared_arcs
 
 
-def branching_violation(
-    g: Digraph, branching: Branching, span: int | None = None
-) -> str | None:
+def branching_violation(g: Digraph, branching: Branching) -> str | None:
     """None if the branching is a valid spanning tree of g, else a reason."""
-    span = g.full_mask if span is None else span
+    span = g.full_mask
     if not span >> branching.root & 1:
         return f"root {branching.root} outside the spanned set"
     seen: dict[int, Arc] = {}
@@ -93,19 +91,17 @@ def branching_violation(
     return None
 
 
-def good_pair_violation(
-    g: Digraph, u: int, v: int, pair: BranchingPair, span: int | None = None
-) -> str | None:
+def good_pair_violation(g: Digraph, u: int, v: int, pair: BranchingPair) -> str | None:
     if pair.out_branching.kind != "out" or pair.in_branching.kind != "in":
         return "pair components have wrong kinds"
     if pair.out_branching.root != u:
         return f"out-branching rooted at {pair.out_branching.root}, expected {u}"
     if pair.in_branching.root != v:
         return f"in-branching rooted at {pair.in_branching.root}, expected {v}"
-    reason = branching_violation(g, pair.out_branching, span)
+    reason = branching_violation(g, pair.out_branching)
     if reason:
         return f"out-branching: {reason}"
-    reason = branching_violation(g, pair.in_branching, span)
+    reason = branching_violation(g, pair.in_branching)
     if reason:
         return f"in-branching: {reason}"
     if not pair.arc_disjoint:
@@ -113,10 +109,8 @@ def good_pair_violation(
     return None
 
 
-def verify_good_pair(
-    g: Digraph, u: int, v: int, pair: BranchingPair, span: int | None = None
-) -> bool:
-    return good_pair_violation(g, u, v, pair, span) is None
+def verify_good_pair(g: Digraph, u: int, v: int, pair: BranchingPair) -> bool:
+    return good_pair_violation(g, u, v, pair) is None
 
 
 def reach_tree(

@@ -8,6 +8,12 @@ whose designated arcs all keep their blocking power once part sizes
 are taken into account.  decide_composition checks the blocked shapes
 exactly and otherwise builds a verified pair, preferring structured
 lifts of quotient branchings over search.
+
+Each family is a predicate on the flat digraph's bitset rows: five say
+which arcs every row must hold and which it may add, and the other two
+are shapes defined once elsewhere (family b is the middle-blocked shape
+of `verdicts`, family g the semicomplete exception "e"), so the engine
+and the verdict checker share one definition of each.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from .digraph import (
     coreach_mask,
     is_k_arc_strong,
     reach_mask,
-    small_digraph_match,
 )
 from .errors import InternalInconsistency, InvalidInput, ResourceExceeded
 from .forcing import force_trace
@@ -37,6 +42,7 @@ from .verdicts import (
     LAYERED_B,
     Verdict,
     YES,
+    middle_blocked_violation,
 )
 from .witnesses import arc_condition, iter_type_a, iter_type_b
 
@@ -52,6 +58,14 @@ def _is_strong(g: Digraph) -> bool:
 # --- the seven blocked family shapes, recognized on the flat digraph ---
 
 
+def _fits(g: Digraph, want: list[int], extra: list[int]) -> bool:
+    """Every out-row holds its wanted arcs and nothing beyond extra."""
+    return all(
+        row & w == w and not row & ~(w | e)
+        for row, w, e in zip(g.out_masks, want, extra)
+    )
+
+
 def _match_head_pair(g: Digraph, u: int, v: int) -> bool:
     """Two independent pairs cycling into a two-vertex head part.
 
@@ -61,64 +75,28 @@ def _match_head_pair(g: Digraph, u: int, v: int) -> bool:
     """
     if g.n != 6 or u == v or g.has_arc(u, v):
         return False
-    rest = [w for w in range(g.n) if w not in (u, v)]
-    first = [
-        w
-        for w in rest
-        if g.has_arc(u, w)
-        and g.has_arc(v, w)
-        and not g.has_arc(w, u)
-        and not g.has_arc(w, v)
-    ]
-    if len(first) != 2:
+    ends = 1 << u | 1 << v
+    first = g.out_masks[u] & g.out_masks[v] & ~(g.in_masks[u] | g.in_masks[v])
+    if first.bit_count() != 2:
         return False
-    second = [w for w in rest if w not in first]
-    expected = set()
-    for w in first:
-        expected.add((u, w))
-        expected.add((v, w))
-        for x in second:
-            expected.add((w, x))
-    for x in second:
-        expected.add((x, u))
-        expected.add((x, v))
-    actual = set(g.arcs())
-    if not expected <= actual:
-        return False
-    return actual - expected <= {(v, u)}
-
-
-def _match_middle_row(g: Digraph, u: int, v: int) -> bool:
-    """u beats an independent middle which beats v, with u -> v present."""
-    if u == v or g.n < 3:
-        return False
-    middle = [w for w in range(g.n) if w not in (u, v)]
-    expected = {(u, v)}
-    for w in middle:
-        expected.add((u, w))
-        expected.add((w, v))
-    actual = set(g.arcs())
-    if not expected <= actual:
-        return False
-    return actual - expected <= {(v, u)}
+    second = g.full_mask & ~(ends | first)
+    want = [ends if second >> x & 1 else second for x in range(g.n)]
+    want[u] = want[v] = first
+    extra = [0] * g.n
+    extra[v] = 1 << u
+    return _fits(g, want, extra)
 
 
 def _match_thin_cycle(g: Digraph, u: int, v: int) -> bool:
     """Cycle u -> middle -> v -> u where the middle has at most one arc."""
     if u == v or g.n < 3:
         return False
-    middle = set(range(g.n)) - {u, v}
-    expected = {(v, u)}
-    for w in middle:
-        expected.add((u, w))
-        expected.add((w, v))
-    actual = set(g.arcs())
-    if not expected <= actual:
-        return False
-    extras = actual - expected
-    if len(extras) > 1:
-        return False
-    return all(x in middle and y in middle for x, y in extras)
+    middle = g.full_mask & ~(1 << u | 1 << v)
+    want = [1 << v] * g.n
+    want[u], want[v] = middle, 1 << u
+    extra = [middle] * g.n
+    extra[u] = extra[v] = 0
+    return _fits(g, want, extra) and g.m <= 2 * middle.bit_count() + 2
 
 
 def _match_hub(g: Digraph, u: int, v: int) -> bool:
@@ -126,38 +104,23 @@ def _match_hub(g: Digraph, u: int, v: int) -> bool:
 
     The u part may carry extra arcs pointing at u, the v part extra
     arcs leaving v; everything else is the plain three part cycle
-    u-part -> v-part -> z -> u-part.
+    u-part -> v-part -> z -> u-part.  The parts are z's strict out- and
+    in-neighbourhoods.
     """
-    if u == v or g.n < 3:
+    if u == v:
         return False
-    vertices = set(range(g.n))
-    actual = set(g.arcs())
-    for z in sorted(vertices - {u, v}):
-        head = {
-            w for w in vertices if w != z and g.has_arc(z, w) and not g.has_arc(w, z)
-        }
-        tail = {
-            w for w in vertices if w != z and g.has_arc(w, z) and not g.has_arc(z, w)
-        }
-        if u not in head or v not in tail:
+    for z in bits(g.full_mask & ~(1 << u | 1 << v)):
+        head = g.out_masks[z] & ~g.in_masks[z]
+        tail = g.in_masks[z] & ~g.out_masks[z]
+        if not (head >> u & 1 and tail >> v & 1):
             continue
-        if head & tail or head | tail | {z} != vertices:
+        if head | tail | 1 << z != g.full_mask:
             continue
-        expected = set()
-        for w in head:
-            expected.add((z, w))
-            for x in tail:
-                expected.add((w, x))
-        for x in tail:
-            expected.add((x, z))
-        if not expected <= actual:
-            continue
-        extras = actual - expected
-        ok = all(
-            (y == u and x in head and x != u) or (x == v and y in tail and y != v)
-            for x, y in extras
-        )
-        if ok:
+        want = [tail if head >> w & 1 else 1 << z for w in range(g.n)]
+        want[z] = head
+        extra = [1 << u if head >> w & 1 else 0 for w in range(g.n)]
+        extra[v] = tail
+        if _fits(g, want, extra):
             return True
     return False
 
@@ -172,62 +135,42 @@ def _match_ring(g: Digraph, u: int, v: int) -> str | None:
     """
     if u == v:
         return None
-    vertices = set(range(g.n))
-    head_u = {w for w in vertices if g.has_arc(w, v)}
-    after = {w for w in vertices if g.has_arc(v, w)}
-    if head_u & after or u not in head_u:
+    head_u, after = g.in_masks[v], g.out_masks[v]
+    if head_u & after or not head_u >> u & 1:
         return None
-    if head_u | after | {v} != vertices:
+    if head_u | after | 1 << v != g.full_mask:
         return None
-    arcs = set(g.arcs())
-    for z in sorted(after):
-        hub = {w for w in vertices if g.has_arc(w, z)} - {v}
-        if not hub or z in hub or not hub <= after:
+    for z in bits(after):
+        hub = g.in_masks[z] & ~(1 << v)
+        if not hub or hub & ~after:
             continue
-        head = after - {z} - hub
-        expected = set()
-        for w in head_u:
-            expected.add((w, v))
-            expected.add((z, w))
-            for x in head | hub:
-                expected.add((w, x))
-        for k in hub:
-            expected.add((k, z))
-            expected.add((v, k))
-        expected.add((v, z))
-        for h in head:
-            expected.add((v, h))
-            expected.add((z, h))
-        if not expected <= arcs:
-            continue
-        rest = {a for a in arcs if not (a[0] in head and a[1] in head)} - expected
-        star = {(x, y) for x, y in rest if x in head_u and x != u and y == u}
-        cross = rest - star
-        if cross == {(h, k) for h in head for k in hub}:
+        head = after & ~(hub | 1 << z)
+        # the u part feeds v, the head block and the hub and may add arcs
+        # into u; the head block is free inside and feeds the whole hub
+        feed = 1 << v | head | hub
+        want = [feed if head_u >> w & 1 else 1 << z for w in range(g.n)]
+        extra = [1 << u if head_u >> w & 1 else 0 for w in range(g.n)]
+        for h in bits(head):
+            want[h], extra[h] = hub, head
+        want[z], want[v] = head_u | head, after
+        if _fits(g, want, extra):
             return "e"
-        if len(hub) == 1 and head:
-            k1 = next(iter(hub))
-            shapes_ok = all(
-                (x in head and y == k1) or (x == k1 and y in head) for x, y in cross
-            )
-            joined = {x for x, y in cross if y == k1} | {
-                y for x, y in cross if x == k1
-            }
-            if shapes_ok and joined == head and _is_strong(g):
-                return "f"
+        if hub.bit_count() != 1 or not head:
+            continue
+        # a single hub k may meet each head vertex in either direction
+        k = hub.bit_length() - 1
+        for h in bits(head):
+            want[h], extra[h] = 0, head | hub
+        extra[k] = head
+        joined = g.in_masks[k] | g.out_masks[k]
+        if _fits(g, want, extra) and not head & ~joined and _is_strong(g):
+            return "f"
     return None
-
-
-def _match_blocked_quad(g: Digraph, u: int, v: int) -> bool:
-    pattern = semicomplete.EXCEPTION_PATTERNS["e"][0]
-    if g.n != pattern.n or u == v:
-        return False
-    return small_digraph_match(g, pattern, pinned={0: u, 3: v}) is not None
 
 
 _FLAT_MATCHERS = (
     ("a", _match_head_pair),
-    ("b", _match_middle_row),
+    ("b", lambda g, u, v: g.n >= 3 and middle_blocked_violation(g, u, v) is None),
     ("c", _match_thin_cycle),
     ("d", _match_hub),
 )
@@ -236,8 +179,13 @@ _FLAT_MATCHERS = (
 def match_known_family(comp: Composition, u: int, v: int):
     """(family id, reversed flag) when the flat digraph is a blocked shape.
 
-    The reversed flag records that the converse digraph with the roots
-    swapped matched instead of the digraph itself.
+    The families a, c and d and the ring e/f are matched row by row
+    against the arcs their shape wants and allows; family b is the
+    middle-blocked shape of `verdicts.middle_blocked_violation` and
+    family g is the semicomplete exception "e", so each of those has
+    one definition.  The reversed flag records that the converse
+    digraph with the roots swapped matched instead of the digraph
+    itself.
     """
     if u == v:
         return None
@@ -250,7 +198,8 @@ def match_known_family(comp: Composition, u: int, v: int):
         ring = _match_ring(g, a, b)
         if ring is not None:
             return ring, reversed_
-        if _match_blocked_quad(g, a, b):
+        hit = semicomplete.match_small_exception(g, a, b)
+        if hit is not None and hit[0] == "e":
             return "g", reversed_
     return None
 

@@ -20,7 +20,7 @@ from .oracle import oracle_good_pair
 from .verdicts import validate_verdict
 
 
-def check_target(target, roots=None, klass: str = "auto") -> tuple[int, list[str]]:
+def check_target(target, roots=None) -> tuple[int, list[str]]:
     """Compare decide() with the oracle on the given root pairs.
 
     `roots` defaults to every ordered pair.  The flat digraph must be
@@ -32,7 +32,7 @@ def check_target(target, roots=None, klass: str = "auto") -> tuple[int, list[str
     issues = []
     for u, v in roots:
         try:
-            verdict = decide(target, u, v, klass)
+            verdict = decide(target, u, v)
         except Exception as exc:  # noqa: BLE001 - report, don't abort the sweep
             issues.append(f"u={u} v={v}: decide raised {exc!r}")
             continue

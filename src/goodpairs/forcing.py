@@ -11,10 +11,14 @@ does not rely on trusting the engine that produced it.
 
 Sides: "out" is the out-branching rooted at u (one entry arc per
 other vertex), "in" is the in-branching rooted at v (one exit arc
-per other vertex).  Pins on one side ban the arc on the other.
+per other vertex).  Pins on one side ban the arc on the other.  Each
+rule is written once for both: a side sees an arc as (key, other),
+where key is the vertex the arc enters (out) or leaves (in).
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 from .digraph import Arc, Digraph, bits, coreach_mask, reach_mask
 from .errors import InvalidInput
@@ -28,87 +32,73 @@ CUT_EXIT = "cut-exit"
 STUCK = "stuck"
 SEVERED = "severed"
 
-_PIN_RULES = {ONLY_ENTRY, CUT_ENTRY, ONLY_EXIT, CUT_EXIT}
+_PIN_RULES = (ONLY_ENTRY, CUT_ENTRY, ONLY_EXIT, CUT_EXIT)
+
+
+class _Side(NamedTuple):
+    """One branching's trace name, span function, rules and replay words."""
+
+    name: str
+    span: Callable[..., int]
+    only: str
+    cut: str
+    one: str
+    many: str
+    root_pin: str
+    severed: str
+
+
+_SIDES = (
+    _Side("out", reach_mask, ONLY_ENTRY, CUT_ENTRY, "entry", "entries",
+          "entry pin targets the out-root", "is still reachable"),
+    _Side("in", coreach_mask, ONLY_EXIT, CUT_EXIT, "exit", "exits",
+          "exit pin leaves the in-root", "can still reach the in-root"),
+)
+_NAMES = tuple(s.name for s in _SIDES)
+
+
+def _ends(side: int, pair: tuple[int, int]) -> tuple[int, int]:
+    """An arc as (key, other) on this side, and (key, other) as an arc."""
+    return (pair[1], pair[0]) if side == 0 else pair
 
 
 class _State:
-    """Pinned entries (out side) and exits (in side) plus arc sets."""
+    """Per side (0 out, 1 in): pinned other end by key, pinned arcs."""
 
-    __slots__ = ("entry", "exit", "entry_arcs", "exit_arcs")
+    __slots__ = ("pins", "arcs")
 
     def __init__(self):
-        self.entry: dict[int, Arc] = {}
-        self.exit: dict[int, Arc] = {}
-        self.entry_arcs: set[Arc] = set()
-        self.exit_arcs: set[Arc] = set()
+        self.pins: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self.arcs: tuple[set[Arc], set[Arc]] = (set(), set())
 
-
-def _entry_would_cycle(state: _State, a: int, b: int) -> bool:
-    # entry pins chain each vertex to its parent; arc a->b cycles when
-    # b is an ancestor of a along that chain
-    x = a
-    while True:
-        pin = state.entry.get(x)
-        if pin is None:
+    def usable(self, side: int, arc: Arc) -> bool:
+        if arc in self.arcs[1 - side]:
             return False
-        x = pin[0]
-        if x == b:
-            return True
-
-
-def _exit_would_cycle(state: _State, a: int, b: int) -> bool:
-    x = b
-    while True:
-        pin = state.exit.get(x)
-        if pin is None:
+        pins = self.pins[side]
+        key, x = _ends(side, arc)
+        pin = pins.get(key)
+        if pin is not None and pin != x:
             return False
-        x = pin[1]
-        if x == a:
-            return True
+        # pins chain each vertex to its parent (out) or successor (in);
+        # the arc closes a cycle when key lies on that chain from other
+        while (x := pins.get(x)) is not None:
+            if x == key:
+                return False
+        return True
 
+    def candidates(self, g: Digraph, side: int, key: int) -> list[Arc]:
+        row = (g.in_masks if side == 0 else g.out_masks)[key]
+        arcs = [_ends(side, (key, other)) for other in bits(row)]
+        return [arc for arc in arcs if self.usable(side, arc)]
 
-def _entry_usable(g: Digraph, state: _State, a: int, b: int) -> bool:
-    arc = (a, b)
-    if arc in state.exit_arcs:
-        return False
-    pin = state.entry.get(b)
-    if pin is not None and pin != arc:
-        return False
-    return not _entry_would_cycle(state, a, b)
+    def usable_digraph(self, g: Digraph, side: int) -> Digraph:
+        """The arcs one side may still use, as a digraph of their own."""
+        return Digraph(g.n, [arc for arc in g.arcs() if self.usable(side, arc)])
 
-
-def _exit_usable(g: Digraph, state: _State, a: int, b: int) -> bool:
-    arc = (a, b)
-    if arc in state.entry_arcs:
-        return False
-    pin = state.exit.get(a)
-    if pin is not None and pin != arc:
-        return False
-    return not _exit_would_cycle(state, a, b)
-
-
-def _entry_candidates(g: Digraph, state: _State, w: int) -> list[Arc]:
-    return [(a, w) for a in bits(g.in_masks[w]) if _entry_usable(g, state, a, w)]
-
-
-def _exit_candidates(g: Digraph, state: _State, w: int) -> list[Arc]:
-    return [(w, b) for b in bits(g.out_masks[w]) if _exit_usable(g, state, w, b)]
-
-
-def _usable(g: Digraph, state: _State, side: str) -> Digraph:
-    """The arcs one side may still use, as a digraph of their own."""
-    usable = _entry_usable if side == "out" else _exit_usable
-    return Digraph(g.n, [arc for arc in g.arcs() if usable(g, state, *arc)])
-
-
-def _pin_entry(state: _State, arc: Arc) -> None:
-    state.entry[arc[1]] = arc
-    state.entry_arcs.add(arc)
-
-
-def _pin_exit(state: _State, arc: Arc) -> None:
-    state.exit[arc[0]] = arc
-    state.exit_arcs.add(arc)
+    def pin(self, side: int, arc: Arc) -> None:
+        key, other = _ends(side, arc)
+        self.pins[side][key] = other
+        self.arcs[side].add(arc)
 
 
 def force_trace(g: Digraph, u: int, v: int) -> tuple[str, tuple[Step, ...]]:
@@ -123,58 +113,51 @@ def force_trace(g: Digraph, u: int, v: int) -> tuple[str, tuple[Step, ...]]:
         raise InvalidInput("roots out of range")
     state = _State()
     trace: list[Step] = []
+    roots = (u, v)
 
-    def units(side: str) -> str | None:
-        skip, pins, candidates, pin, only = (
-            (u, state.entry, _entry_candidates, _pin_entry, ONLY_ENTRY)
-            if side == "out"
-            else (v, state.exit, _exit_candidates, _pin_exit, ONLY_EXIT)
-        )
+    def units(side: int) -> str | None:
+        s = _SIDES[side]
         for w in range(g.n):
-            if w == skip or w in pins:
+            if w == roots[side] or w in state.pins[side]:
                 continue
-            cands = candidates(g, state, w)
+            cands = state.candidates(g, side, w)
             if not cands:
-                trace.append((side, STUCK, w, -1))
+                trace.append((s.name, STUCK, w, -1))
                 return "blocked"
             if len(cands) == 1:
-                pin(state, cands[0])
-                trace.append((side, only, *cands[0]))
+                state.pin(side, cands[0])
+                trace.append((s.name, s.only, *cands[0]))
         return None
 
-    def cuts(side: str) -> str | None:
-        span, start, pinned, pin, rule = (
-            (reach_mask, 1 << u, state.entry_arcs, _pin_entry, CUT_ENTRY)
-            if side == "out"
-            else (coreach_mask, 1 << v, state.exit_arcs, _pin_exit, CUT_EXIT)
-        )
-        h = _usable(g, state, side)
-        seen = span(h, start)
+    def cuts(side: int) -> str | None:
+        s = _SIDES[side]
+        start = 1 << roots[side]
+        h = state.usable_digraph(g, side)
+        seen = s.span(h, start)
         if seen != g.full_mask:
             missing = (g.full_mask & ~seen).bit_length() - 1
-            trace.append((side, SEVERED, missing, -1))
+            trace.append((s.name, SEVERED, missing, -1))
             return "blocked"
         for arc in h.arcs():
-            if arc in pinned:
+            if arc in state.arcs[side]:
                 continue
-            if span(h, start, banned={arc}) != g.full_mask:
-                pin(state, arc)
-                trace.append((side, rule, *arc))
+            if s.span(h, start, banned={arc}) != g.full_mask:
+                state.pin(side, arc)
+                trace.append((s.name, s.cut, *arc))
                 return None
         return None
 
     while True:
         before = len(trace)
-        for phase, side in (
-            (units, "out"),
-            (units, "in"),
-            (cuts, "out"),
-            (cuts, "in"),
-        ):
+        for phase, side in ((units, 0), (units, 1), (cuts, 0), (cuts, 1)):
             if phase(side) == "blocked":
                 return "blocked", tuple(trace)
         if len(trace) == before:
             return "open", tuple(trace)
+
+
+def _vertex(x, n: int) -> bool:
+    return isinstance(x, int) and 0 <= x < n
 
 
 def replay(g: Digraph, u: int, v: int, trace) -> str | None:
@@ -182,7 +165,8 @@ def replay(g: Digraph, u: int, v: int, trace) -> str | None:
 
     Each step's precondition is re-established from the state the
     earlier steps build up, so a fabricated trace is rejected even if
-    it ends with a contradiction marker.
+    it ends with a contradiction marker.  A step names a side, a rule
+    and an arc; a stuck or severed step names one vertex and -1.
     """
     if not (0 <= u < g.n and 0 <= v < g.n):
         return "roots out of range"
@@ -191,63 +175,46 @@ def replay(g: Digraph, u: int, v: int, trace) -> str | None:
     if not steps:
         return "empty trace proves nothing"
     for index, step in enumerate(steps):
-        if len(step) != 4:
+        if not isinstance(step, (tuple, list)) or len(step) != 4:
             return f"malformed step {step!r}"
-        side, rule, x, y = step
+        name, rule, x, y = step
+        dead_end = rule in (STUCK, SEVERED)
+        if not _vertex(x, g.n) or not (
+            isinstance(y, int) and y == -1 if dead_end else _vertex(y, g.n)
+        ):
+            return f"malformed step {step!r}"
         last = index == len(steps) - 1
         if rule in _PIN_RULES:
             if last:
                 return "trace ends without a contradiction"
         elif not last:
             return "contradiction before the end of the trace"
-        if side == "out":
-            if rule == ONLY_ENTRY:
-                if y == u:
-                    return "entry pin targets the out-root"
-                if _entry_candidates(g, state, y) != [(x, y)]:
-                    return f"vertex {y} has other usable entries"
-                _pin_entry(state, (x, y))
-            elif rule == CUT_ENTRY:
-                h = _usable(g, state, "out")
-                if not h.has_arc(x, y):
-                    return f"arc {(x, y)} is not usable"
-                if reach_mask(h, 1 << u, banned={(x, y)}) == g.full_mask:
-                    return f"arc {(x, y)} is not a necessity"
-                _pin_entry(state, (x, y))
-            elif rule == STUCK:
-                if x == u or x in state.entry:
-                    return "stuck vertex is pinned or the root"
-                if _entry_candidates(g, state, x):
-                    return f"vertex {x} still has a usable entry"
-            elif rule == SEVERED:
-                if reach_mask(_usable(g, state, "out"), 1 << u) & (1 << x):
-                    return f"vertex {x} is still reachable"
-            else:
-                return f"unknown rule {rule!r}"
-        elif side == "in":
-            if rule == ONLY_EXIT:
-                if x == v:
-                    return "exit pin leaves the in-root"
-                if _exit_candidates(g, state, x) != [(x, y)]:
-                    return f"vertex {x} has other usable exits"
-                _pin_exit(state, (x, y))
-            elif rule == CUT_EXIT:
-                h = _usable(g, state, "in")
-                if not h.has_arc(x, y):
-                    return f"arc {(x, y)} is not usable"
-                if coreach_mask(h, 1 << v, banned={(x, y)}) == g.full_mask:
-                    return f"arc {(x, y)} is not a necessity"
-                _pin_exit(state, (x, y))
-            elif rule == STUCK:
-                if x == v or x in state.exit:
-                    return "stuck vertex is pinned or the root"
-                if _exit_candidates(g, state, x):
-                    return f"vertex {x} still has a usable exit"
-            elif rule == SEVERED:
-                if coreach_mask(_usable(g, state, "in"), 1 << v) & (1 << x):
-                    return f"vertex {x} can still reach the in-root"
-            else:
-                return f"unknown rule {rule!r}"
+        if name not in _NAMES:
+            return f"unknown side {name!r}"
+        side = _NAMES.index(name)
+        s, root = _SIDES[side], (u, v)[side]
+        if rule == s.only:
+            key = _ends(side, (x, y))[0]
+            if key == root:
+                return s.root_pin
+            if state.candidates(g, side, key) != [(x, y)]:
+                return f"vertex {key} has other usable {s.many}"
+            state.pin(side, (x, y))
+        elif rule == s.cut:
+            h = state.usable_digraph(g, side)
+            if not h.has_arc(x, y):
+                return f"arc {(x, y)} is not usable"
+            if s.span(h, 1 << root, banned={(x, y)}) == g.full_mask:
+                return f"arc {(x, y)} is not a necessity"
+            state.pin(side, (x, y))
+        elif rule == STUCK:
+            if x == root or x in state.pins[side]:
+                return "stuck vertex is pinned or the root"
+            if state.candidates(g, side, x):
+                return f"vertex {x} still has a usable {s.one}"
+        elif rule == SEVERED:
+            if s.span(state.usable_digraph(g, side), 1 << root) & (1 << x):
+                return f"vertex {x} {s.severed}"
         else:
-            return f"unknown side {side!r}"
+            return f"unknown rule {rule!r}"
     return None

@@ -128,9 +128,13 @@ def _check_root_component(flat, comp, verdict: Verdict) -> str | None:
 
 
 def _check_arc_obstruction(flat, comp, verdict: Verdict) -> str | None:
-    if verdict.arc is None or not flat.has_arc(*verdict.arc):
+    arc = verdict.arc
+    two_vertices = arc is not None and len(arc) == 2 and all(
+        isinstance(x, int) and 0 <= x < flat.n for x in arc
+    )
+    if not two_vertices or not flat.has_arc(*arc):
         return "claimed arc missing from the input"
-    banned = {verdict.arc}
+    banned = {arc}
     if reach_mask(flat, 1 << verdict.u, banned=banned) == flat.full_mask:
         return "out-root still spans without the arc"
     if coreach_mask(flat, 1 << verdict.v, banned=banned) == flat.full_mask:

@@ -61,8 +61,6 @@ class TypeABWitness:
 
     def source_level(self, j: int) -> int:
         """0-based level index holding x_{j+1}."""
-        if self.kind == "A":
-            return self.p - 1 - j
         return self.p - 1 - j
 
     def target_level(self, j: int) -> int:

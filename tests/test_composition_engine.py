@@ -1,25 +1,38 @@
 """Composition engine: families, layering, forcing, constructions."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from goodpairs.composition import Composition, independent, singleton
 from goodpairs.composition_engine import (
+    _FLAT_MATCHERS,
+    _is_strong,
+    _match_ring,
     decide_composition,
     match_known_family,
     two_arc_strong_pair,
 )
-from goodpairs.digraph import Digraph, is_k_arc_strong
+from goodpairs.dispatch import decide
+from goodpairs.digraph import Digraph, is_k_arc_strong, small_digraph_match
 from goodpairs.errors import InvalidInput
 from goodpairs.families import (
+    all_digraphs,
     family_a,
+    family_b,
     family_c,
     family_g,
+    known_family_members,
+    near_miss_members,
     random_composition,
+    random_quasi_transitive,
     random_two_arc_strong_semicomplete,
 )
+from goodpairs.semicomplete import EXCEPTION_PATTERNS, match_small_exception
 from goodpairs.oracle import oracle_good_pair
 from goodpairs.branchings import verify_good_pair
-from goodpairs.verdicts import validate_verdict
+from goodpairs.verdicts import middle_blocked_violation, validate_verdict
 
 
 def test_rejects_non_strong_or_single_part():
@@ -108,3 +121,258 @@ def test_random_sweep_matches_oracle():
                 ver = decide_composition(comp, u, v)
                 assert ver.yes == (oracle_good_pair(flat, u, v) is not None)
                 assert validate_verdict(comp, ver) is None
+
+
+# --- reference: the set-based family matchers the row matchers replaced ---
+
+
+def _ref_head_pair(g, u, v):
+    if g.n != 6 or u == v or g.has_arc(u, v):
+        return False
+    rest = [w for w in range(g.n) if w not in (u, v)]
+    first = [
+        w
+        for w in rest
+        if g.has_arc(u, w)
+        and g.has_arc(v, w)
+        and not g.has_arc(w, u)
+        and not g.has_arc(w, v)
+    ]
+    if len(first) != 2:
+        return False
+    second = [w for w in rest if w not in first]
+    expected = set()
+    for w in first:
+        expected.add((u, w))
+        expected.add((v, w))
+        for x in second:
+            expected.add((w, x))
+    for x in second:
+        expected.add((x, u))
+        expected.add((x, v))
+    actual = set(g.arcs())
+    if not expected <= actual:
+        return False
+    return actual - expected <= {(v, u)}
+
+
+def _ref_middle_row(g, u, v):
+    if u == v or g.n < 3:
+        return False
+    middle = [w for w in range(g.n) if w not in (u, v)]
+    expected = {(u, v)}
+    for w in middle:
+        expected.add((u, w))
+        expected.add((w, v))
+    actual = set(g.arcs())
+    if not expected <= actual:
+        return False
+    return actual - expected <= {(v, u)}
+
+
+def _ref_thin_cycle(g, u, v):
+    if u == v or g.n < 3:
+        return False
+    middle = set(range(g.n)) - {u, v}
+    expected = {(v, u)}
+    for w in middle:
+        expected.add((u, w))
+        expected.add((w, v))
+    actual = set(g.arcs())
+    if not expected <= actual:
+        return False
+    extras = actual - expected
+    if len(extras) > 1:
+        return False
+    return all(x in middle and y in middle for x, y in extras)
+
+
+def _ref_hub(g, u, v):
+    if u == v or g.n < 3:
+        return False
+    vertices = set(range(g.n))
+    actual = set(g.arcs())
+    for z in sorted(vertices - {u, v}):
+        head = {
+            w for w in vertices if w != z and g.has_arc(z, w) and not g.has_arc(w, z)
+        }
+        tail = {
+            w for w in vertices if w != z and g.has_arc(w, z) and not g.has_arc(z, w)
+        }
+        if u not in head or v not in tail:
+            continue
+        if head & tail or head | tail | {z} != vertices:
+            continue
+        expected = set()
+        for w in head:
+            expected.add((z, w))
+            for x in tail:
+                expected.add((w, x))
+        for x in tail:
+            expected.add((x, z))
+        if not expected <= actual:
+            continue
+        extras = actual - expected
+        ok = all(
+            (y == u and x in head and x != u) or (x == v and y in tail and y != v)
+            for x, y in extras
+        )
+        if ok:
+            return True
+    return False
+
+
+def _ref_ring(g, u, v):
+    if u == v:
+        return None
+    vertices = set(range(g.n))
+    head_u = {w for w in vertices if g.has_arc(w, v)}
+    after = {w for w in vertices if g.has_arc(v, w)}
+    if head_u & after or u not in head_u:
+        return None
+    if head_u | after | {v} != vertices:
+        return None
+    arcs = set(g.arcs())
+    for z in sorted(after):
+        hub = {w for w in vertices if g.has_arc(w, z)} - {v}
+        if not hub or z in hub or not hub <= after:
+            continue
+        head = after - {z} - hub
+        expected = set()
+        for w in head_u:
+            expected.add((w, v))
+            expected.add((z, w))
+            for x in head | hub:
+                expected.add((w, x))
+        for k in hub:
+            expected.add((k, z))
+            expected.add((v, k))
+        expected.add((v, z))
+        for h in head:
+            expected.add((v, h))
+            expected.add((z, h))
+        if not expected <= arcs:
+            continue
+        rest = {a for a in arcs if not (a[0] in head and a[1] in head)} - expected
+        star = {(x, y) for x, y in rest if x in head_u and x != u and y == u}
+        cross = rest - star
+        if cross == {(h, k) for h in head for k in hub}:
+            return "e"
+        if len(hub) == 1 and head:
+            k1 = next(iter(hub))
+            shapes_ok = all(
+                (x in head and y == k1) or (x == k1 and y in head) for x, y in cross
+            )
+            joined = {x for x, y in cross if y == k1} | {
+                y for x, y in cross if x == k1
+            }
+            if shapes_ok and joined == head and _is_strong(g):
+                return "f"
+    return None
+
+
+def _ref_blocked_quad(g, u, v):
+    pattern = EXCEPTION_PATTERNS["e"][0]
+    if g.n != pattern.n or u == v:
+        return False
+    return small_digraph_match(g, pattern, pinned={0: u, 3: v}) is not None
+
+
+_REF_FLAT = (
+    ("a", _ref_head_pair),
+    ("b", _ref_middle_row),
+    ("c", _ref_thin_cycle),
+    ("d", _ref_hub),
+)
+
+
+def _ref_known_family(flat, u, v):
+    if u == v:
+        return None
+    for reversed_ in (False, True):
+        g, a, b = (flat, u, v) if not reversed_ else (flat.converse(), v, u)
+        for family, matcher in _REF_FLAT:
+            if matcher(g, a, b):
+                return family, reversed_
+        ring = _ref_ring(g, a, b)
+        if ring is not None:
+            return ring, reversed_
+        if _ref_blocked_quad(g, a, b):
+            return "g", reversed_
+    return None
+
+
+def _shape_matches(g, u, v):
+    """Every shape's answer at (u, v): the engine's, then the reference's."""
+    hit = match_small_exception(g, u, v)
+    engine = [m(g, u, v) for _, m in _FLAT_MATCHERS]
+    engine += [_match_ring(g, u, v), hit is not None and hit[0] == "e"]
+    ref = [m(g, u, v) for _, m in _REF_FLAT]
+    ref += [_ref_ring(g, u, v), _ref_blocked_quad(g, u, v)]
+    return engine, ref
+
+
+def _flips(g, count, rng):
+    """g with one arc toggled, every way, then `count` random two-arc toggles."""
+    pairs = [(a, b) for a in range(g.n) for b in range(g.n) if a != b]
+    arcs = set(g.arcs())
+    for p in pairs:
+        yield Digraph(g.n, arcs ^ {p})
+    for _ in range(count):
+        yield Digraph(g.n, arcs ^ set(rng.sample(pairs, 2)))
+
+
+def _all_roots(g):
+    return [(u, v) for u in range(g.n) for v in range(g.n)]
+
+
+def _matcher_corpus():
+    """(flat digraph, root pairs) the row matchers are checked on."""
+    rng = random.Random(5)
+    for _, comp, u, v in known_family_members():
+        flat = comp.flatten()
+        for g in (flat, flat.converse()):
+            yield g, _all_roots(g)
+        for g in _flips(flat, 12, rng):
+            yield g, [(u, v), (v, u)]
+    for comp, u, v, _ in near_miss_members(20):
+        yield comp.flatten(), _all_roots(comp.flatten())
+    for seed in range(300):
+        flat = random_composition(seed).flatten()
+        yield flat, _all_roots(flat)
+    for n in range(1, 5):
+        for g in all_digraphs(n):
+            yield g, _all_roots(g)
+    for seed in range(40):
+        g = random_quasi_transitive(seed, 6 + seed % 5)
+        yield g, _all_roots(g)
+
+
+def test_row_matchers_agree_with_the_set_reference():
+    hits = Counter()
+    for g, roots in _matcher_corpus():
+        comp = Composition(g, tuple(singleton() for _ in range(g.n)))
+        for u, v in roots:
+            engine, ref = _shape_matches(g, u, v)
+            assert engine == ref, (g, u, v)
+            assert match_known_family(comp, u, v) == _ref_known_family(g, u, v)
+            hits.update((i, x) for i, x in enumerate(ref) if x)
+    # the corpus reaches every shape, the ring as both "e" and "f"
+    assert set(hits) == {(0, True), (1, True), (2, True), (3, True),
+                         (4, "e"), (4, "f"), (5, True)}
+
+
+def test_family_b_is_the_middle_blocked_shape_on_both_routes():
+    # without the back arc the quotient is transitive; with it, strong,
+    # and the flat route re-decomposes to check the family it names
+    for t in (1, 2, 3):
+        for back_arc in (False, True):
+            comp, u, v = family_b(t, back_arc)
+            flat = comp.flatten()
+            assert middle_blocked_violation(flat, u, v) is None
+            want = ("known-family", "b") if back_arc else ("middle-blocked", None)
+            # with t = 1 the flat digraph is semicomplete and takes that route
+            for target in (comp, flat) if t >= 2 else (comp,):
+                ver = decide(target, u, v)
+                assert (ver.reason, ver.family) == want
+                assert validate_verdict(target, ver) is None

@@ -1,5 +1,8 @@
 """Forced-arc saturation traces and their independent replay."""
 
+import random
+
+from goodpairs.digraph import Digraph, bits, coreach_mask, reach_mask
 from goodpairs.families import (
     random_composition,
     random_two_arc_strong_semicomplete,
@@ -55,6 +58,10 @@ def test_tampered_trace_is_rejected():
     # empty trace proves nothing
     assert replay(flat, u, v, [])
 
+    # a dead end names one vertex and -1, nothing else
+    side, rule, a, _ = trace[-1]
+    assert replay(flat, u, v, trace[:-1] + ((side, rule, a, 0),))
+
 
 def test_open_instances_stay_open():
     flat, _, _ = blocked_instance()
@@ -76,3 +83,249 @@ def test_open_status_never_carries_a_dead_end():
                 assert not terminal
             else:
                 assert len(terminal) == 1 and trace[-1] is terminal[0]
+
+
+# --- reference: the two-sided rules the one-sided ones replaced ---
+
+
+class _RefState:
+    def __init__(self):
+        self.entry = {}
+        self.exit = {}
+        self.entry_arcs = set()
+        self.exit_arcs = set()
+
+
+def _ref_entry_would_cycle(state, a, b):
+    x = a
+    while True:
+        pin = state.entry.get(x)
+        if pin is None:
+            return False
+        x = pin[0]
+        if x == b:
+            return True
+
+
+def _ref_exit_would_cycle(state, a, b):
+    x = b
+    while True:
+        pin = state.exit.get(x)
+        if pin is None:
+            return False
+        x = pin[1]
+        if x == a:
+            return True
+
+
+def _ref_entry_usable(g, state, a, b):
+    arc = (a, b)
+    if arc in state.exit_arcs:
+        return False
+    pin = state.entry.get(b)
+    if pin is not None and pin != arc:
+        return False
+    return not _ref_entry_would_cycle(state, a, b)
+
+
+def _ref_exit_usable(g, state, a, b):
+    arc = (a, b)
+    if arc in state.entry_arcs:
+        return False
+    pin = state.exit.get(a)
+    if pin is not None and pin != arc:
+        return False
+    return not _ref_exit_would_cycle(state, a, b)
+
+
+def _ref_entry_candidates(g, state, w):
+    return [(a, w) for a in bits(g.in_masks[w]) if _ref_entry_usable(g, state, a, w)]
+
+
+def _ref_exit_candidates(g, state, w):
+    return [(w, b) for b in bits(g.out_masks[w]) if _ref_exit_usable(g, state, w, b)]
+
+
+def _ref_usable(g, state, side):
+    usable = _ref_entry_usable if side == "out" else _ref_exit_usable
+    return Digraph(g.n, [arc for arc in g.arcs() if usable(g, state, *arc)])
+
+
+def _ref_pin_entry(state, arc):
+    state.entry[arc[1]] = arc
+    state.entry_arcs.add(arc)
+
+
+def _ref_pin_exit(state, arc):
+    state.exit[arc[0]] = arc
+    state.exit_arcs.add(arc)
+
+
+def _ref_force_trace(g, u, v):
+    state = _RefState()
+    trace = []
+
+    def units(side):
+        skip, pins, candidates, pin, only = (
+            (u, state.entry, _ref_entry_candidates, _ref_pin_entry, "only-entry")
+            if side == "out"
+            else (v, state.exit, _ref_exit_candidates, _ref_pin_exit, "only-exit")
+        )
+        for w in range(g.n):
+            if w == skip or w in pins:
+                continue
+            cands = candidates(g, state, w)
+            if not cands:
+                trace.append((side, "stuck", w, -1))
+                return "blocked"
+            if len(cands) == 1:
+                pin(state, cands[0])
+                trace.append((side, only, *cands[0]))
+        return None
+
+    def cuts(side):
+        span, start, pinned, pin, rule = (
+            (reach_mask, 1 << u, state.entry_arcs, _ref_pin_entry, "cut-entry")
+            if side == "out"
+            else (coreach_mask, 1 << v, state.exit_arcs, _ref_pin_exit, "cut-exit")
+        )
+        h = _ref_usable(g, state, side)
+        seen = span(h, start)
+        if seen != g.full_mask:
+            missing = (g.full_mask & ~seen).bit_length() - 1
+            trace.append((side, "severed", missing, -1))
+            return "blocked"
+        for arc in h.arcs():
+            if arc in pinned:
+                continue
+            if span(h, start, banned={arc}) != g.full_mask:
+                pin(state, arc)
+                trace.append((side, rule, *arc))
+                return None
+        return None
+
+    while True:
+        before = len(trace)
+        for phase, side in ((units, "out"), (units, "in"), (cuts, "out"), (cuts, "in")):
+            if phase(side) == "blocked":
+                return "blocked", tuple(trace)
+        if len(trace) == before:
+            return "open", tuple(trace)
+
+
+def _ref_replay(g, u, v, trace):
+    state = _RefState()
+    steps = tuple(trace)
+    if not steps:
+        return "empty trace proves nothing"
+    for index, step in enumerate(steps):
+        if len(step) != 4:
+            return f"malformed step {step!r}"
+        side, rule, x, y = step
+        last = index == len(steps) - 1
+        if rule in _RULES[:4]:
+            if last:
+                return "trace ends without a contradiction"
+        elif not last:
+            return "contradiction before the end of the trace"
+        if side == "out":
+            if rule == "only-entry":
+                if y == u:
+                    return "entry pin targets the out-root"
+                if _ref_entry_candidates(g, state, y) != [(x, y)]:
+                    return f"vertex {y} has other usable entries"
+                _ref_pin_entry(state, (x, y))
+            elif rule == "cut-entry":
+                h = _ref_usable(g, state, "out")
+                if not h.has_arc(x, y):
+                    return f"arc {(x, y)} is not usable"
+                if reach_mask(h, 1 << u, banned={(x, y)}) == g.full_mask:
+                    return f"arc {(x, y)} is not a necessity"
+                _ref_pin_entry(state, (x, y))
+            elif rule == "stuck":
+                if x == u or x in state.entry:
+                    return "stuck vertex is pinned or the root"
+                if _ref_entry_candidates(g, state, x):
+                    return f"vertex {x} still has a usable entry"
+            elif rule == "severed":
+                if reach_mask(_ref_usable(g, state, "out"), 1 << u) & (1 << x):
+                    return f"vertex {x} is still reachable"
+            else:
+                return f"unknown rule {rule!r}"
+        elif side == "in":
+            if rule == "only-exit":
+                if x == v:
+                    return "exit pin leaves the in-root"
+                if _ref_exit_candidates(g, state, x) != [(x, y)]:
+                    return f"vertex {x} has other usable exits"
+                _ref_pin_exit(state, (x, y))
+            elif rule == "cut-exit":
+                h = _ref_usable(g, state, "in")
+                if not h.has_arc(x, y):
+                    return f"arc {(x, y)} is not usable"
+                if coreach_mask(h, 1 << v, banned={(x, y)}) == g.full_mask:
+                    return f"arc {(x, y)} is not a necessity"
+                _ref_pin_exit(state, (x, y))
+            elif rule == "stuck":
+                if x == v or x in state.exit:
+                    return "stuck vertex is pinned or the root"
+                if _ref_exit_candidates(g, state, x):
+                    return f"vertex {x} still has a usable exit"
+            elif rule == "severed":
+                if coreach_mask(_ref_usable(g, state, "in"), 1 << v) & (1 << x):
+                    return f"vertex {x} can still reach the in-root"
+            else:
+                return f"unknown rule {rule!r}"
+        else:
+            return f"unknown side {side!r}"
+    return None
+
+
+_RULES = ("only-entry", "cut-entry", "only-exit", "cut-exit", "stuck", "severed")
+
+
+def _forge(trace, n, rng):
+    """One in-range variant: a step's side, rule or vertex changed, a
+    step dropped or a dead end appended; a stuck or severed step keeps -1."""
+    steps = list(trace)
+    i = rng.randrange(len(steps))
+    side, rule, x, y = steps[i]
+    move = rng.randrange(5)
+    if move == 0:
+        side = rng.choice(("out", "in", "sideways"))
+    elif move == 1:
+        rule = rng.choice(_RULES + ("bogus",))
+    elif move == 2:
+        x = rng.randrange(n)
+    elif move == 3:
+        del steps[i]
+        return steps
+    else:
+        steps.append((rng.choice(("out", "in")), rng.choice(("stuck", "severed")),
+                      rng.randrange(n), -1))
+        return steps
+    if rule in ("stuck", "severed"):
+        y = -1
+    elif y == -1:
+        y = rng.randrange(n)
+    steps[i] = (side, rule, x, y)
+    return steps
+
+
+def test_one_sided_rules_agree_with_the_two_sided_reference():
+    rng = random.Random(7)
+    queries = forged = 0
+    for seed in (*range(60), 908, 943):
+        flat = random_composition(seed).flatten()
+        for u in range(flat.n):
+            for v in range(flat.n):
+                status, trace = force_trace(flat, u, v)
+                assert (status, trace) == _ref_force_trace(flat, u, v), (seed, u, v)
+                variants = [trace]
+                if trace:
+                    variants += [_forge(trace, flat.n, rng) for _ in range(6)]
+                for steps in variants:
+                    assert replay(flat, u, v, steps) == _ref_replay(flat, u, v, steps)
+                queries += 1
+                forged += len(variants) - 1
+    assert queries == 1354 and forged > 4000

@@ -6,6 +6,7 @@ from goodpairs.digraph import Digraph
 from goodpairs.errors import InvalidInput
 from goodpairs.semicomplete import decide_semicomplete
 from goodpairs.verdicts import (
+    ARC_FORCING,
     ARC_OBSTRUCTION,
     DEGREE,
     LAYERED_A,
@@ -136,3 +137,37 @@ def test_dict_round_trip():
     assert verdict_from_dict(verdict_to_dict(yes)) == yes
     with pytest.raises(InvalidInput):
         verdict_from_dict({"answer": "no"})
+
+
+def test_arc_obstruction_from_json_rejects_arcs_outside_the_input():
+    g = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+    base = {"answer": "no", "u": 0, "v": 1, "reason": ARC_OBSTRUCTION}
+    for arc in ([5, 0], [0, 5], [0], [0, 1, 2], [], [-1, 0], ["a", 1], [0.0, 1]):
+        ver = verdict_from_dict({**base, "arc": arc})
+        assert validate_verdict(g, ver) is not None, arc
+
+
+def test_forged_forcing_trace_is_rejected():
+    # [DERIVED] the complete digraph on 3 vertices has a good (0,1)-pair,
+    # so no forcing trace may validate; vertex 7 does not exist
+    k3 = Digraph(3, [(a, b) for a in range(3) for b in range(3) if a != b])
+    forged = Verdict(
+        yes=False, u=0, v=1, reason=ARC_FORCING, forcing=(("in", "severed", 7, -1),)
+    )
+    assert validate_verdict(k3, forged) is not None
+    for step in (
+        ("out", "stuck", "a", -1),
+        ("in", "severed", -1, -1),
+        ("out", "stuck", 2, 5),
+        ("out", "stuck", 2, 0),
+        ("in", "severed", 2, None),
+        ("out", "only-entry", 0, 9),
+        ("in", "cut-exit", None, 1),
+        ("out", "cut-entry", [0], 1),
+        ("out", "stuck", 2),
+        ["in", ["severed"], 2, -1],
+        7,
+        None,
+    ):
+        ver = Verdict(yes=False, u=0, v=1, reason=ARC_FORCING, forcing=(step,))
+        assert validate_verdict(k3, ver) is not None, step
