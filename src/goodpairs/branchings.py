@@ -64,14 +64,13 @@ class BranchingPair:
 def branching_violation(g: Digraph, branching: Branching) -> str | None:
     """None if the branching is a valid spanning tree of g, else a reason."""
     span = g.full_mask
-    if not span >> branching.root & 1:
+    if not (isinstance(branching.root, int) and 0 <= branching.root < g.n):
         return f"root {branching.root} outside the spanned set"
     seen: dict[int, Arc] = {}
-    for a, b in branching.arcs:
-        if not g.has_arc(a, b):
-            return f"arc ({a},{b}) not in the digraph"
-        if not (span >> a & 1 and span >> b & 1):
-            return f"arc ({a},{b}) leaves the spanned set"
+    for arc in branching.arcs:
+        if not g.is_arc(arc):
+            return f"arc ({','.join(map(str, arc))}) not in the digraph"
+        a, b = arc
         child = b if branching.kind == "out" else a
         if child == branching.root:
             return f"root {branching.root} has a parent arc"

@@ -8,6 +8,12 @@ built greedily and re-verified, and `branchings.search_good_pair` builds
 it when the greedy misses.  `construct_good_pair` is that construction
 tail for every engine: the composition and transitive engines call it
 once their structured recipes fail.
+
+The greedy's guarded growth, like the arc-obstruction scan, rests on one
+BFS-tree fact: an arc off v's BFS in-tree cannot cut any vertex from v,
+and removing it leaves that tree exactly as it was (same distances, same
+first-found parents).  So the growth keeps the tree across its steps and
+rebuilds it only when it takes one of the tree's own arcs.
 """
 
 from __future__ import annotations
@@ -99,36 +105,45 @@ def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
         inn = find_branching(g, v, "in", banned=out_first.arc_set)
         if inn is not None:
             return BranchingPair(out_first, inn)
-    # guarded growth: accept a frontier arc only while every vertex can
-    # still reach v without the chosen arcs; an arc off v's BFS in-tree in
-    # g - chosen cannot cut anything from v, and when that tree does not
-    # span no arc is acceptable
+    # guarded growth on the residual rows (g less the chosen arcs): accept
+    # a frontier arc only while every vertex still reaches v without it.
+    # Only an arc of v's BFS in-tree can cut a vertex from v, so only such
+    # an arc is tested, by one coreach with its bit cleared, and the tree
+    # is rebuilt only when such an arc is taken (an off-tree arc leaves it
+    # unchanged).  The kept tree, in_first's at the start, spans throughout
+    # and is the in-branching.
+    if in_first is None:
+        return None
+    res = Digraph.from_rows(g.out_masks[:], g.in_masks[:])
+    in_tree = in_first.arc_set
     tree = 1 << u
     arcs: list[Arc] = []
-    chosen: set[Arc] = set()
     while tree != full:
-        spanned, in_tree = reach_tree(g, v, "in", banned=chosen)
-        if spanned != full:
-            return None
         picked = None
         for x in bits(tree):
-            for y in bits(g.out_masks[x] & ~tree):
-                if (x, y) not in in_tree or coreach_mask(
-                    g, 1 << v, banned=chosen | {(x, y)}
-                ) == full:
-                    picked = (x, y)
-                    break
+            for y in bits(res.out_masks[x] & ~tree):
+                if (x, y) in in_tree:
+                    res.in_masks[y] ^= 1 << x
+                    cut = coreach_mask(res, 1 << v) != full
+                    res.in_masks[y] ^= 1 << x
+                    if cut:
+                        continue
+                picked = (x, y)
+                break
             if picked:
                 break
         if picked is None:
             return None
-        chosen.add(picked)
+        x, y = picked
+        res.out_masks[x] ^= 1 << y
+        res.in_masks[y] ^= 1 << x
         arcs.append(picked)
-        tree |= 1 << picked[1]
-    inn = find_branching(g, v, "in", banned=chosen)
-    if inn is None:
-        return None
-    return BranchingPair(Branching(u, tuple(arcs), "out"), inn)
+        tree |= 1 << y
+        if picked in in_tree:
+            _, in_tree = reach_tree(res, v, "in")
+    return BranchingPair(
+        Branching(u, tuple(arcs), "out"), Branching(v, tuple(in_tree), "in")
+    )
 
 
 def construct_good_pair(g: Digraph, u: int, v: int) -> BranchingPair:

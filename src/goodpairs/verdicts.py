@@ -104,7 +104,12 @@ def _check_small_exception(flat, comp, verdict: Verdict) -> str | None:
         return f"unknown exception id {verdict.exception_id!r}"
     pattern, pu, pv = EXCEPTION_PATTERNS[verdict.exception_id]
     m = verdict.mapping
-    if m is None or sorted(m) != list(range(flat.n)) or pattern.n != flat.n:
+    if (
+        m is None
+        or pattern.n != flat.n
+        or not all(isinstance(x, int) for x in m)
+        or sorted(m) != list(range(flat.n))
+    ):
         return "mapping is not a bijection onto the input"
     if m[pu] != verdict.u or m[pv] != verdict.v:
         return "mapping does not send the pattern roots to the query roots"
@@ -129,10 +134,7 @@ def _check_root_component(flat, comp, verdict: Verdict) -> str | None:
 
 def _check_arc_obstruction(flat, comp, verdict: Verdict) -> str | None:
     arc = verdict.arc
-    two_vertices = arc is not None and len(arc) == 2 and all(
-        isinstance(x, int) and 0 <= x < flat.n for x in arc
-    )
-    if not two_vertices or not flat.has_arc(*arc):
+    if arc is None or not flat.is_arc(arc):
         return "claimed arc missing from the input"
     banned = {arc}
     if reach_mask(flat, 1 << verdict.u, banned=banned) == flat.full_mask:

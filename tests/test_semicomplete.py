@@ -10,9 +10,23 @@ from goodpairs.branchings import (
     branching_violation,
     verify_good_pair,
 )
-from goodpairs.digraph import Digraph, bits, coreach_mask, strong_components
+from goodpairs.digraph import (
+    Digraph,
+    bits,
+    coreach_mask,
+    reach_mask,
+    strong_components,
+)
 from goodpairs.errors import InvalidInput, ResourceExceeded
-from goodpairs.families import all_semicomplete, random_strong_semicomplete
+from goodpairs.families import (
+    all_semicomplete,
+    kind_a_instance,
+    random_composition,
+    random_quasi_transitive,
+    random_semicomplete,
+    random_strong_semicomplete,
+    random_wide_composition,
+)
 from goodpairs.oracle import oracle_all_pairs, oracle_good_pair
 from goodpairs.semicomplete import (
     EXCEPTION_PATTERNS,
@@ -25,6 +39,7 @@ from goodpairs.semicomplete import (
 )
 from goodpairs.verdicts import validate_verdict
 from goodpairs.witnesses import iter_type_a, iter_type_b
+from test_large_inputs import fixture_a
 
 
 def all_tournaments(n):
@@ -221,20 +236,28 @@ def test_tree_scan_finds_the_full_scans_first_arc_on_random_graphs():
     assert obstructed >= 10
 
 
-def _try_construct_pair_by_full_coreach(g, u, v):
-    """The greedy with its guarded growth testing every frontier arc by a
-    full coreach from v; also says whether the growth ran."""
-    full = g.full_mask
+def _one_shot_pair(g, u, v):
+    """The greedy's two one-shot BFS attempts, as in `try_construct_pair`."""
     in_first = branchings.find_branching(g, v, "in")
     if in_first is not None:
         out = branchings.find_branching(g, u, "out", banned=in_first.arc_set)
         if out is not None:
-            return BranchingPair(out, in_first), False
+            return BranchingPair(out, in_first)
     out_first = branchings.find_branching(g, u, "out")
     if out_first is not None:
         inn = branchings.find_branching(g, v, "in", banned=out_first.arc_set)
         if inn is not None:
-            return BranchingPair(out_first, inn), False
+            return BranchingPair(out_first, inn)
+    return None
+
+
+def _try_construct_pair_by_full_coreach(g, u, v):
+    """The greedy with its guarded growth testing every frontier arc by a
+    full coreach from v; also says whether the growth ran."""
+    full = g.full_mask
+    pair = _one_shot_pair(g, u, v)
+    if pair is not None:
+        return pair, False
     tree = 1 << u
     arcs = []
     chosen = set()
@@ -291,3 +314,89 @@ def test_guarded_growth_matches_full_coreach_on_random_graphs():
         ):
             grown += _assert_greedy_matches_full_coreach(g, roots)
     assert grown > 300
+
+
+def _try_construct_pair_by_sets(g, u, v):
+    """The greedy on arc sets: v's BFS in-tree rebuilt at every growth
+    step with the chosen arcs banned, each tree-arc candidate tested by a
+    coreach banning a fresh `chosen | {(x, y)}`."""
+    full = g.full_mask
+    pair = _one_shot_pair(g, u, v)
+    if pair is not None:
+        return pair, False
+    tree = 1 << u
+    arcs = []
+    chosen = set()
+    while tree != full:
+        spanned, in_tree = branchings.reach_tree(g, v, "in", banned=chosen)
+        if spanned != full:
+            return None, True
+        picked = None
+        for x in bits(tree):
+            for y in bits(g.out_masks[x] & ~tree):
+                if (x, y) not in in_tree or coreach_mask(
+                    g, 1 << v, banned=chosen | {(x, y)}
+                ) == full:
+                    picked = (x, y)
+                    break
+            if picked:
+                break
+        if picked is None:
+            return None, True
+        chosen.add(picked)
+        arcs.append(picked)
+        tree |= 1 << picked[1]
+    inn = branchings.find_branching(g, v, "in", banned=chosen)
+    if inn is None:
+        return None, True
+    return BranchingPair(Branching(u, tuple(arcs), "out"), inn), True
+
+
+def _growth_inputs():
+    """(digraph, root pairs): digraphs like the five benchmark workloads'
+    at a few sampled root pairs each, then every root pair of small
+    strong and non-strong semicomplete digraphs and of flattened
+    compositions, spanning roots or not."""
+    rng = random.Random("row-growth")
+
+    def sampled(g, *fixed):
+        pairs = list(product(range(g.n), repeat=2))
+        return g, list(fixed) + rng.sample(pairs, 6)
+
+    g, u, v = fixture_a()
+    yield g, [(u, v)]
+    for i in range(12):
+        n = rng.randint(13, 36)
+        if i % 2:
+            yield sampled(_near_transitive_tournament(rng, n))
+        else:
+            yield sampled(random_strong_semicomplete(rng, n, 0.25 if i % 4 else 0.0))
+    for seed in range(12):
+        g, w = kind_a_instance(seed)
+        yield sampled(g, (w.a, w.b))
+        yield sampled(random_quasi_transitive(seed, rng.randint(12, 40)))
+        comp, _ = random_wide_composition(seed, rng.randint(1, 3))
+        yield sampled(comp.flatten())
+    for n in range(3, 17):
+        every = list(product(range(n), repeat=2))
+        for i in range(10):
+            yield random_strong_semicomplete(rng, n, 0.25 if i % 2 else 0.0), every
+        for _ in range(3):
+            yield random_semicomplete(rng, n, 0.1), every
+    for seed in range(60):
+        g = random_composition(seed).flatten()
+        yield g, list(product(range(g.n), repeat=2))
+
+
+def test_row_growth_matches_the_set_reference():
+    cases = grown = built = starved = 0
+    for g, roots in _growth_inputs():
+        full = g.full_mask
+        for u, v in roots:
+            want, grew = _try_construct_pair_by_sets(g, u, v)
+            assert try_construct_pair(g, u, v) == want, (g, u, v)
+            cases += 1
+            grown += grew
+            built += grew and want is not None
+            starved += reach_mask(g, 1 << u) != full or coreach_mask(g, 1 << v) != full
+    assert cases > 20000 and grown > 18000 and built > 17000 and starved > 100

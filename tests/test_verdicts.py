@@ -147,6 +147,28 @@ def test_arc_obstruction_from_json_rejects_arcs_outside_the_input():
         assert validate_verdict(g, ver) is not None, arc
 
 
+def test_good_pair_from_json_rejects_arcs_outside_the_input():
+    k3 = Digraph(3, [(a, b) for a in range(3) for b in range(3) if a != b])
+    inn = {"root": 1, "kind": "in", "arcs": [[0, 1], [2, 1]]}
+    for arc in ([-1, 1], [5, 1], [0, 1, 2], [0], [1.0, 2], [2, 1.5]):
+        out = {"root": 0, "kind": "out", "arcs": [[0, 2], arc]}
+        d = {"answer": "yes", "u": 0, "v": 1, "reason": YES}
+        ver = verdict_from_dict({**d, "pair": {"out": out, "in": inn}})
+        reason = validate_verdict(k3, ver)
+        assert reason is not None and "not in the digraph" in reason, arc
+
+
+def test_small_exception_from_json_rejects_a_mapping_off_the_vertices():
+    k3 = Digraph(3, [(a, b) for a in range(3) for b in range(3) if a != b])
+    base = {"answer": "no", "u": 0, "v": 1, "reason": "small-exception"}
+    for last in ("x", 2.0, -1, 3):
+        d = {**base, "exception": "c", "mapping": [0, 1, last]}
+        assert (
+            validate_verdict(k3, verdict_from_dict(d))
+            == "mapping is not a bijection onto the input"
+        ), last
+
+
 def test_forged_forcing_trace_is_rejected():
     # [DERIVED] the complete digraph on 3 vertices has a good (0,1)-pair,
     # so no forcing trace may validate; vertex 7 does not exist
