@@ -64,7 +64,7 @@ class BranchingPair:
 def branching_violation(g: Digraph, branching: Branching) -> str | None:
     """None if the branching is a valid spanning tree of g, else a reason."""
     span = g.full_mask
-    if not (isinstance(branching.root, int) and 0 <= branching.root < g.n):
+    if not g.is_vertex(branching.root):
         return f"root {branching.root} outside the spanned set"
     seen: dict[int, Arc] = {}
     for arc in branching.arcs:
@@ -112,22 +112,24 @@ def verify_good_pair(g: Digraph, u: int, v: int, pair: BranchingPair) -> bool:
     return good_pair_violation(g, u, v, pair) is None
 
 
-def reach_tree(
+def _bfs(
     g: Digraph,
     root: int,
     kind: str = "out",
     within: int | None = None,
     banned=None,
-) -> tuple[int, set[Arc]]:
-    """BFS tree at root: (mask of the vertices it covers, its arcs).
+) -> tuple[int, set[Arc], list[int]]:
+    """BFS tree at root: (covered mask, tree arcs, `upto` masks).
 
-    An arc off this tree cannot cut the root from any covered vertex:
-    the tree still reaches it once that arc is gone.
+    `upto[y]` holds the covered vertices no deeper than y, 0 where y is
+    not covered.  See `_may_cut` for what the depths are good for.
     """
     within = g.full_mask if within is None else within
     banned = banned or ()
     rows = g.out_masks if kind == "out" else g.in_masks
     seen = 1 << root
+    upto = [0] * g.n
+    upto[root] = seen
     frontier = [root]
     arcs: set[Arc] = set()
     while frontier:
@@ -140,7 +142,43 @@ def reach_tree(
                 seen |= 1 << y
                 arcs.add(arc)
                 nxt.append(y)
+        for y in nxt:
+            upto[y] = seen
         frontier = nxt
+    return seen, arcs, upto
+
+
+def _may_cut(g: Digraph, kind: str, upto: list[int], arc: Arc) -> bool:
+    """Level test: can removing `arc`, an arc of a BFS tree of g (its
+    `upto` masks from `_bfs`), shrink the set the tree's root covers?
+
+    For an out-tree, only if the arc's head y has no in-neighbour w other
+    than the arc's tail with depth(w) <= depth(y): the tree path to such
+    a w visits only vertices no deeper than w and does not end at y, so
+    it avoids the arc, and w -> y reaches y again, and with it all of
+    y's subtree.  An in-tree is the mirror image, on the arc's tail.
+    The test reads g's rows, so for a tree searched with banned arcs it
+    holds only where no banned arc meets the arc's far end.
+    """
+    x, y = arc
+    if kind == "out":
+        return not g.in_masks[y] & upto[y] & ~(1 << x)
+    return not g.out_masks[x] & upto[x] & ~(1 << y)
+
+
+def reach_tree(
+    g: Digraph,
+    root: int,
+    kind: str = "out",
+    within: int | None = None,
+    banned=None,
+) -> tuple[int, set[Arc]]:
+    """BFS tree at root: (mask of the vertices it covers, its arcs).
+
+    An arc off this tree cannot cut the root from any covered vertex:
+    the tree still reaches it once that arc is gone.
+    """
+    seen, arcs, _ = _bfs(g, root, kind, within, banned)
     return seen, arcs
 
 

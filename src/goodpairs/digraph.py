@@ -56,19 +56,18 @@ class Digraph:
     def has_arc(self, a: int, b: int) -> bool:
         return bool(self.out_masks[a] >> b & 1)
 
+    def is_vertex(self, x) -> bool:
+        """Whether x, a value from outside input, is a vertex here: an int
+        in 0..n-1 that is not a bool (JSON true/false)."""
+        return type(x) is int and 0 <= x < self.n
+
     def is_arc(self, arc) -> bool:
         """Whether arc, a sequence from outside input, is an arc here: two
-        ints in 0..n-1 that the digraph joins."""
+        vertices that the digraph joins."""
         if len(arc) != 2:
             return False
         a, b = arc
-        return (
-            isinstance(a, int)
-            and isinstance(b, int)
-            and 0 <= a < self.n
-            and 0 <= b < self.n
-            and self.has_arc(a, b)
-        )
+        return self.is_vertex(a) and self.is_vertex(b) and self.has_arc(a, b)
 
     def arcs(self) -> list[Arc]:
         if self._arcs is None:

@@ -156,10 +156,6 @@ def force_trace(g: Digraph, u: int, v: int) -> tuple[str, tuple[Step, ...]]:
             return "open", tuple(trace)
 
 
-def _vertex(x, n: int) -> bool:
-    return isinstance(x, int) and 0 <= x < n
-
-
 def replay(g: Digraph, u: int, v: int, trace) -> str | None:
     """None if the trace is a valid blocked derivation, else a reason.
 
@@ -179,8 +175,8 @@ def replay(g: Digraph, u: int, v: int, trace) -> str | None:
             return f"malformed step {step!r}"
         name, rule, x, y = step
         dead_end = rule in (STUCK, SEVERED)
-        if not _vertex(x, g.n) or not (
-            isinstance(y, int) and y == -1 if dead_end else _vertex(y, g.n)
+        if not g.is_vertex(x) or not (
+            isinstance(y, int) and y == -1 if dead_end else g.is_vertex(y)
         ):
             return f"malformed step {step!r}"
         last = index == len(steps) - 1

@@ -4,16 +4,20 @@ A good (u,v)-pair exists unless one of four obstructions is present: a
 root that does not span, one of six small exceptional digraphs with the
 roots in fixed position, a single arc whose removal starves both roots,
 or a layered kind-A witness with at least five levels.  On YES a pair is
-built greedily and re-verified, and `branchings.search_good_pair` builds
-it when the greedy misses.  `construct_good_pair` is that construction
-tail for every engine: the composition and transitive engines call it
-once their structured recipes fail.
+built greedily, and `branchings.search_good_pair` builds it when the
+greedy misses; `construct_good_pair` verifies whichever it returns.  It
+is the construction tail for every engine: the composition and
+transitive engines call it once their structured recipes fail.
 
-The greedy's guarded growth, like the arc-obstruction scan, rests on one
-BFS-tree fact: an arc off v's BFS in-tree cannot cut any vertex from v,
-and removing it leaves that tree exactly as it was (same distances, same
-first-found parents).  So the growth keeps the tree across its steps and
-rebuilds it only when it takes one of the tree's own arcs.
+The arc-obstruction scan, the witness enumeration and the greedy's
+guarded growth rest on two BFS-tree facts.  An arc off a BFS tree cannot
+cut any vertex from its root, and removing it leaves the tree exactly as
+it was (same distances, same first-found parents); so the growth keeps
+v's in-tree across its steps and rebuilds it only when it takes one of
+the tree's own arcs.  And a tree arc (x, y) of a BFS out-tree can cut y
+from the root only if y has no in-neighbour other than x at depth at
+most depth(y), the level test of `branchings._may_cut` (mirrored for
+in-trees); so a tree arc that fails it needs no reach check either.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ from __future__ import annotations
 from .branchings import (
     Branching,
     BranchingPair,
+    _bfs,
+    _may_cut,
     find_branching,
     path_arcs,
-    reach_tree,
     search_good_pair,
     verify_good_pair,
 )
@@ -95,11 +100,11 @@ def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
     full = g.full_mask
     # in-branching first, then out-branching in the leftover arcs; then the
     # same with the roles swapped
-    in_first = find_branching(g, v, "in")
-    if in_first is not None:
-        out = find_branching(g, u, "out", banned=in_first.arc_set)
+    spanned, in_tree, upto = _bfs(g, v, "in")
+    if spanned == full:
+        out = find_branching(g, u, "out", banned=in_tree)
         if out is not None:
-            return BranchingPair(out, in_first)
+            return BranchingPair(out, Branching(v, tuple(in_tree), "in"))
     out_first = find_branching(g, u, "out")
     if out_first is not None:
         inn = find_branching(g, v, "in", banned=out_first.arc_set)
@@ -107,22 +112,22 @@ def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
             return BranchingPair(out_first, inn)
     # guarded growth on the residual rows (g less the chosen arcs): accept
     # a frontier arc only while every vertex still reaches v without it.
-    # Only an arc of v's BFS in-tree can cut a vertex from v, so only such
-    # an arc is tested, by one coreach with its bit cleared, and the tree
-    # is rebuilt only when such an arc is taken (an off-tree arc leaves it
-    # unchanged).  The kept tree, in_first's at the start, spans throughout
+    # Only an arc of v's BFS in-tree that passes the level test can cut a
+    # vertex from v, so only such an arc is tested, by one coreach with
+    # its bit cleared, and the tree is rebuilt only when one of its arcs
+    # is taken (an off-tree arc leaves it, depths included, unchanged).
+    # The kept tree, the first attempt's at the start, spans throughout
     # and is the in-branching.
-    if in_first is None:
+    if spanned != full:
         return None
     res = Digraph.from_rows(g.out_masks[:], g.in_masks[:])
-    in_tree = in_first.arc_set
     tree = 1 << u
     arcs: list[Arc] = []
     while tree != full:
         picked = None
         for x in bits(tree):
             for y in bits(res.out_masks[x] & ~tree):
-                if (x, y) in in_tree:
+                if (x, y) in in_tree and _may_cut(res, "in", upto, (x, y)):
                     res.in_masks[y] ^= 1 << x
                     cut = coreach_mask(res, 1 << v) != full
                     res.in_masks[y] ^= 1 << x
@@ -140,7 +145,7 @@ def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
         arcs.append(picked)
         tree |= 1 << y
         if picked in in_tree:
-            _, in_tree = reach_tree(res, v, "in")
+            _, in_tree, upto = _bfs(res, v, "in")
     return BranchingPair(
         Branching(u, tuple(arcs), "out"), Branching(v, tuple(in_tree), "in")
     )
@@ -149,20 +154,23 @@ def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
 def construct_good_pair(g: Digraph, u: int, v: int) -> BranchingPair:
     """A good (u,v)-pair the caller's decision promised; never a silent miss.
 
-    The verified greedy pair when there is one, else the pair of the
-    complete `search_good_pair`.  No pair at all contradicts the promise
-    and raises InternalInconsistency; a search past its node budget
-    raises ResourceExceeded.
+    The greedy pair when it verifies, else the pair of the complete
+    `search_good_pair`, verified too, so callers need not check again.
+    No pair at all, or a search pair that fails verification,
+    contradicts the promise and raises InternalInconsistency; a search
+    past its node budget raises ResourceExceeded.
     """
     pair = try_construct_pair(g, u, v)
     if pair is not None and verify_good_pair(g, u, v, pair):
         return pair
     pair = search_good_pair(g, u, v)
-    if pair is not None:
-        return pair
-    raise InternalInconsistency(
-        f"characterization promised a good ({u},{v})-pair but none was built"
-    )
+    if pair is None:
+        raise InternalInconsistency(
+            f"characterization promised a good ({u},{v})-pair but none was built"
+        )
+    if not verify_good_pair(g, u, v, pair):
+        raise InternalInconsistency("constructed pair failed verification")
+    return pair
 
 
 def _obstruction_arc(g: Digraph, u: int, v: int) -> Arc | None:
@@ -171,15 +179,18 @@ def _obstruction_arc(g: Digraph, u: int, v: int) -> Arc | None:
     Needs every vertex reachable from u and reaching v.  An arc outside a
     spanning out-branching at u cannot cut reach from u, nor one outside a
     spanning in-branching at v reach to v, so only the (at most n-1) arcs
-    of both BFS trees are tested, in sorted order.
+    of both BFS trees are tested, in sorted order, and of those only the
+    ones that pass the level test (`branchings._may_cut`) on both trees.
     """
     full = g.full_mask
-    tree_arcs = set(find_branching(g, u, "out").arcs)
-    tree_arcs &= set(find_branching(g, v, "in").arcs)
-    for e in sorted(tree_arcs):
+    _, out_arcs, out_upto = _bfs(g, u)
+    _, in_arcs, in_upto = _bfs(g, v, "in")
+    for e in sorted(out_arcs & in_arcs):
         banned = {e}
         if (
-            reach_mask(g, 1 << u, banned=banned) != full
+            _may_cut(g, "out", out_upto, e)
+            and _may_cut(g, "in", in_upto, e)
+            and reach_mask(g, 1 << u, banned=banned) != full
             and coreach_mask(g, 1 << v, banned=banned) != full
         ):
             return e
@@ -216,8 +227,6 @@ def decide_semicomplete(g: Digraph, u: int, v: int) -> Verdict:
         if w.alpha >= 2:
             return Verdict(yes=False, u=u, v=v, reason=LAYERED_A, witness=w)
     pair = construct_good_pair(g, u, v)
-    if not verify_good_pair(g, u, v, pair):
-        raise InternalInconsistency("constructed pair failed verification")
     return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
 
 

@@ -87,7 +87,7 @@ def validate_verdict(target, verdict: Verdict) -> str | None:
     """
     flat, comp = _flat_and_comp(target)
     u, v = verdict.u, verdict.v
-    if not (0 <= u < flat.n and 0 <= v < flat.n):
+    if not (flat.is_vertex(u) and flat.is_vertex(v)):
         return "roots out of range"
     if verdict.yes:
         return good_pair_violation(flat, u, v, verdict.pair)
@@ -107,7 +107,7 @@ def _check_small_exception(flat, comp, verdict: Verdict) -> str | None:
     if (
         m is None
         or pattern.n != flat.n
-        or not all(isinstance(x, int) for x in m)
+        or not all(flat.is_vertex(x) for x in m)
         or sorted(m) != list(range(flat.n))
     ):
         return "mapping is not a bijection onto the input"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .branchings import reach_tree
+from .branchings import _bfs, _may_cut
 from .composition import Composition, is_semicomplete
 from .digraph import (
     Arc,
@@ -273,16 +273,28 @@ def _closed_supersets(
     yield from rec(0, set(), 0)
 
 
-def _opens(tree: tuple[int, set[Arc]], f: Arc) -> bool:
-    """Can a `_closed_supersets` call that excludes the root of `tree`,
-    a BFS out-tree in g - banned, and requires f's head yield?
+def _opens(g: Digraph, u: int, crossing: Arc | None = None) -> list[Arc]:
+    """The arcs f, in g.arcs() order, on which a `_closed_supersets` call
+    that bans f and `crossing`, excludes u and requires f's head can yield.
 
-    Not when f is off the tree and its head on it: the root still
-    reaches that head in g - banned - f, so it lies in the coreach of
-    the required set and the call returns before it counts a node.
+    The call returns before it counts a node when u still reaches f's
+    head in g - crossing - f.  With u's BFS out-tree in g - crossing,
+    that holds when f is off the tree and its head on it, and when f is
+    a tree arc that fails the level test (`branchings._may_cut`): its
+    head has another in-neighbour no deeper than itself.  What is left
+    are the arcs into heads the tree misses and the tree arcs that pass
+    the test, at most n-1 arcs when u spans.  The tree arc into the
+    crossing's head is kept untested, as the test would count the
+    crossing's tail as such a neighbour.
     """
-    reached, tree_arcs = tree
-    return f in tree_arcs or not reached >> f[1] & 1
+    reached, tree_arcs, upto = _bfs(g, u, banned={crossing} if crossing else None)
+    missed = g.full_mask & ~reached
+    opens = [(x, y) for y in bits(missed) for x in bits(g.in_masks[y])]
+    for x, y in tree_arcs:
+        if (crossing and crossing[1] == y) or _may_cut(g, "out", upto, (x, y)):
+            opens.append((x, y))
+    opens.sort()
+    return opens
 
 
 def iter_type_a(
@@ -291,15 +303,17 @@ def iter_type_a(
     """All kind-A witnesses of g with out-root u and in-root v.
 
     Every designated-arc loop excludes u and requires the new arc's
-    head, so it skips the arcs on which `_opens` says the call cannot
-    yield, with one BFS out-tree at u in g less the arcs already banned
-    (the crossing arc in `grow`, none in the first loop).  Skipped
-    calls count no node and the loops keep the order of g.arcs(), so
-    the witnesses, their order and the budget used are unchanged.
+    head, so it visits only the arcs `_opens` lists for the arcs already
+    banned (the crossing arc in `grow`, none in the first loop): off u's
+    BFS out-tree, an arc whose head the tree reaches cannot open, nor a
+    tree arc whose head has another in-neighbour no deeper than itself
+    (the level test).  Skipped calls count no node and the lists keep
+    the order of g.arcs(), so the witnesses, their order and the budget
+    used are those of a loop over every arc.
     """
     counter = [0]
     full = g.full_mask
-    trees: dict[Arc, tuple[int, set[Arc]]] = {}  # per crossing arc
+    opening: dict[Arc, list[Arc]] = {}  # per crossing arc
 
     def close(prefix: int, level: int, sets: list[int], intro: list[Arc]):
         # level = index of the level being created = 2a; the arc introduced
@@ -340,11 +354,10 @@ def iter_type_a(
         # option 2: keep stacking with a fresh designated arc into this level
         landing = intro[level - 3][0] if level >= 3 else None
         crossing = intro[level - 2]
-        if crossing not in trees:
-            trees[crossing] = reach_tree(g, u, banned={crossing})
-        tree = trees[crossing]
-        for f in g.arcs():
-            if f in intro or not _opens(tree, f):
+        if crossing not in opening:
+            opening[crossing] = _opens(g, u, crossing)
+        for f in opening[crossing]:
+            if f in intro:
                 continue
             xf, yf = f
             include = 1 << yf | (1 << landing if landing is not None else 0)
@@ -365,10 +378,9 @@ def iter_type_a(
                     continue
                 yield from grow(w_mask, level + 1, sets + [new_level], intro + [f])
 
-    tree = reach_tree(g, u)
-    for e in g.arcs():
+    for e in _opens(g, u):
         xe, ye = e
-        if ye in (u, v) or not _opens(tree, e):
+        if ye in (u, v):
             continue
         exclude = 1 << xe | 1 << u | 1 << v
         for w1 in _closed_supersets(g, 1 << ye, exclude, {e}, counter, budget):
@@ -382,15 +394,15 @@ def iter_type_b(
 ):
     """All kind-B witnesses of g with out-root u and in-root v.
 
-    As in `iter_type_a`, the loops skip the arcs on which `_opens` says
-    the call cannot yield; only the new arc is banned, so one BFS
-    out-tree at u in g serves every loop.
+    As in `iter_type_a`, the loops visit only the arcs `_opens` lists;
+    only the new arc is banned, so one list, from u's BFS out-tree in
+    g, serves every loop.
     """
     if u == v:
         return
     counter = [0]
     full = g.full_mask
-    tree = reach_tree(g, u)
+    opening = _opens(g, u)
 
     def close(prefix: int, sets: list[int], intro: list[Arc]):
         top = full & ~prefix
@@ -410,8 +422,8 @@ def iter_type_b(
     def grow(prefix: int, sets: list[int], intro: list[Arc]):
         yield from close(prefix, sets, intro)
         pending = intro[-1][0]
-        for f in g.arcs():
-            if f in intro or not _opens(tree, f):
+        for f in opening:
+            if f in intro:
                 continue
             xf, yf = f
             include = 1 << yf | 1 << pending
@@ -430,9 +442,9 @@ def iter_type_b(
                         continue
                 yield from grow(w_mask, sets + [new_level], intro + [f])
 
-    for e in g.arcs():
+    for e in opening:
         xe, ye = e
-        if ye == u or xe == v or not _opens(tree, e):
+        if ye == u or xe == v:
             continue
         for w1 in _closed_supersets(
             g, 1 << ye | 1 << v, 1 << xe | 1 << u, {e}, counter, budget

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 from goodpairs.branchings import (
     Branching,
     BranchingPair,
+    _bfs,
+    _may_cut,
     branching_avoiding_path,
     branching_violation,
     find_branching,
@@ -15,8 +18,15 @@ from goodpairs.branchings import (
     search_good_pair,
     verify_good_pair,
 )
-from goodpairs.digraph import CutWitness, Digraph, mask_of
-from goodpairs.families import all_semicomplete, kind_a_instance, kind_b_instance
+from goodpairs.digraph import CutWitness, Digraph, coreach_mask, mask_of, reach_mask
+from goodpairs.families import (
+    all_semicomplete,
+    kind_a_instance,
+    kind_b_instance,
+    random_quasi_transitive,
+    random_semicomplete,
+    random_strong_semicomplete,
+)
 from goodpairs.oracle import enumerate_out_branchings, oracle_good_pair
 
 
@@ -54,6 +64,13 @@ def test_branching_violation_reasons():
     assert "not in the digraph" in branching_violation(g, not_an_arc)
     floating_cycle = Branching(0, ((1, 2), (2, 1)), "out")
     assert branching_violation(g, floating_cycle) is not None
+
+
+def test_branching_root_must_be_an_int_vertex():
+    g = Digraph(3, [(0, 1), (1, 2), (2, 1)])
+    for root in (False, 0.0, "0", None):
+        b = Branching(root, ((0, 1), (1, 2)), "out")
+        assert branching_violation(g, b) == f"root {root} outside the spanned set"
 
 
 def test_good_pair_verification():
@@ -163,3 +180,44 @@ def test_shared_search_matches_enumeration_on_witnesses():
                     assert pair == enumerated_pair(g, w.a, w.b, shared)
                     found += pair is not None
     assert found
+
+
+def _cut_test_inputs():
+    """Seeded semicomplete (strong or not), quasi-transitive and sparse
+    digraphs, n 2..16."""
+    rng = random.Random("level-test")
+    for n in range(2, 17):
+        yield random_strong_semicomplete(rng, n, 0.25)
+        yield random_semicomplete(rng, n, 0.1)
+        yield random_quasi_transitive(n, n + rng.randint(0, 8))
+        p = rng.choice((0.1, 0.2, 0.35))
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        yield Digraph(n, [ab for ab in pairs if rng.random() < p])
+
+
+def test_level_test_passes_over_only_arcs_that_cut_nothing():
+    # every root, out- and in-trees, with no banned arc and with one; a
+    # tree arc that fails the level test must leave its far end (and so
+    # everything the tree covers) reached from, or reaching, the root
+    rng = random.Random("level-test/banned")
+    passed = cut = kept = 0
+    for g in _cut_test_inputs():
+        for root in range(g.n):
+            for kind, span in (("out", reach_mask), ("in", coreach_mask)):
+                far = 1 if kind == "out" else 0
+                one_arc = [{a} for a in rng.sample(g.arcs(), min(2, g.m))]
+                for banned in [set()] + one_arc:
+                    covered, tree, upto = _bfs(g, root, kind, banned=banned)
+                    assert span(g, 1 << root, banned=banned) == covered
+                    for arc in tree:
+                        # the test reads g's rows, so where a banned arc
+                        # meets the far end the callers do not apply it
+                        meets = any(b[far] == arc[far] for b in banned)
+                        after = span(g, 1 << root, banned=banned | {arc})
+                        if meets or _may_cut(g, kind, upto, arc):
+                            cut += after != covered
+                            kept += after == covered
+                        else:
+                            passed += 1
+                            assert after == covered, (g, root, kind, banned, arc)
+    assert passed > 25000 and cut > 2000 and kept > 1000

@@ -64,6 +64,17 @@ def test_arc_queries():
     assert g.out_degree(0, within=mask_of([1])) == 1
 
 
+def test_vertices_and_arcs_are_ints_not_bools():
+    # JSON true/false and floats are not vertices, though True == 1 == 1.0
+    g = tt3()
+    assert g.is_vertex(0) and g.is_vertex(2)
+    for x in (True, False, 1.0, "1", None, -1, 3):
+        assert not g.is_vertex(x), x
+    assert g.is_arc((0, 1)) and g.is_arc([1, 2])
+    for arc in ((False, True), (0, True), (True, 2), (0.0, 1)):
+        assert not g.is_arc(arc), arc
+
+
 def test_converse_swaps_arcs():
     g = tt3()
     h = g.converse()

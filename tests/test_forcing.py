@@ -63,6 +63,17 @@ def test_tampered_trace_is_rejected():
     assert replay(flat, u, v, trace[:-1] + ((side, rule, a, 0),))
 
 
+def test_replay_rejects_bool_vertices():
+    # the trace replays clean, and True/False in place of the vertices 1/0
+    # (as a JSON trace may carry them) make its steps malformed
+    flat, u, v = blocked_instance()
+    _, trace = force_trace(flat, u, v)
+    assert ("in", "only-exit", 0, 1) in trace
+    for forged_step in (("in", "only-exit", False, 1), ("in", "only-exit", 0, True)):
+        forged = [forged_step if s == ("in", "only-exit", 0, 1) else s for s in trace]
+        assert replay(flat, u, v, forged) == f"malformed step {forged_step!r}"
+
+
 def test_open_instances_stay_open():
     flat, _, _ = blocked_instance()
     status, _ = force_trace(flat, 3, 0)

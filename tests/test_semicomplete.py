@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from goodpairs import branchings
+from goodpairs import branchings, semicomplete
 from goodpairs.branchings import (
     Branching,
     BranchingPair,
@@ -17,7 +17,7 @@ from goodpairs.digraph import (
     reach_mask,
     strong_components,
 )
-from goodpairs.errors import InvalidInput, ResourceExceeded
+from goodpairs.errors import InternalInconsistency, InvalidInput, ResourceExceeded
 from goodpairs.families import (
     all_semicomplete,
     kind_a_instance,
@@ -40,6 +40,7 @@ from goodpairs.semicomplete import (
 from goodpairs.verdicts import validate_verdict
 from goodpairs.witnesses import iter_type_a, iter_type_b
 from test_large_inputs import fixture_a
+from test_witnesses import level_test_inputs
 
 
 def all_tournaments(n):
@@ -142,6 +143,19 @@ def test_search_budget_overrun_names_budget_and_size(monkeypatch):
         construct_good_pair(g, u, v)
 
 
+def test_construct_good_pair_verifies_the_search_pair(monkeypatch):
+    # callers take the pair as verified, so a search pair that is not a
+    # good pair (here both trees use (0,1)) must not come back
+    g = Digraph(3, [(a, b) for a in range(3) for b in range(3) if a != b])
+    bad = BranchingPair(
+        Branching(0, ((0, 1), (0, 2)), "out"), Branching(1, ((0, 1), (2, 1)), "in")
+    )
+    monkeypatch.setattr(semicomplete, "try_construct_pair", lambda g, u, v: None)
+    monkeypatch.setattr(semicomplete, "search_good_pair", lambda g, u, v: bad)
+    with pytest.raises(InternalInconsistency, match="failed verification"):
+        construct_good_pair(g, 0, 1)
+
+
 def test_funnel_structure_and_pair():
     # [DERIVED] strong tournament where every (0,0) pair is blocked: the
     # out-side ends and the in-side starts share the single bridge arc
@@ -234,6 +248,42 @@ def test_tree_scan_finds_the_full_scans_first_arc_on_random_graphs():
         ):
             obstructed += _assert_tree_scan_matches_full_scan(g) > 0
     assert obstructed >= 10
+
+
+def _tree_scan_obstruction_arc(g, u, v):
+    """The arc scan before the level test: every arc of both BFS trees,
+    in sorted order, checked by a reach and a coreach."""
+    full = g.full_mask
+    tree_arcs = set(branchings.find_branching(g, u, "out").arcs)
+    tree_arcs &= set(branchings.find_branching(g, v, "in").arcs)
+    for e in sorted(tree_arcs):
+        banned = {e}
+        if (
+            reach_mask(g, 1 << u, banned=banned) != full
+            and coreach_mask(g, 1 << v, banned=banned) != full
+        ):
+            return e
+    return None
+
+
+def test_level_scan_finds_the_tree_scans_first_arc():
+    # the witness-bearing hosts of the enumeration test, then strong
+    # near-transitive tournaments, whose arcs often do cut; every root
+    # pair at which both roots span
+    rng = random.Random("level-scan")
+    graphs = [g for g, _ in level_test_inputs()]
+    graphs += [_near_transitive_tournament(rng, n) for n in range(10, 31)]
+    cases = found = 0
+    for g in graphs:
+        full = g.full_mask
+        for u, v in product(range(g.n), repeat=2):
+            if reach_mask(g, 1 << u) != full or coreach_mask(g, 1 << v) != full:
+                continue
+            want = _tree_scan_obstruction_arc(g, u, v)
+            assert _obstruction_arc(g, u, v) == want, (g, u, v)
+            cases += 1
+            found += want is not None
+    assert cases > 30000 and found > 3500
 
 
 def _one_shot_pair(g, u, v):

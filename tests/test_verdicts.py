@@ -4,7 +4,7 @@ from goodpairs.branchings import Branching, BranchingPair
 from goodpairs.composition import Composition, singleton
 from goodpairs.digraph import Digraph
 from goodpairs.errors import InvalidInput
-from goodpairs.semicomplete import decide_semicomplete
+from goodpairs.semicomplete import EXCEPTION_PATTERNS, decide_semicomplete
 from goodpairs.verdicts import (
     ARC_FORCING,
     ARC_OBSTRUCTION,
@@ -167,6 +167,41 @@ def test_small_exception_from_json_rejects_a_mapping_off_the_vertices():
             validate_verdict(k3, verdict_from_dict(d))
             == "mapping is not a bijection onto the input"
         ), last
+
+
+def test_small_exception_from_json_rejects_bool_mapping_entries():
+    # the true mapping of exception "c" onto itself is (0, 1, 2)
+    pattern, pu, pv = EXCEPTION_PATTERNS["c"]
+    base = {"answer": "no", "u": pu, "v": pv, "reason": "small-exception"}
+    d = {**base, "exception": "c", "mapping": [0, 1, 2]}
+    assert validate_verdict(pattern, verdict_from_dict(d)) is None
+    for mapping in ([False, True, 2], [0, True, 2]):
+        d = {**base, "exception": "c", "mapping": mapping}
+        assert (
+            validate_verdict(pattern, verdict_from_dict(d))
+            == "mapping is not a bijection onto the input"
+        ), mapping
+
+
+def test_verdict_roots_from_json_must_be_int_vertices():
+    k3 = Digraph(3, [(a, b) for a in range(3) for b in range(3) if a != b])
+    out = {"root": 0, "kind": "out", "arcs": [[0, 2], [2, 1]]}
+    inn = {"root": 1, "kind": "in", "arcs": [[0, 1], [2, 0]]}
+    pair = {"out": out, "in": inn}
+    yes = {"answer": "yes", "u": 0, "v": 1, "reason": YES, "pair": pair}
+    assert validate_verdict(k3, verdict_from_dict(yes)) is None
+    no = {"answer": "no", "u": 0, "v": 1, "reason": "root-component", "side": "out"}
+    for bad in ("0", None, 0.0, False, -1, 3):
+        for d in (yes, no):
+            ver = verdict_from_dict({**d, "u": bad})
+            assert validate_verdict(k3, ver) == "roots out of range", (bad, d)
+    # a pair written with false/true in place of 0/1 is not a good pair
+    out = {"root": False, "kind": "out", "arcs": [[False, 2], [2, True]]}
+    inn = {"root": True, "kind": "in", "arcs": [[False, True], [2, False]]}
+    d = {**yes, "u": False, "v": True, "pair": {"out": out, "in": inn}}
+    assert validate_verdict(k3, verdict_from_dict(d)) == "roots out of range"
+    d = {**yes, "pair": {"out": out, "in": inn}}
+    assert validate_verdict(k3, verdict_from_dict(d)) is not None
 
 
 def test_forged_forcing_trace_is_rejected():

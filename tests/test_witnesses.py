@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from goodpairs.branchings import out_branching_avoiding_path
+from goodpairs.branchings import out_branching_avoiding_path, reach_tree
 from goodpairs.composition import Composition, directed_cycle, independent, singleton
 from goodpairs.digraph import Digraph, local_arc_connectivity, mask_of
 from goodpairs.errors import ResourceExceeded
@@ -364,3 +364,206 @@ def test_arc_condition():
     # loses its blocking power
     assert not arc_condition(thick, (0, 1))
     assert arc_condition(thick, (1, 2))
+
+
+# The enumerators before the level test, kept as the reference for it:
+# they filter g.arcs() per loop with `_tree_opens` on u's BFS out-tree
+# (in g less the crossing arc in `grow`).
+
+
+def _tree_opens(tree, f):
+    reached, tree_arcs = tree
+    return f in tree_arcs or not reached >> f[1] & 1
+
+
+def tree_filtered_type_a(g, u, v, counter, budget):
+    full = g.full_mask
+    trees = {}
+
+    def close(prefix, level, sets, intro):
+        if level % 2 or level < 2:
+            return
+        landing = intro[level - 3][0] if level >= 3 else None
+        top_arc = intro[level - 2]
+        include = 1 << u | (1 << landing if landing is not None else 0)
+        if level == 2:
+            include |= 1 << v
+        if prefix & include:
+            return
+        for w_mask in _closed_supersets(
+            g, prefix | include, 1 << top_arc[0], {top_arc}, counter, budget
+        ):
+            new_level = w_mask & ~prefix
+            top = full & ~w_mask
+            if not top:
+                continue
+            if landing is not None and not _in_terminal_component(
+                g, new_level, landing
+            ):
+                continue
+            if not _in_terminal_component(g, top, top_arc[0]):
+                continue
+            yield TypeABWitness(
+                "A", tuple(sets + [new_level, top]), tuple(reversed(intro)), u, v
+            )
+
+    def grow(prefix, level, sets, intro):
+        yield from close(prefix, level, sets, intro)
+        landing = intro[level - 3][0] if level >= 3 else None
+        crossing = intro[level - 2]
+        if crossing not in trees:
+            trees[crossing] = reach_tree(g, u, banned={crossing})
+        tree = trees[crossing]
+        for f in g.arcs():
+            if f in intro or not _tree_opens(tree, f):
+                continue
+            xf, yf = f
+            include = 1 << yf | (1 << landing if landing is not None else 0)
+            if level == 2:
+                include |= 1 << v
+            exclude = 1 << xf | 1 << u | 1 << crossing[0]
+            if include & exclude or prefix & include:
+                continue
+            for w_mask in _closed_supersets(
+                g, prefix | include, exclude, {crossing, f}, counter, budget
+            ):
+                new_level = w_mask & ~prefix
+                if not _in_initial_component(g, new_level, yf):
+                    continue
+                if landing is not None and not _in_terminal_component(
+                    g, new_level, landing
+                ):
+                    continue
+                yield from grow(w_mask, level + 1, sets + [new_level], intro + [f])
+
+    tree = reach_tree(g, u)
+    for e in g.arcs():
+        xe, ye = e
+        if ye in (u, v) or not _tree_opens(tree, e):
+            continue
+        exclude = 1 << xe | 1 << u | 1 << v
+        for w1 in _closed_supersets(g, 1 << ye, exclude, {e}, counter, budget):
+            if _in_initial_component(g, w1, ye):
+                yield from grow(w1, 2, [w1], [e])
+
+
+def tree_filtered_type_b(g, u, v, counter, budget):
+    if u == v:
+        return
+    full = g.full_mask
+    tree = reach_tree(g, u)
+
+    def grow(prefix, sets, intro):
+        top = full & ~prefix
+        if top >> u & 1 and _in_terminal_component(g, top, intro[-1][0]):
+            yield TypeABWitness("B", tuple(sets + [top]), tuple(reversed(intro)), u, v)
+        pending = intro[-1][0]
+        for f in g.arcs():
+            if f in intro or not _tree_opens(tree, f):
+                continue
+            xf, yf = f
+            include = 1 << yf | 1 << pending
+            exclude = 1 << xf | 1 << u
+            if include & exclude or prefix & include:
+                continue
+            for w_mask in _closed_supersets(
+                g, prefix | include, exclude, {f}, counter, budget
+            ):
+                new_level = w_mask & ~prefix
+                if yf != pending:
+                    k, _ = local_arc_connectivity(
+                        g, yf, pending, within=new_level, cap=2
+                    )
+                    if k < 2:
+                        continue
+                yield from grow(w_mask, sets + [new_level], intro + [f])
+
+    for e in g.arcs():
+        xe, ye = e
+        if ye == u or xe == v or not _tree_opens(tree, e):
+            continue
+        for w1 in _closed_supersets(
+            g, 1 << ye | 1 << v, 1 << xe | 1 << u, {e}, counter, budget
+        ):
+            if _in_initial_component(g, w1, ye):
+                yield from grow(w1, [w1], [e])
+
+
+def layered_no_shape(rng, n):
+    """A host like the benchmark's layered-no documents, with its roots.
+
+    Five transitive levels joined upward; designated arc i runs from the
+    last vertex of level 6-i down to the first of level 4-i, sometimes
+    beside its reverse; the roots lie in levels 4 and 2.
+    """
+    sizes = [1] * 5
+    for _ in range(n - 5):
+        sizes[rng.randrange(5)] += 1
+    levels, base = [], 0
+    for size in sizes:
+        levels.append(list(range(base, base + size)))
+        base += size
+    backward = [(levels[5 - i][-1], levels[3 - i][0]) for i in (1, 2, 3)]
+    arcs = {
+        (a, b)
+        for lo in range(5)
+        for hi in range(lo + 1, 5)
+        for a in levels[lo]
+        for b in levels[hi]
+        if (b, a) not in backward
+    }
+    for x, y in backward:
+        arcs.add((x, y))
+        if rng.random() < 0.3:
+            arcs.add((y, x))
+    for ids in levels:
+        # first and last stay pinned: they are the levels' designated ends
+        middle = ids[1:-1]
+        rng.shuffle(middle)
+        order = ids[:1] + middle + ids[1:][-1:]
+        arcs.update((a, b) for j, a in enumerate(order) for b in order[j + 1 :])
+    return Digraph(n, sorted(arcs)), rng.choice(levels[3]), rng.choice(levels[1])
+
+
+def level_test_inputs():
+    """(digraph, root pairs): kind-A and kind-B instances, layered-no
+    hosts, and random strong and near-transitive semicomplete digraphs
+    with n 10..30."""
+    rng = random.Random("level-filter")
+    for seed in range(20):
+        for g, w in (kind_a_instance(seed), kind_b_instance(seed)):
+            yield g, [(w.a, w.b), (rng.randrange(g.n), rng.randrange(g.n))]
+    for _ in range(20):
+        g, a, b = layered_no_shape(rng, rng.randint(10, 24))
+        yield g, [(a, b), (rng.randrange(g.n), rng.randrange(g.n))]
+    for n in range(10, 31):
+        for g in (
+            random_strong_semicomplete(rng, n, rng.choice((0.0, 0.25))),
+            near_transitive(rng, n),
+        ):
+            yield g, [(rng.randrange(n), rng.randrange(n)) for _ in range(2)]
+
+
+def test_level_filtered_enumeration_matches_the_tree_filtered_reference():
+    """Same witnesses, same order, same budget: the smallest budget at
+    which the reference finishes (its node count N) finishes the level
+    filter too, and N-1 makes both raise."""
+    found = 0
+    for g, roots in level_test_inputs():
+        for u, v in roots:
+            for new, reference in (
+                (iter_type_a, tree_filtered_type_a),
+                (iter_type_b, tree_filtered_type_b),
+            ):
+                counter = [0]
+                expected = [astuple(w) for w in reference(g, u, v, counter, UNLIMITED)]
+                nodes = counter[0]
+                got = [astuple(w) for w in new(g, u, v, budget=nodes)]
+                assert got == expected, (g, u, v, new.__name__)
+                if nodes:
+                    with pytest.raises(ResourceExceeded):
+                        list(new(g, u, v, budget=nodes - 1))
+                    with pytest.raises(ResourceExceeded):
+                        list(reference(g, u, v, [0], nodes - 1))
+                found += len(expected)
+    assert found > 0
