@@ -166,6 +166,29 @@ def _may_cut(g: Digraph, kind: str, upto: list[int], arc: Arc) -> bool:
     return not g.out_masks[x] & upto[x] & ~(1 << y)
 
 
+def is_two_arc_strong(g: Digraph) -> bool:
+    """Whether g is 2-arc-strong: strong, and strong without any one arc.
+
+    Only an arc of a BFS out-tree at 0 can cut 0 from a vertex, and only
+    an arc of a BFS in-tree at 0 can cut a vertex from 0, so a strong
+    bridge is a tree arc that passes the level test and whose removal
+    shrinks what its tree covers (the strong-bridge view of Italiano,
+    Laura and Santaroni).  `digraph.is_k_arc_strong` is the flow-based
+    general test.
+    """
+    if g.n < 2:
+        raise InvalidInput("is_two_arc_strong needs n >= 2")
+    full = g.full_mask
+    for kind, reach in (("out", reach_mask), ("in", coreach_mask)):
+        seen, arcs, upto = _bfs(g, 0, kind)
+        if seen != full:
+            return False
+        for arc in arcs:
+            if _may_cut(g, kind, upto, arc) and reach(g, 1, banned={arc}) != full:
+                return False
+    return True
+
+
 def reach_tree(
     g: Digraph,
     root: int,

@@ -46,15 +46,22 @@ def _die(message: str):
     sys.exit(2)
 
 
-def _load(source: str) -> InputDocument:
+def _read(source: str) -> str:
+    """The UTF-8 text of a file, or of stdin for '-' (read as bytes, so
+    the locale's decoding cannot pass undecodable bytes on)."""
     try:
         if source == "-":
-            text = sys.stdin.read()
-        else:
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(source, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         _die(str(exc))
+    except UnicodeDecodeError as exc:
+        _die(f"cannot read {source}: not UTF-8 text ({exc})")
+
+
+def _load(source: str) -> InputDocument:
+    text = _read(source)
     try:
         return parse_document(text)
     except InvalidInput as exc:
@@ -149,16 +156,8 @@ def verify_cmd(source, pairfile, u_name, v_name):
     """Check a claimed pair (out/in arc lines, e.g. decide output)."""
     doc = _load(source)
     u, v = _roots(doc, u_name, v_name)
-    try:
-        if pairfile == "-":
-            text = sys.stdin.read()
-        else:
-            with open(pairfile, encoding="utf-8") as fh:
-                text = fh.read()
-    except OSError as exc:
-        _die(str(exc))
     out_arcs, in_arcs = [], []
-    for raw in text.splitlines():
+    for raw in _read(pairfile).splitlines():
         words = raw.split("#", 1)[0].split()
         if not words or words[0] not in ("out", "in"):
             continue

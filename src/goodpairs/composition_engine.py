@@ -21,14 +21,18 @@ from __future__ import annotations
 from itertools import product
 
 from . import semicomplete
-from .branchings import Branching, BranchingPair, verify_good_pair
+from .branchings import (
+    Branching,
+    BranchingPair,
+    is_two_arc_strong,
+    verify_good_pair,
+)
 from .composition import Composition, finest_refinement, is_semicomplete
 from .digraph import (
     Arc,
     Digraph,
     bits,
     coreach_mask,
-    is_k_arc_strong,
     reach_mask,
 )
 from .errors import InternalInconsistency, InvalidInput, ResourceExceeded
@@ -488,7 +492,7 @@ def decide_composition(comp: Composition, u: int, v: int) -> Verdict:
             family=family,
             family_reversed=reversed_,
         )
-    if is_k_arc_strong(flat, 2)[0]:
+    if is_two_arc_strong(flat):
         pair = two_arc_strong_pair(flat, u, v)
         return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
     # A layered witness on any uniform repartition blocks the flat

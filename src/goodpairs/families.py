@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
+from .branchings import is_two_arc_strong
 from .composition import (
     Composition,
     directed_cycle,
@@ -430,13 +431,10 @@ def random_composition(seed: int) -> Composition:
 
 
 def random_two_arc_strong_semicomplete(seed: int, n: int) -> Digraph:
-    from .digraph import is_k_arc_strong
-
     rng = random.Random(seed)
     while True:
         g = random_semicomplete(rng, n, two_cycle=0.45)
-        ok, _ = is_k_arc_strong(g, 2)
-        if ok:
+        if is_two_arc_strong(g):
             return g
 
 

@@ -25,6 +25,12 @@ Composition form::
 Vertex names are unique tokens without braces or '#'.  Lines may carry
 '#' comments.  The `roots` line is optional; roots can come from flags
 instead.  Parsing an emitted document gives the document back.
+
+The parser splits each line into words once (`_lines`); a diagnostic's
+line number counts every line, blank and comment-only ones included.
+Arc lines may come before their block's vertices line; an arc naming an
+unknown vertex, a loop and a repeated arc are rejected, in that order of
+precedence on one line.
 """
 
 from __future__ import annotations
@@ -56,13 +62,12 @@ class InputDocument:
             raise InvalidInput(f"unknown vertex name {name!r}") from None
 
 
-def _tokens(text: str) -> list[tuple[int, list[str]]]:
-    """(line number, words) of every line with words left after '#'."""
-    return [
-        (lineno, words)
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if (words := raw.split("#", 1)[0].split())
-    ]
+def _lines(text: str) -> list[list[str]]:
+    """The words before '#' of every line, [] for a blank one, so a
+    line's number is its list index plus one."""
+    if "#" not in text:
+        return list(map(str.split, text.splitlines()))
+    return [raw.split("#", 1)[0].split() for raw in text.splitlines()]
 
 
 def _fail(lineno: int, msg: str):
@@ -72,20 +77,26 @@ def _fail(lineno: int, msg: str):
 class _Block:
     """One vertices line plus arc lines, as found inside any block.
 
-    Arc lines may come before the vertices line, so they are kept until
-    `digraph` fills the bitset rows: each name is looked up once, and a
-    duplicate arc is the bit already set in its tail's row.
+    Arc lines may come before the vertices line, so they are kept as
+    their word lists from `lines` (the document's `_lines`) until
+    `digraph` fills the bitset rows: each name is looked up once, one
+    test per arc catches every fault, and a duplicate arc is the bit
+    already set in its tail's row.  Only a faulty arc looks for its line
+    number, by identity among `lines`, since an earlier line may hold
+    the same words.
     """
 
-    def __init__(self):
+    def __init__(self, lines: list[list[str]]):
+        self.lines = lines
         self.names: list[str] = []
-        self.arcs: list[tuple[int, list[str]]] = []
+        self.index: dict[str, int] = {}
+        self.arcs: list[list[str]] = []
 
     def feed(self, lineno, words):
         if words[0] == "arc":
             if len(words) != 3:
                 _fail(lineno, "arc lines read: arc <tail> <head>")
-            self.arcs.append((lineno, words))
+            self.arcs.append(words)
         elif words[0] == "vertices":
             if self.names:
                 _fail(lineno, "second vertices line in one block")
@@ -99,78 +110,89 @@ class _Block:
         names = self.names
         if not names:
             _fail(lineno, "block is missing its vertices line")
-        index = {name: i for i, name in enumerate(names)}
+        index = self.index = {name: i for i, name in enumerate(names)}
         if len(index) != len(names):
             _fail(lineno, "duplicate vertex name in one block")
         get = index.get
         out_masks = [0] * len(names)
         in_masks = [0] * len(names)
-        for arc_line, (_, a, b) in self.arcs:
-            i = get(a)
-            if i is None:
-                _fail(arc_line, f"unknown vertex {a!r} in arc line")
-            j = get(b)
-            if j is None:
-                _fail(arc_line, f"unknown vertex {b!r} in arc line")
-            if i == j:
-                _fail(arc_line, f"loop arc at {a!r}")
-            row = out_masks[i]
-            if row >> j & 1:
-                _fail(arc_line, f"duplicate arc {a!r} -> {b!r}")
-            out_masks[i] = row | 1 << j
+        for words in self.arcs:
+            i = get(words[1])
+            j = get(words[2])
+            if i is None or j is None or i == j or out_masks[i] >> j & 1:
+                self._arc_fault(words)
+            out_masks[i] |= 1 << j
             in_masks[j] |= 1 << i
         return Digraph.from_rows(out_masks, in_masks), names
+
+    def _arc_fault(self, words):
+        _, a, b = words
+        if a not in self.index:
+            msg = f"unknown vertex {a!r} in arc line"
+        elif b not in self.index:
+            msg = f"unknown vertex {b!r} in arc line"
+        elif a == b:
+            msg = f"loop arc at {a!r}"
+        else:
+            msg = f"duplicate arc {a!r} -> {b!r}"
+        _fail(next(i for i, w in enumerate(self.lines, 1) if w is words), msg)
 
 
 def parse_document(text: str) -> InputDocument:
     """Parse a flat or composition document, with line-number diagnostics."""
-    lines = _tokens(text)
-    if not lines:
+    lines = _lines(text)
+    first = next((i for i, words in enumerate(lines, 1) if words), None)
+    if first is None:
         raise InvalidInput("empty document")
-    head = lines[0][1][0]
+    head = lines[first - 1][0]
     if head == "vertices":
-        return _parse_flat(lines)
+        return _parse_flat(lines, first)
     if head == "quotient":
         return _parse_composition(lines)
     raise InvalidInput(
-        f"line {lines[0][0]}: documents start with 'vertices' or 'quotient'"
+        f"line {first}: documents start with 'vertices' or 'quotient'"
     )
 
 
-def _take_roots(lineno, words, names):
+def _take_roots(lineno, words, index):
     if len(words) != 3:
         _fail(lineno, "roots lines read: roots <u> <v>")
-    index = {name: i for i, name in enumerate(names)}
     for w in words[1:]:
         if w not in index:
             _fail(lineno, f"root {w!r} is not a declared vertex")
     return index[words[1]], index[words[2]]
 
 
-def _parse_flat(lines) -> InputDocument:
-    block = _Block()
-    roots = None
+def _parse_flat(lines, first) -> InputDocument:
+    block = _Block(lines)
+    arcs = block.arcs
     roots_line = None
-    for lineno, words in lines:
-        if words[0] == "roots":
+    for lineno, words in enumerate(lines, 1):
+        if len(words) == 3 and words[0] == "arc":  # the bulk, fed inline
+            arcs.append(words)
+        elif not words:
+            continue
+        elif words[0] == "roots":
             if roots_line is not None:
                 _fail(lineno, "second roots line")
             roots_line = (lineno, words)
         else:
             block.feed(lineno, words)
-    g, names = block.digraph(lines[0][0])
+    g, names = block.digraph(first)
+    roots = None
     if roots_line is not None:
-        roots = _take_roots(*roots_line, names)
+        roots = _take_roots(*roots_line, block.index)
     return InputDocument(target=g, names=tuple(names), roots=roots)
 
 
 def _parse_composition(lines) -> InputDocument:
     quotient_block = None
     part_blocks: dict[str, tuple[int, _Block]] = {}
-    part_order: list[str] = []
     roots_line = None
     open_block = None  # (kind, name, lineno, _Block)
-    for lineno, words in lines:
+    for lineno, words in enumerate(lines, 1):
+        if not words:
+            continue
         if open_block is not None:
             if words == ["}"]:
                 kind, name, at, block = open_block
@@ -178,7 +200,6 @@ def _parse_composition(lines) -> InputDocument:
                     quotient_block = (at, block)
                 else:
                     part_blocks[name] = (at, block)
-                    part_order.append(name)
                 open_block = None
             else:
                 open_block[3].feed(lineno, words)
@@ -188,13 +209,13 @@ def _parse_composition(lines) -> InputDocument:
                 _fail(lineno, "quotient blocks open with: quotient {")
             if quotient_block is not None:
                 _fail(lineno, "second quotient block")
-            open_block = ("quotient", "", lineno, _Block())
+            open_block = ("quotient", "", lineno, _Block(lines))
         elif words[0] == "part":
             if len(words) != 3 or words[2] != "{":
                 _fail(lineno, "part blocks open with: part <name> {")
             if words[1] in part_blocks:
                 _fail(lineno, f"second block for part {words[1]!r}")
-            open_block = ("part", words[1], lineno, _Block())
+            open_block = ("part", words[1], lineno, _Block(lines))
         elif words[0] == "roots":
             if roots_line is not None:
                 _fail(lineno, "second roots line")
@@ -225,7 +246,8 @@ def _parse_composition(lines) -> InputDocument:
     comp = Composition(quotient, tuple(parts))
     roots = None
     if roots_line is not None:
-        roots = _take_roots(*roots_line, names)
+        index = {name: i for i, name in enumerate(names)}
+        roots = _take_roots(*roots_line, index)
     return InputDocument(
         target=comp,
         names=tuple(names),

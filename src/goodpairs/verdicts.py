@@ -186,6 +186,8 @@ def _check_layered(flat, comp, verdict: Verdict) -> str | None:
     if w.kind != expected_kind:
         return "witness kind disagrees with reason"
     if comp is None and verdict.refinement is None:
+        if not (flat.is_vertex(w.a) and flat.is_vertex(w.b)):
+            return "witness roots are not vertices of the digraph"
         reason = validate_witness(flat, w)
         if reason:
             return reason
@@ -201,6 +203,8 @@ def _check_layered(flat, comp, verdict: Verdict) -> str | None:
         ru, rv = inv[verdict.u], inv[verdict.v]
     else:
         ru, rv = verdict.u, verdict.v
+    if not (comp.quotient.is_vertex(w.a) and comp.quotient.is_vertex(w.b)):
+        return "witness roots are not vertices of the quotient"
     reason = validate_witness(comp.quotient, w)
     if reason:
         return reason
@@ -378,6 +382,14 @@ def verdict_to_dict(verdict: Verdict) -> dict:
     return out
 
 
+def _level_mask(level) -> int:
+    """Mask of a JSON witness level, whose entries must be ints >= 0;
+    `mask_of` alone would read true as vertex 1."""
+    if not all(type(x) is int and x >= 0 for x in level):
+        raise InvalidInput(f"malformed verdict document: level {level!r}")
+    return mask_of(level)
+
+
 def verdict_from_dict(d: dict) -> Verdict:
     try:
         yes = d["answer"] == "yes"
@@ -392,7 +404,7 @@ def verdict_from_dict(d: dict) -> Verdict:
             wd = d["witness"]
             witness = TypeABWitness(
                 kind=wd["kind"],
-                sets=tuple(mask_of(level) for level in wd["levels"]),
+                sets=tuple(_level_mask(level) for level in wd["levels"]),
                 backward_arcs=tuple(tuple(a) for a in wd["backward_arcs"]),
                 a=wd["a"],
                 b=wd["b"],

@@ -92,11 +92,12 @@ def _level_index(w: TypeABWitness) -> dict[int, int]:
 
 
 def _backward_arc_violation(g: Digraph, w: TypeABWitness) -> str | None:
+    for arc in w.backward_arcs:
+        if not g.is_arc(arc):
+            return f"designated arc {arc} missing from the digraph"
     if len(set(w.backward_arcs)) != len(w.backward_arcs):
         return "repeated designated arc"
     for j, (x, y) in enumerate(w.backward_arcs):
-        if not g.has_arc(x, y):
-            return f"designated arc ({x},{y}) missing from the digraph"
         if not w.sets[w.source_level(j)] >> x & 1:
             return f"x_{j + 1} = {x} on the wrong level"
         if not w.sets[w.target_level(j)] >> y & 1:

@@ -13,16 +13,27 @@ from goodpairs.branchings import (
     branching_violation,
     find_branching,
     good_pair_violation,
+    is_two_arc_strong,
     out_branching_avoiding_path,
     path_arcs,
     search_good_pair,
     verify_good_pair,
 )
-from goodpairs.digraph import CutWitness, Digraph, coreach_mask, mask_of, reach_mask
+from goodpairs.digraph import (
+    CutWitness,
+    Digraph,
+    coreach_mask,
+    is_k_arc_strong,
+    mask_of,
+    reach_mask,
+)
 from goodpairs.families import (
     all_semicomplete,
     kind_a_instance,
     kind_b_instance,
+    known_family_members,
+    near_miss_members,
+    random_composition,
     random_quasi_transitive,
     random_semicomplete,
     random_strong_semicomplete,
@@ -193,6 +204,43 @@ def _cut_test_inputs():
         p = rng.choice((0.1, 0.2, 0.35))
         pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
         yield Digraph(n, [ab for ab in pairs if rng.random() < p])
+
+
+def _two_arc_strong_inputs():
+    """Seeded digraphs n 2..16 at several densities, with and without
+    2-cycles, random semicomplete ones, and flattened compositions."""
+    rng = random.Random("two-arc-strong")
+    for n in range(2, 17):
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        for p in (0.3, 0.5, 0.7, 0.9):
+            for two_cycles in (False, True):
+                for _ in range(4):
+                    arcs = []
+                    for a, b in pairs:
+                        if rng.random() < p:
+                            arcs.append((a, b) if rng.random() < 0.5 else (b, a))
+                        if two_cycles and rng.random() < p * 0.5:
+                            arcs.append(rng.choice(((a, b), (b, a))))
+                    yield Digraph(n, arcs)
+        yield random_semicomplete(rng, n, 0.45)
+        yield random_strong_semicomplete(rng, n, 0.1)
+    for seed in range(300):
+        yield random_composition(seed).flatten()
+    for _, comp, _, _ in known_family_members():
+        yield comp.flatten()
+    for comp, _, _, _ in near_miss_members():
+        yield comp.flatten()
+
+
+def test_two_arc_strong_matches_the_flow_test():
+    answers = {True: 0, False: 0}
+    strong_not_two = 0
+    for g in _two_arc_strong_inputs():
+        want = is_k_arc_strong(g, 2)[0]
+        assert is_two_arc_strong(g) == want, g.arcs()
+        answers[want] += 1
+        strong_not_two += not want and is_k_arc_strong(g, 1)[0]
+    assert answers[True] > 200 and answers[False] > 600 and strong_not_two > 400
 
 
 def test_level_test_passes_over_only_arcs_that_cut_nothing():

@@ -107,6 +107,29 @@ def test_verify_accepts_decide_output():
         assert "pair rejected" in rejected.output
 
 
+def test_non_utf8_input_is_malformed_input():
+    # exit 2 with an error line, never 1 (decide's NO) with a traceback
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("g.txt", "w") as fh:
+            fh.write(DIGON_PAIR + "roots a b\n")
+        with open("bad.txt", "wb") as fh:
+            fh.write(b"vertices a \xff\n")
+        for args in (
+            ["decide", "bad.txt"],
+            ["oracle", "bad.txt"],
+            ["verify", "bad.txt", "g.txt"],
+            ["verify", "g.txt", "bad.txt"],
+        ):
+            r = runner.invoke(main, args)
+            assert r.exit_code == 2, args
+            assert r.exception is None or isinstance(r.exception, SystemExit)
+            assert "error: cannot read bad.txt: not UTF-8 text" in r.output, args
+        r = runner.invoke(main, ["decide", "-"], input=b"vertices a \xff\n")
+        assert r.exit_code == 2
+        assert "error: cannot read -: not UTF-8 text" in r.output
+
+
 def test_oracle_matches_decide_on_small_input():
     yes = run("oracle", "-", "--u", "a", "--v", "b", stdin=DIGON_PAIR)
     assert yes.exit_code == 0 and yes.output.splitlines()[0] == "YES"

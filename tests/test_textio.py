@@ -123,6 +123,10 @@ def test_index_of_names():
 # --- the arc-list parser as it was before rows, kept as the reference ---
 
 
+def _fail(lineno, msg):
+    raise InvalidInput(f"line {lineno}: {msg}")
+
+
 def _reference_tokens(text):
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -143,49 +147,163 @@ class _ReferenceBlock:
     def feed(self, lineno, words):
         if words[0] == "vertices":
             if self.names:
-                textio._fail(lineno, "second vertices line in one block")
+                _fail(lineno, "second vertices line in one block")
             if len(words) == 1:
-                textio._fail(lineno, "vertices line needs at least one name")
+                _fail(lineno, "vertices line needs at least one name")
             self.names = words[1:]
         elif words[0] == "arc":
             if len(words) != 3:
-                textio._fail(lineno, "arc lines read: arc <tail> <head>")
+                _fail(lineno, "arc lines read: arc <tail> <head>")
             self.arcs.append((lineno, words[1], words[2]))
         else:
-            textio._fail(lineno, f"unexpected {words[0]!r} inside a block")
+            _fail(lineno, f"unexpected {words[0]!r} inside a block")
 
     def digraph(self, lineno):
         if not self.names:
-            textio._fail(lineno, "block is missing its vertices line")
+            _fail(lineno, "block is missing its vertices line")
         if len(set(self.names)) != len(self.names):
-            textio._fail(lineno, "duplicate vertex name in one block")
+            _fail(lineno, "duplicate vertex name in one block")
         index = {name: i for i, name in enumerate(self.names)}
         arcs = set()
         for arc_line, a, b in self.arcs:
             for w in (a, b):
                 if w not in index:
-                    textio._fail(arc_line, f"unknown vertex {w!r} in arc line")
+                    _fail(arc_line, f"unknown vertex {w!r} in arc line")
             if a == b:
-                textio._fail(arc_line, f"loop arc at {a!r}")
+                _fail(arc_line, f"loop arc at {a!r}")
             arc = (index[a], index[b])
             if arc in arcs:
-                textio._fail(arc_line, f"duplicate arc {a!r} -> {b!r}")
+                _fail(arc_line, f"duplicate arc {a!r} -> {b!r}")
             arcs.add(arc)
         return Digraph(len(self.names), arcs), self.names
 
 
-def _parse_or_message(text):
+def _reference_document(text):
+    lines = _reference_tokens(text)
+    if not lines:
+        raise InvalidInput("empty document")
+    head = lines[0][1][0]
+    if head == "vertices":
+        return _reference_flat(lines)
+    if head == "quotient":
+        return _reference_composition(lines)
+    raise InvalidInput(
+        f"line {lines[0][0]}: documents start with 'vertices' or 'quotient'"
+    )
+
+
+def _reference_roots(lineno, words, names):
+    if len(words) != 3:
+        _fail(lineno, "roots lines read: roots <u> <v>")
+    index = {name: i for i, name in enumerate(names)}
+    for w in words[1:]:
+        if w not in index:
+            _fail(lineno, f"root {w!r} is not a declared vertex")
+    return index[words[1]], index[words[2]]
+
+
+def _reference_flat(lines):
+    block = _ReferenceBlock()
+    roots = None
+    roots_line = None
+    for lineno, words in lines:
+        if words[0] == "roots":
+            if roots_line is not None:
+                _fail(lineno, "second roots line")
+            roots_line = (lineno, words)
+        else:
+            block.feed(lineno, words)
+    g, names = block.digraph(lines[0][0])
+    if roots_line is not None:
+        roots = _reference_roots(*roots_line, names)
+    return textio.InputDocument(target=g, names=tuple(names), roots=roots)
+
+
+def _reference_composition(lines):
+    quotient_block = None
+    part_blocks = {}
+    roots_line = None
+    open_block = None  # (kind, name, lineno, block)
+    for lineno, words in lines:
+        if open_block is not None:
+            if words == ["}"]:
+                kind, name, at, block = open_block
+                if kind == "quotient":
+                    quotient_block = (at, block)
+                else:
+                    part_blocks[name] = (at, block)
+                open_block = None
+            else:
+                open_block[3].feed(lineno, words)
+            continue
+        if words[0] == "quotient":
+            if words != ["quotient", "{"]:
+                _fail(lineno, "quotient blocks open with: quotient {")
+            if quotient_block is not None:
+                _fail(lineno, "second quotient block")
+            open_block = ("quotient", "", lineno, _ReferenceBlock())
+        elif words[0] == "part":
+            if len(words) != 3 or words[2] != "{":
+                _fail(lineno, "part blocks open with: part <name> {")
+            if words[1] in part_blocks:
+                _fail(lineno, f"second block for part {words[1]!r}")
+            open_block = ("part", words[1], lineno, _ReferenceBlock())
+        elif words[0] == "roots":
+            if roots_line is not None:
+                _fail(lineno, "second roots line")
+            roots_line = (lineno, words)
+        else:
+            _fail(lineno, f"unexpected {words[0]!r} between blocks")
+    if open_block is not None:
+        _fail(open_block[2], "unclosed block")
+    if quotient_block is None:
+        raise InvalidInput("composition document has no quotient block")
+    quotient, part_names = quotient_block[1].digraph(quotient_block[0])
+    if sorted(part_blocks) != sorted(part_names):
+        missing = set(part_names) - set(part_blocks)
+        extra = set(part_blocks) - set(part_names)
+        raise InvalidInput(
+            f"part blocks disagree with the quotient: missing {sorted(missing)},"
+            f" undeclared {sorted(extra)}"
+        )
+    parts = []
+    names = []
+    for part_name in part_names:
+        at, block = part_blocks[part_name]
+        sub, sub_names = block.digraph(at)
+        parts.append(sub)
+        names.extend(sub_names)
+    if len(set(names)) != len(names):
+        raise InvalidInput("vertex names must be unique across parts")
+    roots = None
+    if roots_line is not None:
+        roots = _reference_roots(*roots_line, names)
+    return textio.InputDocument(
+        target=Composition(quotient, tuple(parts)),
+        names=tuple(names),
+        roots=roots,
+        part_names=tuple(part_names),
+    )
+
+
+def _outcome(parse, text):
     try:
-        return parse_document(text)
+        return parse(text)
     except InvalidInput as err:
         return f"InvalidInput: {err}"
 
 
-def _reference_parse(text, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(textio, "_tokens", _reference_tokens)
-        m.setattr(textio, "_Block", _ReferenceBlock)
-        return _parse_or_message(text)
+def _parse_or_message(text):
+    return _outcome(parse_document, text)
+
+
+def _reference_parse(text):
+    return _outcome(_reference_document, text)
+
+
+def _without_comments(text):
+    """The same document with every '#' comment cut off its line."""
+    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
 
 
 def _noise(rng):
@@ -298,23 +416,26 @@ FAULTS = (
 )
 
 
-def test_row_parser_matches_the_arc_list_reference(monkeypatch):
+def test_row_parser_matches_the_arc_list_reference():
     rng = random.Random(20)
     for _ in range(400):
         text = "\n".join(_random_document(rng)) + "\n"
-        doc = parse_document(text)
-        assert doc == _reference_parse(text, monkeypatch)
-        digraphs = (
-            [doc.target.quotient, *doc.target.parts]
-            if isinstance(doc.target, Composition)
-            else [doc.target]
-        )
-        for g in digraphs:
-            assert g.in_masks == Digraph(g.n, g.arcs()).in_masks
+        bare = _without_comments(text)
+        assert "#" not in bare
+        for version in (text, bare):
+            doc = parse_document(version)
+            assert doc == _reference_parse(version)
+            digraphs = (
+                [doc.target.quotient, *doc.target.parts]
+                if isinstance(doc.target, Composition)
+                else [doc.target]
+            )
+            for g in digraphs:
+                assert g.in_masks == Digraph(g.n, g.arcs()).in_masks
 
 
 @pytest.mark.parametrize("fault", [*FAULTS, "two faults"])
-def test_row_parser_reports_the_reference_fault(fault, monkeypatch):
+def test_row_parser_reports_the_reference_fault(fault):
     rng = random.Random(fault)
     for _ in range(60):
         lines = _random_document(rng)
@@ -324,6 +445,21 @@ def test_row_parser_reports_the_reference_fault(fault, monkeypatch):
         else:
             lines = _inject_fault(rng, lines, fault)
         text = "\n".join(lines) + "\n"
-        want = _reference_parse(text, monkeypatch)
-        assert isinstance(want, str), text
-        assert _parse_or_message(text) == want, text
+        for version in (text, _without_comments(text)):
+            want = _reference_parse(version)
+            assert isinstance(want, str), version
+            assert _parse_or_message(version) == want, version
+
+
+@pytest.mark.parametrize("sep", ["\r\n", "\r", "\x0c", "\x1c", "\u2028", "\x85"])
+def test_line_breaks_match_the_reference(sep):
+    # every separator str.splitlines() breaks at counts as a line, so the
+    # fault on the sixth line is reported there, with or without comments
+    flat = "vertices a b c||arc a b  # first|arc b c|# note|arc a b".split("|")
+    nested = NESTED.splitlines()
+    for lines in (flat, flat[:-1] + ["roots a c"], nested, nested + ["roots x y"]):
+        bare = [line.split("#", 1)[0] for line in lines]
+        for version in (sep.join(lines) + sep, sep.join(bare) + sep):
+            assert _parse_or_message(version) == _reference_parse(version), version
+    want = "InvalidInput: line 6: duplicate arc 'a' -> 'b'"
+    assert _parse_or_message(sep.join(flat)) == want

@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
 
 from goodpairs.branchings import Branching, BranchingPair
 from goodpairs.composition import Composition, singleton
 from goodpairs.digraph import Digraph
+from goodpairs.dispatch import decide
 from goodpairs.errors import InvalidInput
+from goodpairs.families import kind_a_instance, random_composition
 from goodpairs.semicomplete import EXCEPTION_PATTERNS, decide_semicomplete
 from goodpairs.verdicts import (
     ARC_FORCING,
@@ -202,6 +206,40 @@ def test_verdict_roots_from_json_must_be_int_vertices():
     assert validate_verdict(k3, verdict_from_dict(d)) == "roots out of range"
     d = {**yes, "pair": {"out": out, "in": inn}}
     assert validate_verdict(k3, verdict_from_dict(d)) is not None
+
+
+def test_layered_witness_from_json_must_name_int_vertices():
+    g, _ = kind_a_instance(0)
+    d = verdict_to_dict(decide(g, 6, 2))
+    assert d["reason"] == LAYERED_A
+    assert validate_verdict(g, verdict_from_dict(d)) is None
+    for field in ("a", "b"):
+        for bad in ("0", None, 1.5, True, -1, g.n):
+            edited = {**d, "witness": {**d["witness"], field: bad}}
+            reason = validate_verdict(g, verdict_from_dict(edited))
+            assert reason == "witness roots are not vertices of the digraph"
+    # so is each end of a designated arc
+    arcs = d["witness"]["backward_arcs"]
+    assert arcs[0] == [7, 4]
+    for bad in (["7", 4], [7, None], [7, 4.0], [-1, 4], [7, 4, 1], [True, 4], [7, [4]]):
+        edited = {**d, "witness": {**d["witness"], "backward_arcs": [bad, *arcs[1:]]}}
+        reason = validate_verdict(g, verdict_from_dict(edited))
+        assert reason.startswith("designated arc ("), (bad, reason)
+    # a level entry is an int vertex: true is not folded into vertex 1
+    assert d["witness"]["levels"][0] == [0, 1]
+    for bad in (True, "1", 1.0, None, -1):
+        levels = [[0, bad], *d["witness"]["levels"][1:]]
+        edited = {**d, "witness": {**d["witness"], "levels": levels}}
+        with pytest.raises(InvalidInput, match="malformed verdict document"):
+            verdict_from_dict(edited)
+    # on a composition the witness lives on the quotient
+    comp = random_composition(0)
+    ver = decide(comp, 0, 0)
+    assert ver.reason == LAYERED_A and validate_verdict(comp, ver) is None
+    for bad in ("0", True, comp.s):
+        w = dataclasses.replace(ver.witness, a=bad)
+        reason = validate_verdict(comp, dataclasses.replace(ver, witness=w))
+        assert reason == "witness roots are not vertices of the quotient"
 
 
 def test_forged_forcing_trace_is_rejected():
