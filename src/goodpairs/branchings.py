@@ -62,29 +62,41 @@ class BranchingPair:
 
 
 def branching_violation(g: Digraph, branching: Branching) -> str | None:
-    """None if the branching is a valid spanning tree of g, else a reason."""
-    span = g.full_mask
-    if not g.is_vertex(branching.root):
-        return f"root {branching.root} outside the spanned set"
-    seen: dict[int, Arc] = {}
+    """None if the branching is a valid spanning tree of g, else a reason.
+
+    One pass over the arcs checks each and records its child in a parent
+    mask and in its parent's child row; the parent mask gives coverage
+    and a BFS over the child rows from the root gives the tree check.
+    """
+    root = branching.root
+    if not g.is_vertex(root):
+        return f"root {root} outside the spanned set"
+    out = branching.kind == "out"
+    parented = 0
+    children = [0] * g.n
     for arc in branching.arcs:
         if not g.is_arc(arc):
             return f"arc ({','.join(map(str, arc))}) not in the digraph"
-        a, b = arc
-        child = b if branching.kind == "out" else a
-        if child == branching.root:
-            return f"root {branching.root} has a parent arc"
-        if child in seen:
+        parent, child = arc if out else arc[::-1]
+        if child == root:
+            return f"root {root} has a parent arc"
+        if parented >> child & 1:
             return f"vertex {child} has two parent arcs"
-        seen[child] = (a, b)
-    missing = [v for v in bits(span) if v != branching.root and v not in seen]
+        parented |= 1 << child
+        children[parent] |= 1 << child
+    span = g.full_mask
+    missing = span & ~parented & ~(1 << root)
     if missing:
-        return f"vertices {missing} not covered"
-    sub = Digraph(g.n, branching.arcs)
-    if branching.kind == "out":
-        reached = reach_mask(sub, 1 << branching.root)
-    else:
-        reached = coreach_mask(sub, 1 << branching.root)
+        return f"vertices {list(bits(missing))} not covered"
+    # every vertex but the root has one parent, so the BFS meets each
+    # vertex at most once and covers the span only along a tree
+    reached = frontier = 1 << root
+    while frontier:
+        new = 0
+        for x in bits(frontier):
+            new |= children[x]
+        reached |= new
+        frontier = new
     if reached != span:
         return "parent arcs do not form a tree reaching the root"
     return None
@@ -183,9 +195,22 @@ def is_two_arc_strong(g: Digraph) -> bool:
         seen, arcs, upto = _bfs(g, 0, kind)
         if seen != full:
             return False
-        for arc in arcs:
-            if _may_cut(g, kind, upto, arc) and reach(g, 1, banned={arc}) != full:
-                return False
+        # h shares g's rows except a copy of the ones this side's search
+        # reads; a tested arc is cleared there for one search, then restored
+        if kind == "out":
+            rows = g.out_masks[:]
+            h = Digraph.from_rows(rows, g.in_masks)
+        else:
+            rows = g.in_masks[:]
+            h = Digraph.from_rows(g.out_masks, rows)
+        for x, y in arcs:
+            if _may_cut(g, kind, upto, (x, y)):
+                row, bit = (x, 1 << y) if kind == "out" else (y, 1 << x)
+                rows[row] ^= bit
+                cut = reach(h, 1) != full
+                rows[row] ^= bit
+                if cut:
+                    return False
     return True
 
 

@@ -59,7 +59,15 @@ class Composition:
 
     def flatten(self) -> Digraph:
         """Each flat row is its part row, shifted to the part's offset,
-        plus every vertex of the quotient successor (or predecessor) parts."""
+        plus every vertex of the quotient successor (or predecessor) parts.
+
+        Built once per composition and shared by every later call, so
+        callers must not edit its rows (residual digraphs copy them).  The
+        cache is not a dataclass field: eq, hash and repr ignore it.
+        """
+        flat = getattr(self, "_flat", None)
+        if flat is not None:
+            return flat
         masks = [self.part_mask(i) for i in range(self.s)]
         out_masks: list[int] = []
         in_masks: list[int] = []
@@ -72,7 +80,9 @@ class Composition:
                 pred |= masks[j]
             out_masks.extend(row << off | succ for row in p.out_masks)
             in_masks.extend(row << off | pred for row in p.in_masks)
-        return Digraph.from_rows(out_masks, in_masks)
+        flat = Digraph.from_rows(out_masks, in_masks)
+        object.__setattr__(self, "_flat", flat)
+        return flat
 
 
 def is_semicomplete(g: Digraph) -> bool:
@@ -86,31 +96,54 @@ def is_oriented(g: Digraph) -> bool:
     return all(not g.out_masks[x] & g.in_masks[x] for x in range(g.n))
 
 
-def _two_step_row(g: Digraph, x: int) -> int:
-    """Every z != x with a path xyz."""
+def _pack(rows: list[int], n: int) -> int:
+    """The rows side by side in one int, row x at bits x*n..x*n+n-1."""
+    packed = 0
+    for row in reversed(rows):
+        packed = packed << n | row
+    return packed
+
+
+def _two_steps_closed(g: Digraph, either_way: bool) -> bool:
+    """Whether every path xyz with x != z is closed by an arc xz (or,
+    when either_way, by an arc xz or zx).
+
+    Bit-parallel over all x at once (the "Four Russians" packing of
+    Arlazarov et al.): with the out-rows packed into A, `A >> y & ones`
+    has bit x*n set exactly for the in-neighbours x of y, and multiplying
+    it by out[y] writes out[y] into each of their rows without carries.
+    `bad` holds every packed bit outside the allowed rows and off the
+    diagonal x*n+x, so one `&` per middle vertex y tests all its
+    two-step paths.  Middle vertices without in- or out-arcs are skipped.
+    """
+    n = g.n
+    if n < 2:
+        return True
     out_masks = g.out_masks
-    row = 0
-    ys = out_masks[x]
-    while ys:  # bits() inlined: this runs for every vertex of every input
-        low = ys & -ys
-        row |= out_masks[low.bit_length() - 1]
-        ys ^= low
-    return row & ~(1 << x)
+    in_masks = g.in_masks
+    packed = _pack(out_masks, n)
+    allowed = packed | _pack(in_masks, n) if either_way else packed
+    ones = ((1 << n * n) - 1) // ((1 << n) - 1)
+    diag = ((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)
+    bad = ~(allowed | diag)
+    for y in range(n):
+        if in_masks[y] and out_masks[y]:
+            if (packed >> y & ones) * out_masks[y] & bad:
+                return False
+    return True
 
 
 def is_transitive(g: Digraph) -> bool:
-    """Arcs xy and yz with x != z always force xz."""
-    return all(
-        not _two_step_row(g, x) & ~g.out_masks[x] for x in range(g.n)
-    )
+    """Arcs xy and yz with x != z always force xz: two-step closure
+    within the out-rows, tested by the packed kernel."""
+    return _two_steps_closed(g, either_way=False)
 
 
 def is_quasi_transitive(g: Digraph) -> bool:
-    """Arcs xy and yz with x != z always force xz or zx."""
-    return all(
-        not _two_step_row(g, x) & ~(g.out_masks[x] | g.in_masks[x])
-        for x in range(g.n)
-    )
+    """Arcs xy and yz with x != z always force xz or zx: two-step
+    closure within the out- and in-rows together, tested by the packed
+    kernel."""
+    return _two_steps_closed(g, either_way=True)
 
 
 def composition_from_partition(g: Digraph, part_masks: list[int]):

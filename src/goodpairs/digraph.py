@@ -157,19 +157,35 @@ class Digraph:
         return f"Digraph({self.n}, {self.arcs()!r})"
 
 
+def _spread(rows: list[int], start: int, allowed: int) -> int:
+    """Vertices of `allowed` that the start mask (inside `allowed`)
+    reaches along the rows, one whole frontier per step."""
+    seen = frontier = start
+    while frontier:
+        new = 0
+        while frontier:
+            low = frontier & -frontier
+            new |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = new & allowed & ~seen
+        seen |= frontier
+    return seen
+
+
 def reach_mask(g: Digraph, start: int, within: int | None = None, banned=None) -> int:
     """Vertices reachable from the start set (a mask), along allowed arcs."""
     allowed = g.full_mask if within is None else within
+    if not banned:
+        return _spread(g.out_masks, start & allowed, allowed)
     seen = start & allowed
     frontier = seen
     while frontier:
         new = 0
         for v in bits(frontier):
             row = g.out_masks[v] & allowed & ~seen
-            if banned:
-                for w in bits(row):
-                    if (v, w) in banned:
-                        row &= ~(1 << w)
+            for w in bits(row):
+                if (v, w) in banned:
+                    row &= ~(1 << w)
             new |= row
         seen |= new
         frontier = new
@@ -179,16 +195,17 @@ def reach_mask(g: Digraph, start: int, within: int | None = None, banned=None) -
 def coreach_mask(g: Digraph, start: int, within: int | None = None, banned=None) -> int:
     """Vertices that can reach the start set (a mask), along allowed arcs."""
     allowed = g.full_mask if within is None else within
+    if not banned:
+        return _spread(g.in_masks, start & allowed, allowed)
     seen = start & allowed
     frontier = seen
     while frontier:
         new = 0
         for v in bits(frontier):
             row = g.in_masks[v] & allowed & ~seen
-            if banned:
-                for w in bits(row):
-                    if (w, v) in banned:
-                        row &= ~(1 << w)
+            for w in bits(row):
+                if (w, v) in banned:
+                    row &= ~(1 << w)
             new |= row
         seen |= new
         frontier = new
@@ -214,59 +231,70 @@ class SccDecomposition:
 
 
 def strong_components(g: Digraph, within: int | None = None) -> SccDecomposition:
+    """Strong components of g restricted to `within` (default: all of g).
+
+    A strong input, one whose lowest vertex reaches and is reached by
+    every allowed vertex, is answered by those two row searches as the
+    one component Tarjan would give.  Otherwise an iterative Tarjan on
+    bitset rows finds the components, in acyclic order, and rows
+    restricted to `within` find the initial and terminal ones.
+    """
     allowed = g.full_mask if within is None else within
-    verts = list(bits(allowed))
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
+    if allowed:
+        first = allowed & -allowed
+        if (
+            _spread(g.out_masks, first, allowed) == allowed
+            and _spread(g.in_masks, first, allowed) == allowed
+        ):
+            return SccDecomposition(
+                [allowed], {v: 0 for v in bits(allowed)}, [0], [0]
+            )
+    out_masks = g.out_masks
+    index = [0] * g.n
+    lowlink = [0] * g.n
+    visited = on_stack = 0
     stack: list[int] = []
-    counter = [0]
     components: list[int] = []
-    comp_of: dict[int, int] = {}
+    counter = 0
 
     # Iterative Tarjan; components complete in reverse topological order.
-    for root in verts:
-        if root in index:
-            continue
-        work = [(root, iter(bits(g.out_masks[root] & allowed)))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
+    # A vertex's next child is its lowest unvisited successor, as in a
+    # scan of its row; its on-stack successors are read when it finishes,
+    # since no component that holds one completes while it is open.
+    while roots := allowed & ~visited:
+        work = [(roots & -roots).bit_length() - 1]
         while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(bits(g.out_masks[w] & allowed))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
+            v = work[-1]
+            if not visited >> v & 1:
+                index[v] = lowlink[v] = counter
+                counter += 1
+                visited |= 1 << v
+                on_stack |= 1 << v
+                stack.append(v)
+            fresh = out_masks[v] & allowed & ~visited
+            if fresh:
+                work.append((fresh & -fresh).bit_length() - 1)
                 continue
             work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
+            low = lowlink[v]
+            for w in bits(out_masks[v] & on_stack):
+                if index[w] < low:
+                    low = index[w]
+            lowlink[v] = low
+            if work and low < lowlink[work[-1]]:
+                lowlink[work[-1]] = low
+            if low == index[v]:
                 comp = 0
                 while True:
                     w = stack.pop()
-                    on_stack.remove(w)
                     comp |= 1 << w
                     if w == v:
                         break
+                on_stack &= ~comp
                 components.append(comp)
 
     components.reverse()
-    for i, comp in enumerate(components):
-        for v in bits(comp):
-            comp_of[v] = i
+    comp_of = {v: i for i, comp in enumerate(components) for v in bits(comp)}
 
     initial = []
     terminal = []

@@ -382,10 +382,11 @@ def verdict_to_dict(verdict: Verdict) -> dict:
     return out
 
 
-def _level_mask(level) -> int:
-    """Mask of a JSON witness level, whose entries must be ints >= 0;
-    `mask_of` alone would read true as vertex 1."""
-    if not all(type(x) is int and x >= 0 for x in level):
+def _level_mask(level, bound: int) -> int:
+    """Mask of a JSON witness level, whose entries must be ints in
+    0..bound-1; `mask_of` alone would read true as vertex 1, and a huge
+    entry would allocate a huge mask before n is known."""
+    if not all(type(x) is int and 0 <= x < bound for x in level):
         raise InvalidInput(f"malformed verdict document: level {level!r}")
     return mask_of(level)
 
@@ -402,9 +403,12 @@ def verdict_from_dict(d: dict) -> Verdict:
         witness = None
         if "witness" in d:
             wd = d["witness"]
+            # valid levels partition 0..N-1, so every entry is below the
+            # number of entries
+            entries = sum(len(level) for level in wd["levels"])
             witness = TypeABWitness(
                 kind=wd["kind"],
-                sets=tuple(_level_mask(level) for level in wd["levels"]),
+                sets=tuple(_level_mask(level, entries) for level in wd["levels"]),
                 backward_arcs=tuple(tuple(a) for a in wd["backward_arcs"]),
                 a=wd["a"],
                 b=wd["b"],

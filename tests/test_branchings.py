@@ -16,12 +16,14 @@ from goodpairs.branchings import (
     is_two_arc_strong,
     out_branching_avoiding_path,
     path_arcs,
+    reach_tree,
     search_good_pair,
     verify_good_pair,
 )
 from goodpairs.digraph import (
     CutWitness,
     Digraph,
+    bits,
     coreach_mask,
     is_k_arc_strong,
     mask_of,
@@ -269,3 +271,99 @@ def test_level_test_passes_over_only_arcs_that_cut_nothing():
                             passed += 1
                             assert after == covered, (g, root, kind, banned, arc)
     assert passed > 25000 and cut > 2000 and kept > 1000
+
+
+def reference_branching_violation(g, branching):
+    """The arc-dict and rebuilt-digraph check the row version replaced."""
+    span = g.full_mask
+    if not g.is_vertex(branching.root):
+        return f"root {branching.root} outside the spanned set"
+    seen = {}
+    for arc in branching.arcs:
+        if not g.is_arc(arc):
+            return f"arc ({','.join(map(str, arc))}) not in the digraph"
+        a, b = arc
+        child = b if branching.kind == "out" else a
+        if child == branching.root:
+            return f"root {branching.root} has a parent arc"
+        if child in seen:
+            return f"vertex {child} has two parent arcs"
+        seen[child] = (a, b)
+    missing = [v for v in bits(span) if v != branching.root and v not in seen]
+    if missing:
+        return f"vertices {missing} not covered"
+    sub = Digraph(g.n, branching.arcs)
+    if branching.kind == "out":
+        reached = reach_mask(sub, 1 << branching.root)
+    else:
+        reached = coreach_mask(sub, 1 << branching.root)
+    if reached != span:
+        return "parent arcs do not form a tree reaching the root"
+    return None
+
+
+def _mutated_branchings(rng, g, b):
+    """The branching b of g, then copies with one fault each: a dropped
+    arc, a second parent, a floating cycle, a parent arc into the root,
+    a non-arc, bool or out-of-range vertices, and random swaps."""
+    arcs = list(b.arcs)
+    out = b.kind == "out"
+
+    def child(arc):
+        return arc[1] if out else arc[0]
+
+    def variant(new_arcs, root=b.root):
+        return Branching(root, tuple(new_arcs), b.kind)
+
+    yield b
+    if arcs:
+        drop = rng.randrange(len(arcs))
+        yield variant(arcs[:drop] + arcs[drop + 1 :])
+    extra = [a for a in g.arcs() if a not in b.arc_set]
+    for arc in rng.sample(extra, min(3, len(extra))):
+        yield variant(arcs + [arc])  # a second parent, or one into the root
+    into_root = [a for a in g.arcs() if child(a) == b.root]
+    if into_root:
+        yield variant(arcs + [rng.choice(into_root)])
+    # a 2-cycle away from the root replaces the parents of its two ends
+    for x, y in g.arcs():
+        if g.has_arc(y, x) and b.root not in (x, y):
+            kept = [a for a in arcs if child(a) not in (x, y)]
+            yield variant(kept + [(x, y), (y, x)])
+            break
+    non_arcs = [(x, y) for x in range(g.n) for y in range(g.n) if not g.has_arc(x, y)]
+    for arc in rng.sample(non_arcs, min(2, len(non_arcs))):
+        yield variant(arcs + [arc])
+    for bad in (True, False, -1, g.n):
+        yield variant(arcs, root=bad)
+        if arcs:
+            i = rng.randrange(len(arcs))
+            x, y = arcs[i]
+            yield variant(arcs[:i] + [(bad, y)] + arcs[i + 1 :])
+            yield variant(arcs[:i] + [(x, bad)] + arcs[i + 1 :])
+    for _ in range(3):
+        swapped = rng.sample(arcs, max(0, len(arcs) - 2))
+        yield variant(swapped + rng.sample(g.arcs(), min(2, g.m)))
+
+
+def test_row_branching_check_matches_the_reference():
+    rng = random.Random("branching-rows")
+    reasons = {}
+    for n in range(1, 13):
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for p in (0.3, 0.6, 0.9):
+            g = Digraph(n, [ab for ab in pairs if rng.random() < p])
+            for root in range(n):
+                for kind in ("out", "in"):
+                    b = find_branching(g, root, kind)
+                    if b is None:
+                        # a partial tree still exercises every rule
+                        b = Branching(root, tuple(reach_tree(g, root, kind)[1]), kind)
+                    for m in _mutated_branchings(rng, g, b):
+                        want = reference_branching_violation(g, m)
+                        assert branching_violation(g, m) == want, (g, m)
+                        key = want.split(" ")[0] if want else None
+                        reasons[key] = reasons.get(key, 0) + 1
+    # each reason by its first word, "parent" for the tree check
+    assert set(reasons) == {None, "root", "arc", "vertex", "vertices", "parent"}
+    assert min(reasons.values()) > 20, reasons

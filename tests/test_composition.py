@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,9 @@ from goodpairs.composition import (
     transitive_tournament,
 )
 from goodpairs.digraph import Digraph, bits, mask_of
+from goodpairs.dispatch import decide
 from goodpairs.errors import InvalidInput
+from goodpairs.families import random_composition, random_quasi_transitive
 
 
 def test_flatten_middle_layer():
@@ -257,3 +261,83 @@ def test_transitivity_predicates_on_flattened_compositions():
     g = Composition(tt, (transitive_tournament(2), independent(2), singleton())).flatten()
     assert classes_by_triples(g) == (True, True)
     assert is_transitive(g) and is_quasi_transitive(g)
+
+
+def _two_step_row(g, x):
+    """Every z != x with a path xyz, one out-row per middle vertex y."""
+    row = 0
+    for y in bits(g.out_masks[x]):
+        row |= g.out_masks[y]
+    return row & ~(1 << x)
+
+
+def reference_is_transitive(g):
+    """The per-vertex two-step test the packed kernel replaced."""
+    return all(not _two_step_row(g, x) & ~g.out_masks[x] for x in range(g.n))
+
+
+def reference_is_quasi_transitive(g):
+    return all(
+        not _two_step_row(g, x) & ~(g.out_masks[x] | g.in_masks[x])
+        for x in range(g.n)
+    )
+
+
+def _kernel_inputs():
+    """Every digraph with n <= 4, then seeded random digraphs n <= 70 at
+    several densities, random quasi-transitive digraphs n 5..40 and
+    transitive tournaments with some arcs reversed."""
+    for n in range(5):
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for choice in range(1 << len(pairs)):
+            yield Digraph(n, [p for i, p in enumerate(pairs) if choice >> i & 1])
+    rng = random.Random("packed-two-step")
+    for n in (5, 8, 13, 21, 34, 55, 70):
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for p in (0.02, 0.1, 0.5, 0.9, 0.995):
+            for _ in range(4):
+                yield Digraph(n, [ab for ab in pairs if rng.random() < p])
+    for n in range(5, 41, 5):
+        for seed in range(6):
+            yield random_quasi_transitive(seed, n)
+    for n in (3, 6, 17, 40, 64):
+        tt = transitive_tournament(n).arcs()
+        for flips in (1, 2, 5):
+            for _ in range(4):
+                flipped = set(rng.sample(tt, min(flips, len(tt))))
+                yield Digraph(n, [(b, a) if (a, b) in flipped else (a, b) for a, b in tt])
+
+
+def test_packed_kernel_matches_the_row_reference():
+    counts = {}
+    for g in _kernel_inputs():
+        want = (reference_is_transitive(g), reference_is_quasi_transitive(g))
+        assert (is_transitive(g), is_quasi_transitive(g)) == want, g
+        key = (g.n > 4, *want)
+        counts[key] = counts.get(key, 0) + 1
+    # every answer shows up both on the exhaustive and on the large inputs
+    for large in (False, True):
+        assert counts[(large, True, True)] > 5
+        assert counts[(large, False, True)] > 50
+        assert counts[(large, False, False)] > 50
+
+
+def test_flatten_is_built_once():
+    comp = random_composition(3)
+    fresh = Composition(comp.quotient, comp.parts)
+    flat = comp.flatten()
+    assert comp.flatten() is flat
+    # the cache is not a field: eq, hash and repr ignore it
+    assert comp == fresh and hash(comp) == hash(fresh) and repr(comp) == repr(fresh)
+    assert fresh.flatten() is not flat and fresh.flatten() == flat
+
+
+def test_decide_leaves_the_cached_flattening_unchanged():
+    for seed in range(200):
+        comp = random_composition(seed)
+        flat = comp.flatten()
+        for u, v in ((0, 0), (0, comp.n - 1), (comp.n - 1, seed % comp.n)):
+            decide(comp, u, v)
+        assert comp.flatten() is flat
+        want = flatten_by_arcs(comp)
+        assert flat.out_masks == want.out_masks and flat.in_masks == want.in_masks

@@ -8,6 +8,7 @@ from goodpairs import digraph
 from goodpairs.digraph import (
     CutWitness,
     Digraph,
+    SccDecomposition,
     arc_disjoint_paths,
     bits,
     coreach_mask,
@@ -458,3 +459,94 @@ def test_row_flow_matches_the_set_reference(monkeypatch):
                 want = arc_disjoint_paths(g, x, sink, k)
             assert paths == want
     assert queries == (30 + 300 * 6) * 2 * 4
+
+
+def tarjan_components(g, within=None):
+    """strong_components without its shortcut for strong inputs: Tarjan
+    on every input, then the initial and terminal components from rows."""
+    allowed = g.full_mask if within is None else within
+    index, lowlink, on_stack, stack, components = {}, {}, set(), [], []
+    for root in bits(allowed):
+        if root in index:
+            continue
+        index[root] = lowlink[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(bits(g.out_masks[root] & allowed)))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = lowlink[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(bits(g.out_masks[w] & allowed))))
+                    break
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index[v]:
+                    comp = 0
+                    while True:
+                        w = stack.pop()
+                        on_stack.remove(w)
+                        comp |= 1 << w
+                        if w == v:
+                            break
+                    components.append(comp)
+    components.reverse()
+    comp_of = {v: i for i, comp in enumerate(components) for v in bits(comp)}
+    initial, terminal = [], []
+    for i, comp in enumerate(components):
+        outside = allowed & ~comp
+        out_row = in_row = 0
+        for v in bits(comp):
+            out_row |= g.out_masks[v]
+            in_row |= g.in_masks[v]
+        if not in_row & outside:
+            initial.append(i)
+        if not out_row & outside:
+            terminal.append(i)
+    return SccDecomposition(components, comp_of, initial, terminal)
+
+
+def _scc_inputs():
+    """Seeded digraphs n 1..12 at several densities, strong ones among
+    them, each with the full set, a random mask and a strong sub-mask."""
+    rng = random.Random("scc-shortcut")
+    for n in range(1, 13):
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for p in (0.1, 0.25, 0.5, 0.8):
+            for _ in range(6):
+                g = Digraph(n, [ab for ab in pairs if rng.random() < p])
+                masks = [None, rng.getrandbits(n), g.full_mask & ~(1 << rng.randrange(n))]
+                # a strong component of g as `within`, whole or less a vertex
+                comp = max(tarjan_components(g).components, key=int.bit_count)
+                masks += [comp, comp & (comp - 1)]
+                for within in masks:
+                    yield g, within
+
+
+def test_scc_shortcut_matches_tarjan():
+    strong = split = 0
+    for g, within in _scc_inputs():
+        want = tarjan_components(g, within)
+        assert strong_components(g, within) == want, (g, within)
+        if want.t == 1:
+            strong += 1
+        elif want.t > 1:
+            split += 1
+    assert strong > 600 and split > 300
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digraph_and_mask())
+def test_scc_matches_tarjan_with_and_without_within(case):
+    n, arcs, mask = case
+    g = Digraph(n, arcs)
+    for within in (None, mask):
+        assert strong_components(g, within) == tarjan_components(g, within)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -232,6 +233,23 @@ def test_layered_witness_from_json_must_name_int_vertices():
         edited = {**d, "witness": {**d["witness"], "levels": levels}}
         with pytest.raises(InvalidInput, match="malformed verdict document"):
             verdict_from_dict(edited)
+    # valid levels partition 0..N-1, so an entry past the number of
+    # entries is malformed; it is refused before any mask is built
+    entries = sum(map(len, d["witness"]["levels"]))
+    for bad in (entries, 10**8):
+        levels = [[0, bad], *d["witness"]["levels"][1:]]
+        edited = {**d, "witness": {**d["witness"], "levels": levels}}
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInput, match="malformed verdict document"):
+                verdict_from_dict(edited)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    levels = [[0, entries - 1], *d["witness"]["levels"][1:]]
+    edited = {**d, "witness": {**d["witness"], "levels": levels}}
+    assert validate_verdict(g, verdict_from_dict(edited)) == "levels overlap"
     # on a composition the witness lives on the quotient
     comp = random_composition(0)
     ver = decide(comp, 0, 0)
