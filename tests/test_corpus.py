@@ -6,10 +6,14 @@ hashes one line per decision: `repr(verdict)`, which also carries the
 drops, or the exception a decision raised.  The digests were recorded
 from the engine as it stood before its duplicated helpers were merged,
 so any change to a verdict, its evidence or an error message shows up
-as a digest mismatch.  Regenerate with `python tests/test_corpus.py`
-only when a verdict is meant to change.
+as a digest mismatch.  A second, pair-free digest per group clears the
+pair of every YES verdict, so it pins answers, reasons, NO evidence and
+errors even when a constructor is meant to pick other pairs.
+Regenerate with `python tests/test_corpus.py` only when a verdict is
+meant to change.
 """
 
+import copy
 import hashlib
 
 import pytest
@@ -102,15 +106,31 @@ def corpus(group):
             yield target, u, v
 
 
-def decision_line(target, u, v) -> str:
+def without_pair(verdict):
+    """The verdict with its pair field cleared.
+
+    A copy, since `dataclasses.replace` re-runs the constructor guard
+    that a YES verdict carries a pair.
+    """
+    bare = copy.copy(verdict)
+    object.__setattr__(bare, "pair", None)
+    return bare
+
+
+def decision_lines(target, u, v) -> tuple[str, str]:
+    """(full line, pair-free line) for one decision."""
     try:
-        return repr(decide(target, u, v))
+        verdict = decide(target, u, v)
     except (InvalidInput, ResourceExceeded, InternalInconsistency) as exc:
-        return f"{type(exc).__name__}: {exc}"
+        line = f"{type(exc).__name__}: {exc}"
+        return line, line
+    return repr(verdict), repr(without_pair(verdict))
 
 
-def verdict_lines(group):
-    return [decision_line(t, u, v) for t, u, v in corpus(group)]
+def verdict_lines(group) -> tuple[list[str], list[str]]:
+    """Full and pair-free lines of one group, from one decision pass."""
+    pairs = [decision_lines(t, u, v) for t, u, v in corpus(group)]
+    return [full for full, _ in pairs], [bare for _, bare in pairs]
 
 
 def forcing_lines():
@@ -139,12 +159,30 @@ VERDICT_DIGESTS = {
     "digraphs-3": (1152, "b2007849b2cb4976ca211b5481aaeb4758a09ecd343dcd82c9656f2ec8284df0"),
 }
 
+# group: sha256 of the joined pair-free lines (the pair of a YES verdict
+# cleared, error lines as they are); recorded before the composition
+# constructor was reduced to greedy plus search
+PAIR_FREE_DIGESTS = {
+    "semicomplete-n4": "f06d14d91b4826823206519c3f8d543a0590525668dcf0e672735718c18429ee",
+    "families": "07fe736381258edeacd24e26f21b66ff7ce7e45e92f3c18dd5fead1c53a52528",
+    "random-composition": "93f1ae38e6624037a3ee983d56bd221f9712544dc3ccf4843b5da567d55ae87f",
+    "random-qt": "84d0c61e94f304e1bfcac14eede63412ff24bc6389e51eb39cafeaddbefd7f48",
+    "all-qt-4": "771cbe60a25ea06e7e6da1a129164dc32f5bad397a70c2ce9dd388b4217a4c81",
+    "kind-ab": "5a7d0678636037422dae1266f2e6c95fd3cda0105ea757aae57ed24b54fcc0f8",
+    "transitive-3-parts": "e7c5467b7335c214f1ea0ceb5a3a4c9027210d17524cb2df26f47bd2e8c9d84b",
+    "digraphs-3": "8afd3c08cdbc2f0626a9526b583d38916a6064410680f43c1fde6d50ed5450d2",
+}
+
 FORCING_DIGEST = (1354, "d83b7d742e4ee20c288458546b65f1507b08bb50e54d253234fbf916a99a62df")
 
 
 @pytest.mark.parametrize("group", GROUPS)
 def test_verdict_bytes_are_pinned(group):
-    lines = verdict_lines(group)
+    lines, pair_free = verdict_lines(group)
+    # the pair-free digest pins answers, reasons, NO evidence and errors
+    # on their own, so a change that only picks other YES pairs shows
+    # here as a full-digest mismatch alone
+    assert digest(pair_free) == PAIR_FREE_DIGESTS[group]
     assert (len(lines), digest(lines)) == VERDICT_DIGESTS[group]
 
 
@@ -154,8 +192,11 @@ def test_forcing_traces_and_replays_are_pinned():
 
 
 if __name__ == "__main__":
+    free = {}
     for name in GROUPS:
-        found = verdict_lines(name)
+        found, free[name] = verdict_lines(name)
         print(f'    "{name}": ({len(found)}, "{digest(found)}"),')
+    for name in GROUPS:
+        print(f'    "{name}": "{digest(free[name])}",')
     found = forcing_lines()
     print(f'FORCING_DIGEST = ({len(found)}, "{digest(found)}")')
