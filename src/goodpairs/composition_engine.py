@@ -6,8 +6,10 @@ or it falls into a short list of blocked shapes: a root with too few
 arcs, one of seven named small families, or a layered quotient witness
 whose designated arcs all keep their blocking power once part sizes
 are taken into account.  decide_composition checks the blocked shapes
-exactly and otherwise builds a verified pair, preferring structured
-lifts of quotient branchings over search.
+exactly and otherwise builds a verified pair on the flat digraph with
+the semicomplete constructor: its greedy first, then its complete
+search.  The quotient only enters the decision; any verified pair of
+the flat digraph answers YES.
 
 Each family is a predicate on the flat digraph's bitset rows: five say
 which arcs every row must hold and which it may add, and the other two
@@ -18,28 +20,14 @@ and the verdict checker share one definition of each.
 
 from __future__ import annotations
 
-from itertools import product
-
 from . import semicomplete
-from .branchings import (
-    Branching,
-    BranchingPair,
-    is_two_arc_strong,
-    verify_good_pair,
-)
+from .branchings import BranchingPair, is_two_arc_strong
 from .composition import Composition, finest_refinement, is_semicomplete
-from .digraph import (
-    Arc,
-    Digraph,
-    bits,
-    coreach_mask,
-    reach_mask,
-)
-from .errors import InternalInconsistency, InvalidInput, ResourceExceeded
+from .digraph import Digraph, bits, coreach_mask, reach_mask
+from .errors import InvalidInput, ResourceExceeded
 from .forcing import force_trace
 from .verdicts import (
     ARC_FORCING,
-    ARC_OBSTRUCTION,
     DEGREE,
     KNOWN_FAMILY,
     LAYERED_A,
@@ -49,9 +37,6 @@ from .verdicts import (
     middle_blocked_violation,
 )
 from .witnesses import arc_condition, iter_type_a, iter_type_b
-
-# bound on candidate combinations tried while repairing a lifted pair
-_REPAIR_CAP = 600
 
 
 def _is_strong(g: Digraph) -> bool:
@@ -216,249 +201,12 @@ def two_arc_strong_pair(g: Digraph, u: int, v: int) -> BranchingPair:
     return semicomplete.construct_good_pair(g, u, v)
 
 
-def _lift_pair(
-    comp: Composition,
-    u: int,
-    v: int,
-    o_arcs,
-    i_arcs,
-    src_over=None,
-    tgt_over=None,
-    plus_parent=None,
-    minus_exit=None,
-) -> BranchingPair:
-    """Flatten a quotient branching pair into part level branchings.
+def construct_composition_pair(flat: Digraph, u: int, v: int) -> BranchingPair:
+    """Verified pair on the flat digraph once the decision promised one.
 
-    Each quotient arc (x, y) of the out-branching becomes the fan from
-    one source vertex of part x onto every vertex of part y; the
-    in-branching dually drains every vertex of part x onto one target
-    in part y.  The root parts are finished with cover arcs from fixed
-    neighbour parts.  src_over / tgt_over replace the representative
-    used for a single quotient arc, plus_parent / minus_exit replace
-    the arc touching a single flat vertex.  The caller verifies.
+    The greedy of `semicomplete.construct_good_pair` runs first and its
+    complete search finishes what the greedy misses.
     """
-    quotient = comp.quotient
-    pu, pv = comp.part_of(u), comp.part_of(v)
-    src_rep = {p: comp.offsets[p] for p in range(comp.s)}
-    tgt_rep = dict(src_rep)
-    src_rep[pv] = v
-    src_rep[pu] = u
-    tgt_rep[pu] = u
-    tgt_rep[pv] = v
-    src_over = src_over or {}
-    tgt_over = tgt_over or {}
-    plus_parent = plus_parent or {}
-    minus_exit = minus_exit or {}
-
-    plus: list[Arc] = []
-    for x, y in o_arcs:
-        source = src_over.get((x, y), src_rep[x])
-        for w in bits(comp.part_mask(y)):
-            plus.append(plus_parent.get(w, (source, w)))
-    z0 = min(bits(quotient.in_masks[pu]))
-    for w in bits(comp.part_mask(pu)):
-        if w != u:
-            plus.append(plus_parent.get(w, (src_rep[z0], w)))
-
-    minus: list[Arc] = []
-    for x, y in i_arcs:
-        target = tgt_over.get((x, y), tgt_rep[y])
-        for w in bits(comp.part_mask(x)):
-            minus.append(minus_exit.get(w, (w, target)))
-    z1 = min(bits(quotient.out_masks[pv]))
-    for w in bits(comp.part_mask(pv)):
-        if w != v:
-            minus.append(minus_exit.get(w, (w, tgt_rep[z1])))
-
-    return BranchingPair(
-        Branching(u, tuple(plus), "out"), Branching(v, tuple(minus), "in")
-    )
-
-
-def _root_parent_options(comp, flat, u, v, i_arcs):
-    """Choices for v's parent when both roots share a part.
-
-    Yields (tgt_over, parent arc or None); re-targeting an in-arc of
-    the root part frees the cross arcs into v that the drain would
-    otherwise occupy.
-    """
-    p = comp.part_of(u)
-    i_set = set(i_arcs)
-    yield {}, None
-    for w in sorted(bits(flat.in_masks[v])):
-        z = comp.part_of(w)
-        if z != p and (z, p) in i_set:
-            yield {(z, p): u}, (w, v)
-        else:
-            yield {}, (w, v)
-
-
-def _root_exit_options(comp, flat, u, v, o_arcs):
-    """Choices for u's exit when both roots share a part."""
-    p = comp.part_of(u)
-    o_set = set(o_arcs)
-    yield {}, None
-    for w in sorted(bits(flat.out_masks[u])):
-        z = comp.part_of(w)
-        if z != p and (p, z) in o_set:
-            yield {(p, z): v}, (u, w)
-        else:
-            yield {}, (u, w)
-
-
-def _lift_quotient_yes(comp, flat, u, v, pair_s) -> BranchingPair | None:
-    """Lift a good quotient pair; verified result or None."""
-    o_arcs = pair_s.out_branching.arcs
-    i_arcs = pair_s.in_branching.arcs
-    pu, pv = comp.part_of(u), comp.part_of(v)
-    if pu != pv or u == v:
-        pair = _lift_pair(comp, u, v, o_arcs, i_arcs)
-        if verify_good_pair(flat, u, v, pair):
-            return pair
-        return None
-    # same part, distinct roots: u's exit and v's parent can collide
-    # with the lifted fans, so enumerate small repairs for both ends
-    tried = 0
-    for tgt_over, parent in _root_parent_options(comp, flat, u, v, i_arcs):
-        for src_over, exit_arc in _root_exit_options(comp, flat, u, v, o_arcs):
-            tried += 1
-            if tried > _REPAIR_CAP:
-                return None
-            pair = _lift_pair(
-                comp,
-                u,
-                v,
-                o_arcs,
-                i_arcs,
-                src_over=src_over,
-                tgt_over=tgt_over,
-                plus_parent={v: parent} if parent else None,
-                minus_exit={u: exit_arc} if exit_arc else None,
-            )
-            if verify_good_pair(flat, u, v, pair):
-                return pair
-    return None
-
-
-def _witness_move_options(comp, flat, arc):
-    """Ways to decouple one shared quotient arc (x, y).
-
-    A tail move sources the plus fan of the arc at a vertex w0 of part
-    x that has a second flat out-arc and reroutes w0's drain exit; a
-    head move drains the arc into a vertex of part y with a second
-    in-arc and reroutes that vertex's plus parent.  Yields
-    (src_over, tgt_over, plus_parent item, minus_exit item).
-    """
-    x, y = arc
-    if comp.part_mask(x).bit_count() >= 2:
-        for w0 in bits(comp.part_mask(x)):
-            if flat.out_degree(w0) < 2:
-                continue
-            for t in sorted(bits(flat.out_masks[w0])):
-                if comp.part_of(t) == y:
-                    # rerouting back into the shared head keeps the clash
-                    continue
-                yield {(x, y): w0}, {}, None, (w0, (w0, t))
-    if comp.part_mask(y).bit_count() >= 2:
-        for w0 in bits(comp.part_mask(y)):
-            if flat.in_degree(w0) < 2:
-                continue
-            for q in sorted(bits(flat.in_masks[w0])):
-                if comp.part_of(q) == x:
-                    continue
-                yield {}, {(x, y): w0}, (w0, (q, w0)), None
-
-
-def _lift_with_moves(comp, flat, u, v, pair_s) -> BranchingPair | None:
-    """Lift a quotient pair that shares arcs, decoupling every shared arc."""
-    o_arcs = pair_s.out_branching.arcs
-    i_arcs = pair_s.in_branching.arcs
-    shared = sorted(set(o_arcs) & set(i_arcs))
-    option_lists = []
-    for arc in shared:
-        options = list(_witness_move_options(comp, flat, arc))
-        if not options:
-            return None
-        option_lists.append(options[:12])
-    tried = 0
-    for combo in product(*option_lists):
-        tried += 1
-        if tried > _REPAIR_CAP:
-            return None
-        src_over: dict = {}
-        tgt_over: dict = {}
-        plus_parent: dict = {}
-        minus_exit: dict = {}
-        for so, to, pp, me in combo:
-            src_over.update(so)
-            tgt_over.update(to)
-            if pp is not None:
-                plus_parent[pp[0]] = pp[1]
-            if me is not None:
-                minus_exit[me[0]] = me[1]
-        pair = _lift_pair(
-            comp, u, v, o_arcs, i_arcs, src_over, tgt_over, plus_parent, minus_exit
-        )
-        if verify_good_pair(flat, u, v, pair):
-            return pair
-    return None
-
-
-def _lift_from_witnesses(comp, flat, u, v) -> BranchingPair | None:
-    """Build a pair although the quotient itself has none.
-
-    Every layered witness of the quotient has a designated arc that
-    loses its blocking power inside the composition (otherwise the
-    decision would have been no), so an almost good quotient pair can
-    be lifted and its shared arcs decoupled part by part.
-    """
-    quotient = comp.quotient
-    pu, pv = comp.part_of(u), comp.part_of(v)
-    attempts = []
-    for w in iter_type_a(quotient, pu, pv):
-        for r, arc in enumerate(w.backward_arcs):
-            if not arc_condition(comp, arc, flat):
-                attempts.append((w, r))
-        if len(attempts) >= 6:
-            break
-    for w in iter_type_b(quotient, pu, pv):
-        if not any(arc_condition(comp, arc, flat) for arc in w.backward_arcs):
-            attempts.append((w, None))
-        if len(attempts) >= 10:
-            break
-    for w, index in attempts[:10]:
-        try:
-            if index is None:
-                pair_s = semicomplete.almost_good_pair(quotient, w)
-            else:
-                pair_s = semicomplete.almost_good_pair(quotient, w, shared_index=index)
-        except InternalInconsistency:
-            continue
-        pair = _lift_with_moves(comp, flat, u, v, pair_s)
-        if pair is not None:
-            return pair
-    return None
-
-
-def construct_composition_pair(
-    comp: Composition, flat: Digraph, u: int, v: int
-) -> BranchingPair:
-    """Build a verified pair once the decision promised one exists.
-
-    Structured lifts of quotient pairs come first; the flat digraph then
-    goes to `semicomplete.construct_good_pair`.
-    """
-    quotient = comp.quotient
-    pu, pv = comp.part_of(u), comp.part_of(v)
-    s_verdict = semicomplete.decide_semicomplete(quotient, pu, pv)
-    if s_verdict.yes:
-        pair = _lift_quotient_yes(comp, flat, u, v, s_verdict.pair)
-        if pair is not None:
-            return pair
-    elif pu != pv and s_verdict.reason in (ARC_OBSTRUCTION, LAYERED_A):
-        pair = _lift_from_witnesses(comp, flat, u, v)
-        if pair is not None:
-            return pair
     return semicomplete.construct_good_pair(flat, u, v)
 
 
@@ -521,7 +269,7 @@ def decide_composition(comp: Composition, u: int, v: int) -> Verdict:
         return Verdict(yes=False, u=u, v=v, reason=ARC_FORCING, forcing=trace)
     if deferred is not None:
         raise deferred
-    pair = construct_composition_pair(comp, flat, u, v)
+    pair = construct_composition_pair(flat, u, v)
     return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
 
 

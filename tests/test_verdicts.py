@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import pytest
@@ -16,6 +17,7 @@ from goodpairs.verdicts import (
     DEGREE,
     LAYERED_A,
     MIDDLE_BLOCKED,
+    NO_REASONS,
     ROOT_COMPONENT,
     TREE_SIDE,
     YES,
@@ -24,6 +26,7 @@ from goodpairs.verdicts import (
     verdict_from_dict,
     verdict_to_dict,
 )
+from test_corpus import corpus
 
 
 def two_cycle():
@@ -133,6 +136,16 @@ def test_validate_tree_side():
     assert validate_verdict(g, flipped) is not None
 
 
+# corpus groups whose decisions reach every reason constant between them
+ROUND_TRIP_GROUPS = (
+    "random-composition",
+    "kind-ab",
+    "transitive-3-parts",
+    "families",
+    "random-qt",
+)
+
+
 def test_dict_round_trip():
     g = two_cycle()
     ver = decide_semicomplete(g, 0, 1)
@@ -142,6 +155,70 @@ def test_dict_round_trip():
     assert verdict_from_dict(verdict_to_dict(yes)) == yes
     with pytest.raises(InvalidInput):
         verdict_from_dict({"answer": "no"})
+    # every verdict survives JSON text and still validates, the layered
+    # refinement and the forcing trace included
+    reasons = set()
+    for group in ROUND_TRIP_GROUPS:
+        for target, u, v in corpus(group):
+            ver = decide(target, u, v)
+            back = verdict_from_dict(json.loads(json.dumps(verdict_to_dict(ver))))
+            assert back == ver, (group, u, v)
+            assert validate_verdict(target, back) is None, (group, u, v)
+            reasons.add(ver.reason)
+    assert reasons == {YES, *NO_REASONS}
+
+
+def test_forged_refinement_and_forcing_from_json_are_rejected():
+    # this witness lives on a finer partition than the composition's own
+    comp = random_composition(5)
+    d = verdict_to_dict(decide(comp, 0, 0))
+    assert d["reason"] == LAYERED_A and "refinement" in d
+    assert validate_verdict(comp, verdict_from_dict(d)) is None
+    coarse = {k: x for k, x in d.items() if k != "refinement"}
+    assert validate_verdict(comp, verdict_from_dict(coarse)) is not None
+    cells = d["refinement"]
+    for bad in (
+        [True, *cells[1:]],
+        [float(cells[0]), *cells[1:]],
+        [str(cells[0]), *cells[1:]],
+        [None, *cells[1:]],
+        [[cells[0]], *cells[1:]],
+        "0" * len(cells),
+        {"0": 0},
+        7,
+        None,
+    ):
+        with pytest.raises(InvalidInput, match="malformed verdict document"):
+            verdict_from_dict({**d, "refinement": bad})
+    # well-typed but wrong cells reach the checker and get a reason
+    for bad in (cells[:-1], [0] * len(cells), [c + 1 for c in cells], [-1, *cells[1:]]):
+        assert validate_verdict(comp, verdict_from_dict({**d, "refinement": bad}))
+    comp = random_composition(908)
+    verdicts = [decide(comp, u, v) for u in range(comp.n) for v in range(comp.n)]
+    d = verdict_to_dict(next(x for x in verdicts if x.reason == ARC_FORCING))
+    steps = d["forcing"]
+    assert validate_verdict(comp, verdict_from_dict(d)) is None
+    side, rule, x, y = steps[0]
+    for bad_step in (
+        [side, rule, x],
+        [side, rule, x, y, 0],
+        [side, rule, True, y],
+        [side, rule, x, float(y)],
+        [side, rule, str(x), y],
+        [0, rule, x, y],
+        [side, None, x, y],
+        (side, rule, x, y),
+        7,
+        None,
+    ):
+        with pytest.raises(InvalidInput, match="malformed verdict document"):
+            verdict_from_dict({**d, "forcing": [bad_step, *steps[1:]]})
+    for bad in ("steps", {"0": steps[0]}, 7, None):
+        with pytest.raises(InvalidInput, match="malformed verdict document"):
+            verdict_from_dict({**d, "forcing": bad})
+    # a well-typed forged trace reaches the replay and gets a reason
+    for bad in ([], steps[:-1], [[side, rule, comp.n, y], *steps[1:]]):
+        assert validate_verdict(comp, verdict_from_dict({**d, "forcing": bad}))
 
 
 def test_arc_obstruction_from_json_rejects_arcs_outside_the_input():
