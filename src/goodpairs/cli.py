@@ -47,13 +47,17 @@ def _die(message: str):
 
 
 def _read(source: str) -> str:
-    """The UTF-8 text of a file, or of stdin for '-' (read as bytes, so
-    the locale's decoding cannot pass undecodable bytes on)."""
+    """The UTF-8 text of a file, or of stdin for '-'.  Both are read as
+    bytes and decoded once, so the locale's decoding cannot pass
+    undecodable bytes on; line breaks stay as they are, and the parser's
+    `splitlines` counts '\r\n' as one."""
     try:
         if source == "-":
-            return sys.stdin.buffer.read().decode("utf-8")
-        with open(source, encoding="utf-8") as fh:
-            return fh.read()
+            data = sys.stdin.buffer.read()
+        else:
+            with open(source, "rb") as fh:
+                data = fh.read()
+        return data.decode("utf-8")
     except OSError as exc:
         _die(str(exc))
     except UnicodeDecodeError as exc:

@@ -26,16 +26,20 @@ Vertex names are unique tokens without braces or '#'.  Lines may carry
 '#' comments.  The `roots` line is optional; roots can come from flags
 instead.  Parsing an emitted document gives the document back.
 
-The parser splits each line into words once (`_lines`); a diagnostic's
-line number counts every line, blank and comment-only ones included.
-Arc lines may come before their block's vertices line; an arc naming an
-unknown vertex, a loop and a repeated arc are rejected, in that order of
+The parser streams the lines: it splits each line once and drops its
+words, keeping per block only the vertex names and two flat lists of
+arc tail and head names, never a list per line.  A diagnostic's line
+number counts every line, blank and comment-only ones included; only a
+faulty arc's block splits its lines again to find it.  Arc lines may
+come before their block's vertices line; an arc naming an unknown
+vertex, a loop and a repeated arc are rejected, in that order of
 precedence on one line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .composition import Composition
 from .digraph import Digraph
@@ -62,14 +66,6 @@ class InputDocument:
             raise InvalidInput(f"unknown vertex name {name!r}") from None
 
 
-def _lines(text: str) -> list[list[str]]:
-    """The words before '#' of every line, [] for a blank one, so a
-    line's number is its list index plus one."""
-    if "#" not in text:
-        return list(map(str.split, text.splitlines()))
-    return [raw.split("#", 1)[0].split() for raw in text.splitlines()]
-
-
 def _fail(lineno: int, msg: str):
     raise InvalidInput(f"line {lineno}: {msg}")
 
@@ -77,159 +73,180 @@ def _fail(lineno: int, msg: str):
 class _Block:
     """One vertices line plus arc lines, as found inside any block.
 
-    Arc lines may come before the vertices line, so they are kept as
-    their word lists from `lines` (the document's `_lines`) until
-    `digraph` fills the bitset rows: each name is looked up once, one
-    test per arc catches every fault, and a duplicate arc is the bit
-    already set in its tail's row.  Only a faulty arc looks for its line
-    number, by identity among `lines`, since an earlier line may hold
-    the same words.
+    A block keeps its names and, for the arc lines, only two flat lists of
+    tail and head names; arc lines may come before the vertices line.
+    `digraph` resolves every name in bulk and fills the bitset rows in
+    one loop over index pairs, and three block-wide tests catch every
+    arc fault: a name with no index, a bit on the rows' diagonal (a loop)
+    and fewer row bits than arcs (a duplicate).  Only a faulty block runs
+    `_arc_fault`, which finds the first faulty arc and, by splitting the
+    block's lines again, its line number.
     """
 
-    def __init__(self, lines: list[list[str]]):
-        self.lines = lines
+    __slots__ = ("at", "names", "tails", "heads")
+
+    def __init__(self, at: int):
+        self.at = at  # the line the block opens at
         self.names: list[str] = []
-        self.index: dict[str, int] = {}
-        self.arcs: list[list[str]] = []
+        self.tails: list[str] = []
+        self.heads: list[str] = []
 
     def feed(self, lineno, words):
+        """Take a line other than a well-formed arc line."""
         if words[0] == "arc":
-            if len(words) != 3:
-                _fail(lineno, "arc lines read: arc <tail> <head>")
-            self.arcs.append(words)
-        elif words[0] == "vertices":
-            if self.names:
-                _fail(lineno, "second vertices line in one block")
-            if len(words) == 1:
-                _fail(lineno, "vertices line needs at least one name")
-            self.names = words[1:]
-        else:
+            _fail(lineno, "arc lines read: arc <tail> <head>")
+        if words[0] != "vertices":
             _fail(lineno, f"unexpected {words[0]!r} inside a block")
+        if self.names:
+            _fail(lineno, "second vertices line in one block")
+        if len(words) == 1:
+            _fail(lineno, "vertices line needs at least one name")
+        self.names = words[1:]
 
-    def digraph(self, lineno) -> tuple[Digraph, list[str]]:
+    def digraph(self, lines: list[str]) -> Digraph:
         names = self.names
         if not names:
-            _fail(lineno, "block is missing its vertices line")
-        index = self.index = {name: i for i, name in enumerate(names)}
-        if len(index) != len(names):
-            _fail(lineno, "duplicate vertex name in one block")
-        get = index.get
-        out_masks = [0] * len(names)
-        in_masks = [0] * len(names)
-        for words in self.arcs:
-            i = get(words[1])
-            j = get(words[2])
-            if i is None or j is None or i == j or out_masks[i] >> j & 1:
-                self._arc_fault(words)
-            out_masks[i] |= 1 << j
-            in_masks[j] |= 1 << i
-        return Digraph.from_rows(out_masks, in_masks), names
+            _fail(self.at, "block is missing its vertices line")
+        n = len(names)
+        index = dict(zip(names, range(n)))
+        if len(index) != n:
+            _fail(self.at, "duplicate vertex name in one block")
+        bit = [1 << i for i in range(n)]
+        out_masks = [0] * n
+        in_masks = [0] * n
+        try:
+            tails = list(map(index.__getitem__, self.tails))
+            heads = list(map(index.__getitem__, self.heads))
+        except KeyError:  # an unknown name
+            self._arc_fault(lines, index)
+        for i, j in zip(tails, heads):
+            out_masks[i] |= bit[j]
+            in_masks[j] |= bit[i]
+        # a loop sets a diagonal bit, and a repeated arc no new bit
+        if any(map(int.__and__, out_masks, bit)) or sum(
+            map(int.bit_count, out_masks)
+        ) != len(tails):
+            self._arc_fault(lines, index)
+        return Digraph.from_rows(out_masks, in_masks)
 
-    def _arc_fault(self, words):
-        _, a, b = words
-        if a not in self.index:
-            msg = f"unknown vertex {a!r} in arc line"
-        elif b not in self.index:
-            msg = f"unknown vertex {b!r} in arc line"
-        elif a == b:
-            msg = f"loop arc at {a!r}"
+    def _arc_fault(self, lines, index):
+        """Raise for the block's first faulty arc, which must exist."""
+        seen = set()
+        for k, arc in enumerate(zip(self.tails, self.heads)):
+            a, b = arc
+            if a not in index:
+                msg = f"unknown vertex {a!r} in arc line"
+            elif b not in index:
+                msg = f"unknown vertex {b!r} in arc line"
+            elif a == b:
+                msg = f"loop arc at {a!r}"
+            elif arc in seen:
+                msg = f"duplicate arc {a!r} -> {b!r}"
+            else:
+                seen.add(arc)
+                continue
+            # the block's k-th arc line: every arc line from the block's
+            # opening line up to its last arc belongs to it
+            at = self.at
+            arc_lines = (
+                lineno
+                for lineno, words in enumerate(map(str.split, lines[at - 1 :]), at)
+                if len(words) == 3 and words[0] == "arc"
+            )
+            _fail(next(islice(arc_lines, k, None)), msg)
+
+
+class _Reader:
+    """What the lines of a document have declared so far.
+
+    A flat document is one block that opens at its first line and never
+    closes; a composition document opens and closes a quotient block and
+    part blocks.  `feed` takes every line but the well-formed arc lines
+    and returns the block that the next arc lines belong to, or None
+    between blocks.
+    """
+
+    def __init__(self):
+        self.flat: _Block | None = None
+        self.quotient: _Block | None = None
+        self.parts: dict[str, _Block] = {}
+        self.open: _Block | None = None
+        self.roots = None  # (lineno, words)
+
+    def feed(self, lineno, words) -> _Block | None:
+        head = words[0]
+        if self.flat is None and self.quotient is None:  # the first line
+            if head not in ("vertices", "quotient"):
+                _fail(lineno, "documents start with 'vertices' or 'quotient'")
+            if head == "vertices":
+                self.open = self.flat = _Block(lineno)
+        block = self.open
+        if head == "roots" and block is self.flat:  # flat, or between blocks
+            if self.roots is not None:
+                _fail(lineno, "second roots line")
+            self.roots = (lineno, words)
+        elif block is None:
+            self._open(lineno, words)
+        elif words == ["}"] and block is not self.flat:
+            self.open = None
         else:
-            msg = f"duplicate arc {a!r} -> {b!r}"
-        _fail(next(i for i, w in enumerate(self.lines, 1) if w is words), msg)
+            block.feed(lineno, words)
+        return self.open
+
+    def _open(self, lineno, words):
+        if words[0] == "quotient":
+            if words != ["quotient", "{"]:
+                _fail(lineno, "quotient blocks open with: quotient {")
+            if self.quotient is not None:
+                _fail(lineno, "second quotient block")
+            self.open = self.quotient = _Block(lineno)
+        elif words[0] == "part":
+            if len(words) != 3 or words[2] != "{":
+                _fail(lineno, "part blocks open with: part <name> {")
+            if words[1] in self.parts:
+                _fail(lineno, f"second block for part {words[1]!r}")
+            self.open = self.parts[words[1]] = _Block(lineno)
+        else:
+            _fail(lineno, f"unexpected {words[0]!r} between blocks")
+
+    def roots_among(self, names) -> tuple[int, int] | None:
+        if self.roots is None:
+            return None
+        lineno, words = self.roots
+        if len(words) != 3:
+            _fail(lineno, "roots lines read: roots <u> <v>")
+        for w in words[1:]:
+            if w not in names:
+                _fail(lineno, f"root {w!r} is not a declared vertex")
+        return names.index(words[1]), names.index(words[2])
 
 
 def parse_document(text: str) -> InputDocument:
     """Parse a flat or composition document, with line-number diagnostics."""
-    lines = _lines(text)
-    first = next((i for i, words in enumerate(lines, 1) if words), None)
-    if first is None:
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    reader = _Reader()
+    block = None
+    for lineno, words in enumerate(map(str.split, lines), 1):
+        if block is not None and len(words) == 3 and words[0] == "arc":
+            block.tails.append(words[1])
+            block.heads.append(words[2])
+        elif words:
+            block = reader.feed(lineno, words)
+    if reader.flat is None and reader.quotient is None:
         raise InvalidInput("empty document")
-    head = lines[first - 1][0]
-    if head == "vertices":
-        return _parse_flat(lines, first)
-    if head == "quotient":
-        return _parse_composition(lines)
-    raise InvalidInput(
-        f"line {first}: documents start with 'vertices' or 'quotient'"
-    )
-
-
-def _take_roots(lineno, words, index):
-    if len(words) != 3:
-        _fail(lineno, "roots lines read: roots <u> <v>")
-    for w in words[1:]:
-        if w not in index:
-            _fail(lineno, f"root {w!r} is not a declared vertex")
-    return index[words[1]], index[words[2]]
-
-
-def _parse_flat(lines, first) -> InputDocument:
-    block = _Block(lines)
-    arcs = block.arcs
-    roots_line = None
-    for lineno, words in enumerate(lines, 1):
-        if len(words) == 3 and words[0] == "arc":  # the bulk, fed inline
-            arcs.append(words)
-        elif not words:
-            continue
-        elif words[0] == "roots":
-            if roots_line is not None:
-                _fail(lineno, "second roots line")
-            roots_line = (lineno, words)
-        else:
-            block.feed(lineno, words)
-    g, names = block.digraph(first)
-    roots = None
-    if roots_line is not None:
-        roots = _take_roots(*roots_line, block.index)
-    return InputDocument(target=g, names=tuple(names), roots=roots)
-
-
-def _parse_composition(lines) -> InputDocument:
-    quotient_block = None
-    part_blocks: dict[str, tuple[int, _Block]] = {}
-    roots_line = None
-    open_block = None  # (kind, name, lineno, _Block)
-    for lineno, words in enumerate(lines, 1):
-        if not words:
-            continue
-        if open_block is not None:
-            if words == ["}"]:
-                kind, name, at, block = open_block
-                if kind == "quotient":
-                    quotient_block = (at, block)
-                else:
-                    part_blocks[name] = (at, block)
-                open_block = None
-            else:
-                open_block[3].feed(lineno, words)
-            continue
-        if words[0] == "quotient":
-            if words != ["quotient", "{"]:
-                _fail(lineno, "quotient blocks open with: quotient {")
-            if quotient_block is not None:
-                _fail(lineno, "second quotient block")
-            open_block = ("quotient", "", lineno, _Block(lines))
-        elif words[0] == "part":
-            if len(words) != 3 or words[2] != "{":
-                _fail(lineno, "part blocks open with: part <name> {")
-            if words[1] in part_blocks:
-                _fail(lineno, f"second block for part {words[1]!r}")
-            open_block = ("part", words[1], lineno, _Block(lines))
-        elif words[0] == "roots":
-            if roots_line is not None:
-                _fail(lineno, "second roots line")
-            roots_line = (lineno, words)
-        else:
-            _fail(lineno, f"unexpected {words[0]!r} between blocks")
-    if open_block is not None:
-        _fail(open_block[2], "unclosed block")
-    if quotient_block is None:
-        raise InvalidInput("composition document has no quotient block")
-    quotient, part_names = quotient_block[1].digraph(quotient_block[0])
-    if sorted(part_blocks) != sorted(part_names):
-        missing = set(part_names) - set(part_blocks)
-        extra = set(part_blocks) - set(part_names)
+    if reader.flat is not None:
+        g = reader.flat.digraph(lines)
+        names = tuple(reader.flat.names)
+        return InputDocument(target=g, names=names, roots=reader.roots_among(names))
+    if reader.open is not None:
+        _fail(reader.open.at, "unclosed block")
+    quotient = reader.quotient.digraph(lines)
+    part_names = reader.quotient.names
+    if sorted(reader.parts) != sorted(part_names):
+        missing = set(part_names) - set(reader.parts)
+        extra = set(reader.parts) - set(part_names)
         raise InvalidInput(
             f"part blocks disagree with the quotient: missing {sorted(missing)},"
             f" undeclared {sorted(extra)}"
@@ -237,21 +254,16 @@ def _parse_composition(lines) -> InputDocument:
     parts = []
     names: list[str] = []
     for part_name in part_names:  # flat order follows the quotient line
-        at, block = part_blocks[part_name]
-        sub, sub_names = block.digraph(at)
-        parts.append(sub)
-        names.extend(sub_names)
+        block = reader.parts[part_name]
+        parts.append(block.digraph(lines))
+        names.extend(block.names)
     if len(set(names)) != len(names):
         raise InvalidInput("vertex names must be unique across parts")
-    comp = Composition(quotient, tuple(parts))
-    roots = None
-    if roots_line is not None:
-        index = {name: i for i, name in enumerate(names)}
-        roots = _take_roots(*roots_line, index)
+    names = tuple(names)
     return InputDocument(
-        target=comp,
-        names=tuple(names),
-        roots=roots,
+        target=Composition(quotient, tuple(parts)),
+        names=names,
+        roots=reader.roots_among(names),
         part_names=tuple(part_names),
     )
 

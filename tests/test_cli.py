@@ -130,6 +130,28 @@ def test_non_utf8_input_is_malformed_input():
         assert "error: cannot read -: not UTF-8 text" in r.output
 
 
+def test_crlf_document_decides_alike_from_a_path_and_stdin():
+    # a path and stdin are both read as bytes: '\r\n' stays in the text,
+    # and the parser counts it as one line break
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        for text in (DIGON_PAIR + "roots a b\n", BLOCKED, "vertices a b\n\narc a zz\n"):
+            crlf = text.replace("\n", "\r\n").encode()
+            with open("lf.txt", "wb") as fh:
+                fh.write(text.encode())
+            with open("crlf.txt", "wb") as fh:
+                fh.write(crlf)
+            runs = [
+                runner.invoke(main, ["decide", "lf.txt"]),
+                runner.invoke(main, ["decide", "crlf.txt"]),
+                runner.invoke(main, ["decide", "-"], input=crlf),
+            ]
+            assert len({(r.exit_code, r.stdout_bytes) for r in runs}) == 1, text
+        assert runs[0].exit_code == 2 and not runs[0].stdout_bytes
+        for r in runs:
+            assert "line 3: unknown vertex 'zz' in arc line" in r.stderr
+
+
 def test_oracle_matches_decide_on_small_input():
     yes = run("oracle", "-", "--u", "a", "--v", "b", stdin=DIGON_PAIR)
     assert yes.exit_code == 0 and yes.output.splitlines()[0] == "YES"
