@@ -14,6 +14,7 @@ from .digraph import (
     CutWitness,
     Digraph,
     _cut_from_side,
+    _spread,
     arc_disjoint_paths,
     bits,
     coreach_mask,
@@ -40,12 +41,6 @@ class Branching:
     def arc_set(self) -> frozenset[Arc]:
         return frozenset(self.arcs)
 
-    def vertices(self) -> int:
-        m = 1 << self.root
-        for a, b in self.arcs:
-            m |= 1 << a | 1 << b
-        return m
-
 
 @dataclass(frozen=True)
 class BranchingPair:
@@ -64,20 +59,24 @@ class BranchingPair:
 def branching_violation(g: Digraph, branching: Branching) -> str | None:
     """None if the branching is a valid spanning tree of g, else a reason.
 
-    One pass over the arcs checks each and records its child in a parent
+    One pass over the arcs checks each on g's rows, with the type and
+    range checks of `Digraph.is_arc`, and records its child in a parent
     mask and in its parent's child row; the parent mask gives coverage
-    and a BFS over the child rows from the root gives the tree check.
+    and a spread over the child rows from the root gives the tree check.
     """
     root = branching.root
     if not g.is_vertex(root):
         return f"root {root} outside the spanned set"
+    n, rows = g.n, g.out_masks
     out = branching.kind == "out"
     parented = 0
-    children = [0] * g.n
+    children = [0] * n
     for arc in branching.arcs:
-        if not g.is_arc(arc):
+        a, b = arc if len(arc) == 2 else (None, None)
+        vertices = type(a) is type(b) is int and 0 <= a < n and 0 <= b < n
+        if not (vertices and rows[a] >> b & 1):
             return f"arc ({','.join(map(str, arc))}) not in the digraph"
-        parent, child = arc if out else arc[::-1]
+        parent, child = (a, b) if out else (b, a)
         if child == root:
             return f"root {root} has a parent arc"
         if parented >> child & 1:
@@ -88,16 +87,9 @@ def branching_violation(g: Digraph, branching: Branching) -> str | None:
     missing = span & ~parented & ~(1 << root)
     if missing:
         return f"vertices {list(bits(missing))} not covered"
-    # every vertex but the root has one parent, so the BFS meets each
+    # every vertex but the root has one parent, so the spread meets each
     # vertex at most once and covers the span only along a tree
-    reached = frontier = 1 << root
-    while frontier:
-        new = 0
-        for x in bits(frontier):
-            new |= children[x]
-        reached |= new
-        frontier = new
-    if reached != span:
+    if _spread(children, 1 << root, span) != span:
         return "parent arcs do not form a tree reaching the root"
     return None
 
@@ -129,35 +121,56 @@ def _bfs(
     root: int,
     kind: str = "out",
     within: int | None = None,
-    banned=None,
-) -> tuple[int, set[Arc], list[int]]:
-    """BFS tree at root: (covered mask, tree arcs, `upto` masks).
+    ban: list[int] | None = None,
+) -> tuple[int, list[int], list[int]]:
+    """BFS tree at root: (covered mask, parent row, `upto` masks).
 
+    `parent[y]` is y's tree neighbour, -1 at the root and off the tree:
+    the tree arc is (parent[y], y) in an out-tree and (y, parent[y]) in
+    an in-tree (`_tree_arcs`).  `ban` holds one mask per row the search
+    reads (out-rows for "out", in-rows for "in"): x's row loses ban[x].
     `upto[y]` holds the covered vertices no deeper than y, 0 where y is
     not covered.  See `_may_cut` for what the depths are good for.
     """
     within = g.full_mask if within is None else within
-    banned = banned or ()
     rows = g.out_masks if kind == "out" else g.in_masks
+    ban = ban or [0] * g.n
     seen = 1 << root
+    parent = [-1] * g.n
     upto = [0] * g.n
     upto[root] = seen
     frontier = [root]
-    arcs: set[Arc] = set()
     while frontier:
         nxt = []
         for x in frontier:
-            for y in bits(rows[x] & within & ~seen):
-                arc = (x, y) if kind == "out" else (y, x)
-                if arc in banned:
-                    continue
-                seen |= 1 << y
-                arcs.add(arc)
+            new = rows[x] & within & ~seen & ~ban[x]
+            seen |= new
+            while new:
+                low = new & -new
+                y = low.bit_length() - 1
+                parent[y] = x
                 nxt.append(y)
+                new ^= low
         for y in nxt:
             upto[y] = seen
         frontier = nxt
-    return seen, arcs, upto
+    return seen, parent, upto
+
+
+def _tree_arcs(parent: list[int], kind: str = "out") -> list[Arc]:
+    """The arcs of a `_bfs` parent row, in the order of their far ends."""
+    if kind == "out":
+        return [(x, y) for y, x in enumerate(parent) if x >= 0]
+    return [(y, x) for y, x in enumerate(parent) if x >= 0]
+
+
+def _ban_rows(g: Digraph, kind: str, banned) -> list[int]:
+    """`_bfs` ban masks that keep a set of arcs of g out of its search."""
+    ban = [0] * g.n
+    for a, b in banned or ():
+        x, y = (a, b) if kind == "out" else (b, a)
+        ban[x] |= 1 << y
+    return ban
 
 
 def _may_cut(g: Digraph, kind: str, upto: list[int], arc: Arc) -> bool:
@@ -169,13 +182,36 @@ def _may_cut(g: Digraph, kind: str, upto: list[int], arc: Arc) -> bool:
     a w visits only vertices no deeper than w and does not end at y, so
     it avoids the arc, and w -> y reaches y again, and with it all of
     y's subtree.  An in-tree is the mirror image, on the arc's tail.
-    The test reads g's rows, so for a tree searched with banned arcs it
+    The test reads g's rows, so for a tree searched with a `ban` it
     holds only where no banned arc meets the arc's far end.
     """
     x, y = arc
     if kind == "out":
         return not g.in_masks[y] & upto[y] & ~(1 << x)
     return not g.out_masks[x] & upto[x] & ~(1 << y)
+
+
+def first_cut(g: Digraph, root: int, kind: str = "out", skip=()) -> Arc | None:
+    """First arc of g, in sorted order and not in `skip`, whose removal
+    leaves a vertex unreached from root (out) or unable to reach it (in).
+
+    The root must cover g.  Only a BFS tree arc that passes the level
+    test (`_may_cut`) can cut; each is tested by one search with its bit
+    cleared in a copy of the rows the search reads.
+    """
+    full = g.full_mask
+    _, parent, upto = _bfs(g, root, kind)
+    rows = (g.out_masks if kind == "out" else g.in_masks)[:]
+    for arc in sorted(_tree_arcs(parent, kind)):
+        if arc in skip or not _may_cut(g, kind, upto, arc):
+            continue
+        x, y = arc if kind == "out" else arc[::-1]
+        rows[x] ^= 1 << y
+        cut = _spread(rows, 1 << root, full) != full
+        rows[x] ^= 1 << y
+        if cut:
+            return arc
+    return None
 
 
 def is_two_arc_strong(g: Digraph) -> bool:
@@ -185,32 +221,15 @@ def is_two_arc_strong(g: Digraph) -> bool:
     an arc of a BFS in-tree at 0 can cut a vertex from 0, so a strong
     bridge is a tree arc that passes the level test and whose removal
     shrinks what its tree covers (the strong-bridge view of Italiano,
-    Laura and Santaroni).  `digraph.is_k_arc_strong` is the flow-based
-    general test.
+    Laura and Santaroni), which `first_cut` finds.
+    `digraph.is_k_arc_strong` is the flow-based general test.
     """
     if g.n < 2:
         raise InvalidInput("is_two_arc_strong needs n >= 2")
     full = g.full_mask
-    for kind, reach in (("out", reach_mask), ("in", coreach_mask)):
-        seen, arcs, upto = _bfs(g, 0, kind)
-        if seen != full:
+    for kind, span in (("out", reach_mask), ("in", coreach_mask)):
+        if span(g, 1) != full or first_cut(g, 0, kind) is not None:
             return False
-        # h shares g's rows except a copy of the ones this side's search
-        # reads; a tested arc is cleared there for one search, then restored
-        if kind == "out":
-            rows = g.out_masks[:]
-            h = Digraph.from_rows(rows, g.in_masks)
-        else:
-            rows = g.in_masks[:]
-            h = Digraph.from_rows(g.out_masks, rows)
-        for x, y in arcs:
-            if _may_cut(g, kind, upto, (x, y)):
-                row, bit = (x, 1 << y) if kind == "out" else (y, 1 << x)
-                rows[row] ^= bit
-                cut = reach(h, 1) != full
-                rows[row] ^= bit
-                if cut:
-                    return False
     return True
 
 
@@ -226,8 +245,8 @@ def reach_tree(
     An arc off this tree cannot cut the root from any covered vertex:
     the tree still reaches it once that arc is gone.
     """
-    seen, arcs, _ = _bfs(g, root, kind, within, banned)
-    return seen, arcs
+    seen, parent, _ = _bfs(g, root, kind, within, _ban_rows(g, kind, banned))
+    return seen, set(_tree_arcs(parent, kind))
 
 
 def find_branching(
@@ -237,34 +256,27 @@ def find_branching(
     within: int | None = None,
     banned=None,
 ) -> Branching | None:
-    """BFS spanning branching, or None when the root does not cover `within`."""
-    seen, arcs = reach_tree(g, root, kind, within, banned)
+    """BFS spanning branching avoiding the `banned` arcs, or None when
+    the root does not cover `within` without them.  Its arcs are those
+    of `_bfs`'s parent row, built only once the tree spans."""
+    seen, parent, _ = _bfs(g, root, kind, within, _ban_rows(g, kind, banned))
     if seen != (g.full_mask if within is None else within):
         return None
-    return Branching(root=root, arcs=tuple(arcs), kind=kind)
+    return Branching(root=root, arcs=tuple(_tree_arcs(parent, kind)), kind=kind)
 
 
-def _extract_path(g: Digraph, y: int, b: int, banned: set[Arc]) -> list[int]:
-    parents: dict[int, int] = {}
-    seen = 1 << y
-    frontier = [y]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for w in bits(g.out_masks[x] & ~seen):
-                if (x, w) in banned:
-                    continue
-                parents[w] = x
-                seen |= 1 << w
-                nxt.append(w)
-        frontier = nxt
-    if not (seen >> b & 1):
-        raise InternalInconsistency(f"no residual path {y} -> {b}")
+def _extract_path(
+    g: Digraph, y: int, b: int, banned=None, within: int | None = None
+) -> list[int]:
+    """Shortest vertex path y -> b in g less `banned`, inside `within`,
+    taken from the BFS out-tree at y; InternalInconsistency if none."""
+    seen, parent, _ = _bfs(g, y, "out", within, _ban_rows(g, "out", banned))
+    if not seen >> b & 1:
+        raise InternalInconsistency(f"no path {y} -> {b}")
     path = [b]
     while path[-1] != y:
-        path.append(parents[path[-1]])
-    path.reverse()
-    return path
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def path_arcs(path: list[int]) -> list[Arc]:

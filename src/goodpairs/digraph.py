@@ -175,41 +175,23 @@ def _spread(rows: list[int], start: int, allowed: int) -> int:
 def reach_mask(g: Digraph, start: int, within: int | None = None, banned=None) -> int:
     """Vertices reachable from the start set (a mask), along allowed arcs."""
     allowed = g.full_mask if within is None else within
-    if not banned:
-        return _spread(g.out_masks, start & allowed, allowed)
-    seen = start & allowed
-    frontier = seen
-    while frontier:
-        new = 0
-        for v in bits(frontier):
-            row = g.out_masks[v] & allowed & ~seen
-            for w in bits(row):
-                if (v, w) in banned:
-                    row &= ~(1 << w)
-            new |= row
-        seen |= new
-        frontier = new
-    return seen
+    rows = g.out_masks
+    if banned:
+        rows = rows[:]
+        for a, b in banned:
+            rows[a] &= ~(1 << b)
+    return _spread(rows, start & allowed, allowed)
 
 
 def coreach_mask(g: Digraph, start: int, within: int | None = None, banned=None) -> int:
     """Vertices that can reach the start set (a mask), along allowed arcs."""
     allowed = g.full_mask if within is None else within
-    if not banned:
-        return _spread(g.in_masks, start & allowed, allowed)
-    seen = start & allowed
-    frontier = seen
-    while frontier:
-        new = 0
-        for v in bits(frontier):
-            row = g.in_masks[v] & allowed & ~seen
-            for w in bits(row):
-                if (w, v) in banned:
-                    row &= ~(1 << w)
-            new |= row
-        seen |= new
-        frontier = new
-    return seen
+    rows = g.in_masks
+    if banned:
+        rows = rows[:]
+        for a, b in banned:
+            rows[b] &= ~(1 << a)
+    return _spread(rows, start & allowed, allowed)
 
 
 @dataclass

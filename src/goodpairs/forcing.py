@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
+from .branchings import first_cut
 from .digraph import Arc, Digraph, bits, coreach_mask, reach_mask
 from .errors import InvalidInput
 
@@ -92,8 +93,21 @@ class _State:
         return [arc for arc in arcs if self.usable(side, arc)]
 
     def usable_digraph(self, g: Digraph, side: int) -> Digraph:
-        """The arcs one side may still use, as a digraph of their own."""
-        return Digraph(g.n, [arc for arc in g.arcs() if self.usable(side, arc)])
+        """The arcs one side may still use, as a digraph of their own:
+        g less the arcs `usable` refuses, the other side's pins, the arcs
+        at a pinned key other than its pin, and the arcs (key, x) whose
+        key lies on x's pin chain."""
+        pins = self.pins[side]
+        key_rows = g.in_masks if side == 0 else g.out_masks
+        refused = list(self.arcs[1 - side])
+        for key, pin in pins.items():
+            others = key_rows[key] & ~(1 << pin)
+            refused += [_ends(side, (key, x)) for x in bits(others)]
+        for x in pins:
+            key = x
+            while (key := pins.get(key)) is not None:
+                refused.append(_ends(side, (key, x)))
+        return g.without_arcs(refused)
 
     def pin(self, side: int, arc: Arc) -> None:
         key, other = _ends(side, arc)
@@ -131,20 +145,16 @@ def force_trace(g: Digraph, u: int, v: int) -> tuple[str, tuple[Step, ...]]:
 
     def cuts(side: int) -> str | None:
         s = _SIDES[side]
-        start = 1 << roots[side]
         h = state.usable_digraph(g, side)
-        seen = s.span(h, start)
+        seen = s.span(h, 1 << roots[side])
         if seen != g.full_mask:
             missing = (g.full_mask & ~seen).bit_length() - 1
             trace.append((s.name, SEVERED, missing, -1))
             return "blocked"
-        for arc in h.arcs():
-            if arc in state.arcs[side]:
-                continue
-            if s.span(h, start, banned={arc}) != g.full_mask:
-                state.pin(side, arc)
-                trace.append((s.name, s.cut, *arc))
-                return None
+        arc = first_cut(h, roots[side], s.name, skip=state.arcs[side])
+        if arc is not None:
+            state.pin(side, arc)
+            trace.append((s.name, s.cut, *arc))
         return None
 
     while True:

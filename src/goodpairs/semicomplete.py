@@ -26,7 +26,9 @@ from .branchings import (
     Branching,
     BranchingPair,
     _bfs,
+    _extract_path,
     _may_cut,
+    _tree_arcs,
     find_branching,
     path_arcs,
     search_good_pair,
@@ -35,6 +37,7 @@ from .branchings import (
 from .digraph import (
     Arc,
     Digraph,
+    _spread,
     bits,
     coreach_mask,
     mask_of,
@@ -96,58 +99,68 @@ def trivial_pair(u: int) -> BranchingPair:
 
 
 def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
-    """Deterministic greedy attempts; every hit is verified by the caller."""
+    """Deterministic greedy attempts; every hit is verified by the caller.
+
+    The trees are `_bfs` parent rows, and `succ[x]` is x's successor in
+    v's in-tree: (x, y) is one of its arcs exactly when succ[x] == y.
+    """
     full = g.full_mask
-    # in-branching first, then out-branching in the leftover arcs; then the
-    # same with the roles swapped
-    spanned, in_tree, upto = _bfs(g, v, "in")
-    if spanned == full:
-        out = find_branching(g, u, "out", banned=in_tree)
-        if out is not None:
-            return BranchingPair(out, Branching(v, tuple(in_tree), "in"))
-    out_first = find_branching(g, u, "out")
-    if out_first is not None:
-        inn = find_branching(g, v, "in", banned=out_first.arc_set)
-        if inn is not None:
-            return BranchingPair(out_first, inn)
+    # v's in-branching first, then u's out-branching without its arcs
+    # (ban[x] is succ[x]'s bit); then the same with the roles swapped
+    spanned, succ, upto = _bfs(g, v, "in")
+    if spanned != full:
+        return None
+    covered, parent, _ = _bfs(g, u, ban=[1 << s if s >= 0 else 0 for s in succ])
+    inn = succ
+    if covered != full:
+        covered, parent, _ = _bfs(g, u)
+        if covered == full:
+            ban = [1 << p if p >= 0 else 0 for p in parent]
+            covered, inn, _ = _bfs(g, v, "in", ban=ban)
+    if covered == full:
+        return BranchingPair(
+            Branching(u, tuple(_tree_arcs(parent)), "out"),
+            Branching(v, tuple(_tree_arcs(inn, "in")), "in"),
+        )
     # guarded growth on the residual rows (g less the chosen arcs): accept
     # a frontier arc only while every vertex still reaches v without it.
     # Only an arc of v's BFS in-tree that passes the level test can cut a
-    # vertex from v, so only such an arc is tested, by one coreach with
-    # its bit cleared, and the tree is rebuilt only when one of its arcs
-    # is taken (an off-tree arc leaves it, depths included, unchanged).
-    # The kept tree, the first attempt's at the start, spans throughout
-    # and is the in-branching.
-    if spanned != full:
-        return None
-    res = Digraph.from_rows(g.out_masks[:], g.in_masks[:])
+    # vertex from v, and x has one tree arc, so x's lowest frontier arc is
+    # taken unless it is that arc and cuts (one coreach with its bit
+    # cleared); then the next one is.  The tree is rebuilt only when one
+    # of its arcs is taken (an off-tree arc leaves it, depths included,
+    # unchanged); it spans throughout and is the in-branching.
+    out_rows, in_rows = g.out_masks[:], g.in_masks[:]
+    res = Digraph.from_rows(out_rows, in_rows)
     tree = 1 << u
     arcs: list[Arc] = []
     while tree != full:
-        picked = None
         for x in bits(tree):
-            for y in bits(res.out_masks[x] & ~tree):
-                if (x, y) in in_tree and _may_cut(res, "in", upto, (x, y)):
-                    res.in_masks[y] ^= 1 << x
-                    cut = coreach_mask(res, 1 << v) != full
-                    res.in_masks[y] ^= 1 << x
-                    if cut:
+            cand = out_rows[x] & ~tree
+            if not cand:
+                continue
+            y = (cand & -cand).bit_length() - 1
+            if succ[x] == y and not out_rows[x] & upto[x] & ~(1 << y):
+                in_rows[y] ^= 1 << x
+                cut = _spread(in_rows, 1 << v, full) != full
+                in_rows[y] ^= 1 << x
+                if cut:
+                    cand ^= 1 << y
+                    if not cand:
                         continue
-                picked = (x, y)
-                break
-            if picked:
-                break
-        if picked is None:
+                    y = (cand & -cand).bit_length() - 1
+            break
+        else:
             return None
-        x, y = picked
-        res.out_masks[x] ^= 1 << y
-        res.in_masks[y] ^= 1 << x
-        arcs.append(picked)
+        out_rows[x] ^= 1 << y
+        in_rows[y] ^= 1 << x
+        arcs.append((x, y))
         tree |= 1 << y
-        if picked in in_tree:
-            _, in_tree, upto = _bfs(res, v, "in")
+        if succ[x] == y:
+            _, succ, upto = _bfs(res, v, "in")
     return BranchingPair(
-        Branching(u, tuple(arcs), "out"), Branching(v, tuple(in_tree), "in")
+        Branching(u, tuple(arcs), "out"),
+        Branching(v, tuple(_tree_arcs(succ, "in")), "in"),
     )
 
 
@@ -180,19 +193,24 @@ def _obstruction_arc(g: Digraph, u: int, v: int) -> Arc | None:
     spanning out-branching at u cannot cut reach from u, nor one outside a
     spanning in-branching at v reach to v, so only the (at most n-1) arcs
     of both BFS trees are tested, in sorted order, and of those only the
-    ones that pass the level test (`branchings._may_cut`) on both trees.
+    ones that pass the level test (`branchings._may_cut`) on both trees,
+    with the arc's bit cleared in copies of the rows.
     """
     full = g.full_mask
-    _, out_arcs, out_upto = _bfs(g, u)
-    _, in_arcs, in_upto = _bfs(g, v, "in")
-    for e in sorted(out_arcs & in_arcs):
-        banned = {e}
-        if (
-            _may_cut(g, "out", out_upto, e)
-            and _may_cut(g, "in", in_upto, e)
-            and reach_mask(g, 1 << u, banned=banned) != full
-            and coreach_mask(g, 1 << v, banned=banned) != full
-        ):
+    _, parent, out_upto = _bfs(g, u)
+    _, succ, in_upto = _bfs(g, v, "in")
+    h = Digraph.from_rows(g.out_masks[:], g.in_masks[:])
+    common = [(x, y) for y, x in enumerate(parent) if x >= 0 and succ[x] == y]
+    for x, y in sorted(common):
+        e = (x, y)
+        if not (_may_cut(g, "out", out_upto, e) and _may_cut(g, "in", in_upto, e)):
+            continue
+        h.out_masks[x] ^= 1 << y
+        h.in_masks[y] ^= 1 << x
+        cut = reach_mask(h, 1 << u) != full and coreach_mask(h, 1 << v) != full
+        h.out_masks[x] ^= 1 << y
+        h.in_masks[y] ^= 1 << x
+        if cut:
             return e
     return None
 
@@ -230,30 +248,6 @@ def decide_semicomplete(g: Digraph, u: int, v: int) -> Verdict:
     return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
 
 
-def _level_path(g: Digraph, level: int, src: int, dst: int) -> list[int]:
-    """Shortest vertex path src -> dst inside one level."""
-    if src == dst:
-        return [src]
-    parents: dict[int, int] = {}
-    seen = 1 << src
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for w in bits(g.out_masks[x] & level & ~seen):
-                parents[w] = x
-                seen |= 1 << w
-                if w == dst:
-                    path = [dst]
-                    while path[-1] != src:
-                        path.append(parents[path[-1]])
-                    path.reverse()
-                    return path
-                nxt.append(w)
-        frontier = nxt
-    raise InternalInconsistency(f"no path {src} -> {dst} inside a level")
-
-
 class _RecipeFailed(Exception):
     """Internal: a structured construction hit an unmodelled corner."""
 
@@ -279,7 +273,7 @@ def _spine(
             gap = i - prev_num
             if gap == 2:
                 level = w.sets[w.level_of(prev_y)]
-                path = _level_path(g, level, prev_y, x)
+                path = _extract_path(g, prev_y, x, within=level)
                 arcs.extend(path_arcs(path))
                 visited.extend(path[1:])
             elif gap == 1:
@@ -337,7 +331,7 @@ def _almost_pair_a(g: Digraph, w: TypeABWitness, r: int) -> BranchingPair:
     if r == last and w.b not in covered_plus:
         # the in-side ends with an upward hop into b, so the out-side must
         # reach b inside its level instead of fanning from the chain foot
-        path = _level_path(g, w.sets[1], pre_y, w.b)
+        path = _extract_path(g, pre_y, w.b, within=w.sets[1])
         plus_arcs.extend(path_arcs(path))
         covered_plus.update(path)
     for z in bits(g.full_mask & ~mask_of(covered_plus)):
@@ -356,13 +350,13 @@ def _almost_pair_a(g: Digraph, w: TypeABWitness, r: int) -> BranchingPair:
             covered_minus.add(w.b)
     else:
         tail_y = w.backward_arcs[minus_nums[-1] - 1][1]
-        path = _level_path(g, w.sets[1], tail_y, w.b)
+        path = _extract_path(g, tail_y, w.b, within=w.sets[1])
         minus_arcs.extend(path_arcs(path))
         covered_minus.update(path)
     if w.a not in covered_minus and r == 1:
         # the out-side starts with a -> x_1, so route a inside its level
         x2 = w.backward_arcs[1][0]
-        path = _level_path(g, w.sets[w.level_of(w.a)], w.a, x2)
+        path = _extract_path(g, w.a, x2, within=w.sets[w.level_of(w.a)])
         minus_arcs.extend(path_arcs(path))
         covered_minus.update(path)
     if last_y not in covered_minus and r != 1:

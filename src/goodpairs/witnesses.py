@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .branchings import _bfs, _may_cut
+from .branchings import _ban_rows, _bfs, _may_cut
 from .composition import Composition, is_semicomplete
 from .digraph import (
     Arc,
@@ -288,11 +288,12 @@ def _opens(g: Digraph, u: int, crossing: Arc | None = None) -> list[Arc]:
     crossing's head is kept untested, as the test would count the
     crossing's tail as such a neighbour.
     """
-    reached, tree_arcs, upto = _bfs(g, u, banned={crossing} if crossing else None)
+    reached, parent, upto = _bfs(g, u, ban=_ban_rows(g, "out", crossing and [crossing]))
     missed = g.full_mask & ~reached
     opens = [(x, y) for y in bits(missed) for x in bits(g.in_masks[y])]
-    for x, y in tree_arcs:
-        if (crossing and crossing[1] == y) or _may_cut(g, "out", upto, (x, y)):
+    head = crossing[1] if crossing else -1
+    for y, x in enumerate(parent):
+        if x >= 0 and (y == head or _may_cut(g, "out", upto, (x, y))):
             opens.append((x, y))
     opens.sort()
     return opens

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from goodpairs.branchings import (
     Branching,
     BranchingPair,
+    _ban_rows,
     _bfs,
     _may_cut,
+    _tree_arcs,
     branching_avoiding_path,
     branching_violation,
     find_branching,
@@ -245,6 +247,64 @@ def test_two_arc_strong_matches_the_flow_test():
     assert answers[True] > 200 and answers[False] > 600 and strong_not_two > 400
 
 
+def reference_bfs(g, root, kind="out", within=None, banned=None):
+    """The arc-set BFS the parent-row `_bfs` replaced: (covered mask,
+    tree arcs, `upto` masks), skipping the arcs of the `banned` set."""
+    within = g.full_mask if within is None else within
+    banned = banned or ()
+    rows = g.out_masks if kind == "out" else g.in_masks
+    seen = 1 << root
+    upto = [0] * g.n
+    upto[root] = seen
+    frontier = [root]
+    arcs = set()
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in bits(rows[x] & within & ~seen):
+                arc = (x, y) if kind == "out" else (y, x)
+                if arc in banned:
+                    continue
+                seen |= 1 << y
+                arcs.add(arc)
+                nxt.append(y)
+        for y in nxt:
+            upto[y] = seen
+        frontier = nxt
+    return seen, arcs, upto
+
+
+def test_parent_row_bfs_matches_the_arc_set_reference():
+    # every root and kind, with no ban, one banned arc, a random arc set
+    # and a random `within`; the tree must be the reference's, arc for
+    # arc, with the same depths, and find_branching must agree with it
+    rng = random.Random("parent-rows")
+    trees = banned_trees = 0
+    for g in _cut_test_inputs():
+        arcs = g.arcs()
+        for root in range(g.n):
+            for kind in ("out", "in"):
+                bans = [set(), set(rng.sample(arcs, min(1, g.m)))]
+                bans.append(set(rng.sample(arcs, rng.randint(0, g.m))))
+                within = rng.getrandbits(g.n) | 1 << root
+                for banned in bans:
+                    for w in (None, within):
+                        want = reference_bfs(g, root, kind, w, banned)
+                        ban = _ban_rows(g, kind, banned)
+                        covered, parent, upto = _bfs(g, root, kind, w, ban)
+                        got = covered, set(_tree_arcs(parent, kind)), upto
+                        assert got == want, (g, root, kind, w, banned)
+                        assert parent[root] == -1
+                        spans = covered == (g.full_mask if w is None else w)
+                        b = find_branching(g, root, kind, w, banned)
+                        assert (b is not None) == spans
+                        if b is not None:
+                            assert b.arc_set == want[1]
+                        trees += 1
+                        banned_trees += bool(banned) and spans
+    assert trees > 7000 and banned_trees > 1500
+
+
 def test_level_test_passes_over_only_arcs_that_cut_nothing():
     # every root, out- and in-trees, with no banned arc and with one; a
     # tree arc that fails the level test must leave its far end (and so
@@ -257,9 +317,10 @@ def test_level_test_passes_over_only_arcs_that_cut_nothing():
                 far = 1 if kind == "out" else 0
                 one_arc = [{a} for a in rng.sample(g.arcs(), min(2, g.m))]
                 for banned in [set()] + one_arc:
-                    covered, tree, upto = _bfs(g, root, kind, banned=banned)
+                    ban = _ban_rows(g, kind, banned)
+                    covered, parent, upto = _bfs(g, root, kind, ban=ban)
                     assert span(g, 1 << root, banned=banned) == covered
-                    for arc in tree:
+                    for arc in _tree_arcs(parent, kind):
                         # the test reads g's rows, so where a banned arc
                         # meets the far end the callers do not apply it
                         meets = any(b[far] == arc[far] for b in banned)
@@ -305,7 +366,8 @@ def reference_branching_violation(g, branching):
 def _mutated_branchings(rng, g, b):
     """The branching b of g, then copies with one fault each: a dropped
     arc, a second parent, a floating cycle, a parent arc into the root,
-    a non-arc, bool or out-of-range vertices, and random swaps."""
+    a non-arc, bool, negative or out-of-range vertices, an arc of length
+    other than 2, and random swaps."""
     arcs = list(b.arcs)
     out = b.kind == "out"
 
@@ -334,13 +396,20 @@ def _mutated_branchings(rng, g, b):
     non_arcs = [(x, y) for x in range(g.n) for y in range(g.n) if not g.has_arc(x, y)]
     for arc in rng.sample(non_arcs, min(2, len(non_arcs))):
         yield variant(arcs + [arc])
-    for bad in (True, False, -1, g.n):
+    for bad in (True, False, -1, -g.n - 1, g.n, g.n + 5):
         yield variant(arcs, root=bad)
         if arcs:
             i = rng.randrange(len(arcs))
             x, y = arcs[i]
             yield variant(arcs[:i] + [(bad, y)] + arcs[i + 1 :])
             yield variant(arcs[:i] + [(x, bad)] + arcs[i + 1 :])
+            yield variant(arcs[:i] + [(bad, bad)] + arcs[i + 1 :])
+    if arcs:
+        # arcs of length other than 2, in place of a tree arc
+        i = rng.randrange(len(arcs))
+        x, y = arcs[i]
+        for wrong in ((), (x,), (x, y, y), (x, y, 0, 1)):
+            yield variant(arcs[:i] + [wrong] + arcs[i + 1 :])
     for _ in range(3):
         swapped = rng.sample(arcs, max(0, len(arcs) - 2))
         yield variant(swapped + rng.sample(g.arcs(), min(2, g.m)))

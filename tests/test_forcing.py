@@ -7,7 +7,8 @@ from goodpairs.families import (
     random_composition,
     random_two_arc_strong_semicomplete,
 )
-from goodpairs.forcing import force_trace, replay
+from goodpairs.branchings import first_cut
+from goodpairs.forcing import _State, force_trace, replay
 
 
 def blocked_instance():
@@ -340,3 +341,55 @@ def test_one_sided_rules_agree_with_the_two_sided_reference():
                 queries += 1
                 forged += len(variants) - 1
     assert queries == 1354 and forged > 4000
+
+
+def _full_cut_scan(h, side, root, pinned):
+    """The cut scan `forcing.cuts` ran before the tree scan: every arc of
+    h in order, skipping the pinned ones, one span with it banned each."""
+    span = reach_mask if side == 0 else coreach_mask
+    for arc in h.arcs():
+        if arc not in pinned and span(h, 1 << root, banned={arc}) != h.full_mask:
+            return arc
+    return None
+
+
+def _pinned_states(rng, g):
+    """Forcing states on g, pinned one random usable arc on a random side
+    at a time, as the rules pin them; the state is shared between yields."""
+    state = _State()
+    yield state
+    for _ in range(rng.randint(1, g.n)):
+        side = rng.randrange(2)
+        arcs = [a for a in g.arcs() if state.usable(side, a)]
+        if not arcs:
+            return
+        state.pin(side, rng.choice(arcs))
+        yield state
+
+
+def test_tree_cut_scan_matches_the_full_scan_on_usable_digraphs():
+    # usable digraphs of random pin states on flattened compositions and
+    # random digraphs, every root that spans one; the rows must hold the
+    # arcs `usable` admits, and the scan must find the full scan's arc
+    rng = random.Random("cut-scan")
+    graphs = [random_composition(seed).flatten() for seed in range(80)]
+    for n in range(3, 13):
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for p in (0.3, 0.5, 0.8):
+            graphs.append(Digraph(n, [ab for ab in pairs if rng.random() < p]))
+    scans = cuts = 0
+    for g in graphs:
+        for state in _pinned_states(rng, g):
+            for side, kind, span in ((0, "out", reach_mask), (1, "in", coreach_mask)):
+                h = state.usable_digraph(g, side)
+                want = Digraph(g.n, [a for a in g.arcs() if state.usable(side, a)])
+                assert (h.out_masks, h.in_masks) == (want.out_masks, want.in_masks)
+                for root in range(g.n):
+                    if span(h, 1 << root) != g.full_mask:
+                        continue
+                    pinned = state.arcs[side]
+                    found = _full_cut_scan(h, side, root, pinned)
+                    assert first_cut(h, root, kind, skip=pinned) == found, (g, root)
+                    scans += 1
+                    cuts += found is not None
+    assert scans > 4000 and cuts > 1500

@@ -39,6 +39,7 @@ from goodpairs.semicomplete import (
 )
 from goodpairs.verdicts import validate_verdict
 from goodpairs.witnesses import iter_type_a, iter_type_b
+from test_branchings import _two_arc_strong_inputs, reference_bfs
 from test_large_inputs import fixture_a
 from test_witnesses import level_test_inputs
 
@@ -400,6 +401,81 @@ def _try_construct_pair_by_sets(g, u, v):
     if inn is None:
         return None, True
     return BranchingPair(Branching(u, tuple(arcs), "out"), inn), True
+
+
+def _reference_find_branching(g, root, kind, banned=None):
+    seen, arcs, _ = reference_bfs(g, root, kind, banned=banned)
+    return Branching(root, tuple(arcs), kind) if seen == g.full_mask else None
+
+
+def reference_try_construct_pair(g, u, v):
+    """`try_construct_pair` on arc sets, as it was before the parent rows:
+    the trees are `reference_bfs` arc sets, the first attempt bans the
+    in-tree's set, and the growth tests tree membership by set lookup."""
+    full = g.full_mask
+    spanned, in_tree, upto = reference_bfs(g, v, "in")
+    if spanned == full:
+        out = _reference_find_branching(g, u, "out", banned=in_tree)
+        if out is not None:
+            return BranchingPair(out, Branching(v, tuple(in_tree), "in"))
+    out_first = _reference_find_branching(g, u, "out")
+    if out_first is not None:
+        inn = _reference_find_branching(g, v, "in", banned=out_first.arc_set)
+        if inn is not None:
+            return BranchingPair(out_first, inn)
+    if spanned != full:
+        return None
+    res = Digraph.from_rows(g.out_masks[:], g.in_masks[:])
+    tree = 1 << u
+    arcs = []
+    while tree != full:
+        picked = None
+        for x in bits(tree):
+            for y in bits(res.out_masks[x] & ~tree):
+                if (x, y) in in_tree and branchings._may_cut(res, "in", upto, (x, y)):
+                    res.in_masks[y] ^= 1 << x
+                    cut = coreach_mask(res, 1 << v) != full
+                    res.in_masks[y] ^= 1 << x
+                    if cut:
+                        continue
+                picked = (x, y)
+                break
+            if picked:
+                break
+        if picked is None:
+            return None
+        x, y = picked
+        res.out_masks[x] ^= 1 << y
+        res.in_masks[y] ^= 1 << x
+        arcs.append(picked)
+        tree |= 1 << y
+        if picked in in_tree:
+            _, in_tree, upto = reference_bfs(res, v, "in")
+    return BranchingPair(
+        Branching(u, tuple(arcs), "out"), Branching(v, tuple(in_tree), "in")
+    )
+
+
+def test_parent_row_greedy_matches_the_arc_set_reference():
+    # every root pair of random semicomplete digraphs, strong or not, and
+    # of the 2-arc-strong test's inputs (dense and sparse digraphs with
+    # and without 2-cycles, flattened compositions)
+    rng = random.Random("parent-row-greedy")
+    graphs = []
+    for n in range(3, 21):
+        graphs += [random_strong_semicomplete(rng, n, p) for p in (0.0, 0.25)]
+        graphs.append(random_semicomplete(rng, n, 0.1))
+        if n >= 4:
+            graphs.append(_near_transitive_tournament(rng, n))
+    graphs += _two_arc_strong_inputs()
+    cases = built = 0
+    for g in graphs:
+        for u, v in product(range(g.n), repeat=2):
+            want = reference_try_construct_pair(g, u, v)
+            assert try_construct_pair(g, u, v) == want, (g, u, v)
+            cases += 1
+            built += want is not None
+    assert cases > 75000 and built > 45000
 
 
 def _growth_inputs():
