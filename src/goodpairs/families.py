@@ -407,6 +407,10 @@ def random_semicomplete(rng: random.Random, n: int, two_cycle: float = 0.25):
 
 
 def random_strong_semicomplete(rng: random.Random, n: int, two_cycle: float = 0.25):
+    # a 2-vertex draw without 2-cycles is one arc, never strong; the
+    # check draws nothing, so the rng stream of every other call is kept
+    if n == 2 and two_cycle <= 0:
+        raise ValueError("no strong semicomplete digraph on 2 vertices without 2-cycles")
     while True:
         g = random_semicomplete(rng, n, two_cycle)
         if strong_components(g).is_strong:

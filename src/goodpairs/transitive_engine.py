@@ -4,12 +4,10 @@ A transitive quotient collapses reachability into domination: once the
 out-root reaches every vertex it dominates everything outside its own
 part, and dually everything outside the in-root's part dominates the
 in-root.  That rigidity leaves exactly three flat obstruction shapes on
-top of the generic root-component and degree failures, and it lets a
-small bank of fan and tree templates build the pair for the remaining
-instances.  Every candidate from the bank is verified before it is
-returned; an instance no template fits goes to
-`semicomplete.construct_good_pair`, the greedy and complete search that
-ends every engine.
+top of the generic root-component and degree failures.  Every instance
+that none of them blocks is built by `semicomplete.construct_good_pair`
+on the flat digraph, the greedy and complete search that every class
+ends in, and the pair it returns is verified.
 
 `decide_quasi_transitive` is the front door for flat quasi-transitive
 digraphs: it answers a starved root side from a reach test on the input
@@ -20,7 +18,7 @@ to the original vertex labels.
 
 from __future__ import annotations
 
-from .branchings import Branching, BranchingPair, find_branching, verify_good_pair
+from .branchings import Branching, BranchingPair, verify_good_pair
 from .composition import (
     Composition,
     composition_from_partition,
@@ -75,28 +73,19 @@ def decide_transitive_composition(comp: Composition, u: int, v: int) -> Verdict:
         for side in ("out", "in"):
             if tree_side_violation(flat, u, v, side) is None:
                 return Verdict(yes=False, u=u, v=v, reason=TREE_SIDE, side=side)
-    pair = construct_transitive_pair(comp, flat, u, v)
+    pair = construct_transitive_pair(flat, u, v)
     return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
 
 
 # --- construction ---
 
 
-def construct_transitive_pair(
-    comp: Composition, flat: Digraph, u: int, v: int
-) -> BranchingPair:
+def construct_transitive_pair(flat: Digraph, u: int, v: int) -> BranchingPair:
     """A verified pair for a transitive composition that is not blocked.
 
-    Candidates come from a template bank run on the digraph and on its
-    converse with the roots swapped; an instance the bank misses goes to
-    `semicomplete.construct_good_pair`, the greedy and the complete
-    search every engine ends in.
+    The same greedy and complete search as every other class:
+    `semicomplete.construct_good_pair` on the flat digraph.
     """
-    a_mask = comp.part_mask(comp.part_of(u))
-    b_mask = comp.part_mask(comp.part_of(v))
-    pair = _bank_pair(flat, a_mask, b_mask, u, v)
-    if pair is not None:
-        return pair
     return construct_good_pair(flat, u, v)
 
 
@@ -105,169 +94,6 @@ def _as_pair(u, v, out_arcs, in_arcs) -> BranchingPair:
         Branching(root=u, arcs=tuple(out_arcs), kind="out"),
         Branching(root=v, arcs=tuple(in_arcs), kind="in"),
     )
-
-
-def _bank_pair(flat, a_mask, b_mask, u, v) -> BranchingPair | None:
-    for out_arcs, in_arcs in _proposals(flat, a_mask, b_mask, u, v):
-        pair = _as_pair(u, v, out_arcs, in_arcs)
-        if verify_good_pair(flat, u, v, pair):
-            return pair
-    conv = flat.converse()
-    for out_arcs, in_arcs in _proposals(conv, b_mask, a_mask, v, u):
-        pair = _as_pair(
-            u,
-            v,
-            [(y, x) for x, y in in_arcs],
-            [(y, x) for x, y in out_arcs],
-        )
-        if verify_good_pair(flat, u, v, pair):
-            return pair
-    return None
-
-
-def _first(mask: int, k: int) -> list[int]:
-    picked = []
-    for x in bits(mask):
-        picked.append(x)
-        if len(picked) == k:
-            break
-    return picked
-
-
-def _feed_plans(g, mask, root, kind) -> list[list]:
-    """Ways to cover the root's part minus the root itself.
-
-    Either an internal tree, or a star from one crossing neighbor; the
-    quotient being uniform makes any crossing neighbor of the root a
-    neighbor of the whole part.
-    """
-    others = mask & ~(1 << root)
-    if not others:
-        return [[]]
-    plans = []
-    if kind == "out":
-        for p in _first(g.in_masks[root] & ~mask, 3):
-            plans.append([(p, y) for y in bits(others)])
-        tree = find_branching(g, root, kind="out", within=mask)
-        if tree is not None:
-            plans.append(list(tree.arcs))
-    else:
-        for q in _first(g.out_masks[root] & ~mask, 3):
-            plans.append([(y, q) for y in bits(others)])
-        tree = find_branching(g, root, kind="in", within=mask)
-        if tree is not None:
-            plans.append(list(tree.arcs))
-    return plans
-
-
-def _proposals(g, a_mask, b_mask, u, v):
-    """Candidate (out arcs, in arcs) lists; the caller verifies each.
-
-    Emission is deliberately liberal: a candidate may lean on an arc
-    the instance happens to lack or may close a stray cycle, and the
-    verifier simply moves on to the next one.
-    """
-    full = g.full_mask
-    outside_a = full & ~a_mask
-    outside_b = full & ~b_mask
-    rest = outside_a & outside_b
-
-    def fan(skip=0):
-        return [(u, z) for z in bits(outside_a & ~skip)]
-
-    def star(skip=0):
-        return [(z, v) for z in bits(outside_b & ~skip)]
-
-    if u == v:
-        # Past the reachability prechecks the quotient is complete, so
-        # any outside vertex anchors the root's own part both ways.
-        others = a_mask & ~(1 << u)
-        for z in _first(outside_a, 3):
-            out = fan() + [(z, y) for y in bits(others)]
-            inn = star() + [(y, z) for y in bits(others)]
-            yield out, inn
-        return
-
-    if a_mask == b_mask:
-        yield from _same_part_proposals(g, a_mask, u, v)
-        return
-
-    entry_plans = _feed_plans(g, a_mask, u, "out")
-    exit_plans = _feed_plans(g, b_mask, v, "in")
-    a_others = a_mask & ~(1 << u)
-    b_others = b_mask & ~(1 << v)
-
-    # Fan from u everywhere but v; a helper w hands v its tree arc while
-    # the in-branching routes w through the in-root's part.
-    if b_others:
-        y1 = _first(b_others, 1)[0]
-        for w in _first((rest | a_others) & ~(1 << v), 4):
-            for ep in entry_plans:
-                for xp in exit_plans:
-                    out = fan(skip=1 << v) + ep + [(w, v)]
-                    inn = (
-                        star(skip=(1 << u) | (1 << w))
-                        + [(u, v), (w, y1)]
-                        + xp
-                    )
-                    yield out, inn
-
-    # Keep the arc uv in the out-branching and let a spare vertex s be
-    # fed by someone else while the in-branching uses u -> s.
-    for s in _first(rest, 3):
-        for x in _first(g.in_masks[s] & ~(1 << u), 3):
-            for ep in entry_plans:
-                for xp in exit_plans:
-                    out = (
-                        fan(skip=(1 << v) | (1 << s))
-                        + [(u, v), (x, s)]
-                        + ep
-                    )
-                    inn = star(skip=1 << u) + [(u, s)] + xp
-                    yield out, inn
-
-    # Singleton out-part: u dominates everything, so reroute one target
-    # y through an alternative feeder and exit u via y instead.
-    if a_mask == 1 << u:
-        pool = [v] + _first(full & ~(1 << u) & ~(1 << v), 5)
-        for y in pool:
-            for x in _first(g.in_masks[y] & ~(1 << u), 3):
-                for xp in exit_plans:
-                    out = [
-                        (u, z)
-                        for z in bits(full & ~(1 << u) & ~(1 << y))
-                    ]
-                    out.append((x, y))
-                    inn = star(skip=1 << u) + [(u, y)] + xp
-                    yield out, inn
-
-
-def _same_part_proposals(g, part, u, v):
-    """Both roots in one part: the quotient is complete here, so every
-    outside vertex pairs with the whole part in both directions."""
-    outside = g.full_mask & ~part
-    inner = part & ~(1 << u) & ~(1 << v)
-    zs = _first(outside, 3)
-    for z1 in zs:
-        for z2 in zs:
-            if z2 == z1:
-                continue
-            out = [(u, z) for z in bits(outside & ~(1 << z1))]
-            out += [(v, z1), (z2, v)] + [(z1, y) for y in bits(inner)]
-            inn = [(z, v) for z in bits(outside & ~(1 << z2))]
-            inn += [(z2, z1), (u, z1)] + [(y, z2) for y in bits(inner)]
-            yield out, inn
-    # One-anchor variants for a single outside vertex or thin wiring.
-    for z in zs:
-        for y1 in _first(g.in_masks[v] & inner, 2):
-            out = [(u, z), (y1, v)] + [(z, y) for y in bits(inner)]
-            for exit_ in _first(g.out_masks[u] & (inner | 1 << v), 2):
-                inn = [(u, exit_), (z, v)] + [(y, z) for y in bits(inner)]
-                yield out, inn
-        if g.has_arc(u, v):
-            out = [(u, v), (v, z)] + [(z, y) for y in bits(inner)]
-            inn = [(u, z), (z, v)] + [(y, z) for y in bits(inner)]
-            yield out, inn
 
 
 # --- quasi-transitive front door ---

@@ -152,10 +152,10 @@ VERDICT_DIGESTS = {
     "semicomplete-n4": (11920, "3a365dfe15b43831f94f7ac82d40ce5aba8e42004b6d0e9148bd97f20261cbce"),
     "families": (154, "07fe736381258edeacd24e26f21b66ff7ce7e45e92f3c18dd5fead1c53a52528"),
     "random-composition": (1354, "4d7c91459310a2aa00a2c1e6695b080e97235a7bd6cf00813309b6bb8fea2fc9"),
-    "random-qt": (2940, "1c4a991c85481d3ecdd634eb4b75f05463251b32222b3a89ff21f30fdabb28f4"),
+    "random-qt": (2940, "c77beb5448bca611eb3aefc3b1d7dc8c013aa157dd55a622c0a7490103c94f8b"),
     "all-qt-4": (17424, "aee0ab75885ee88c5f0596169ef7c3148078157552f9c8b0fb3718b5000cce5e"),
     "kind-ab": (685, "e286cc9bfa3629decf6d7b77fa6ccd86a04ce2a3029c454d7229da96885ff550"),
-    "transitive-3-parts": (2048, "c69f939ae1c6aace504ce2b6ba2ee10223a5832cbca0f211df683038ac8fd8b9"),
+    "transitive-3-parts": (2048, "f562e9b8ec20f92186d292d1c6a5100ea2f6a9a7ea048c35b5424e141a193941"),
     "digraphs-3": (1152, "b2007849b2cb4976ca211b5481aaeb4758a09ecd343dcd82c9656f2ec8284df0"),
 }
 

@@ -1,5 +1,9 @@
 """Generator invariants: the test corpus must be what it claims to be."""
 
+import random
+
+import pytest
+
 from goodpairs.composition import is_transitive
 from goodpairs.digraph import Digraph, is_k_arc_strong, strong_components
 from goodpairs.families import (
@@ -13,6 +17,7 @@ from goodpairs.families import (
     near_miss_members,
     random_composition,
     random_quasi_transitive,
+    random_strong_semicomplete,
     random_two_arc_strong_semicomplete,
     random_wide_composition,
 )
@@ -116,6 +121,17 @@ def test_random_generators_are_deterministic():
     ok, _ = is_k_arc_strong(g, 2)
     assert ok and is_semicomplete(g)
     assert random_composition(42) != random_composition(43)
+
+
+def test_strong_semicomplete_refuses_two_vertices_without_two_cycles():
+    # a 2-vertex tournament is never strong, so the draw loop would not end
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        random_strong_semicomplete(rng, 2, 0.0)
+    assert rng.getstate() == state  # the refusal draws nothing
+    g = random_strong_semicomplete(rng, 2, 0.25)
+    assert g.arcs() == [(0, 1), (1, 0)]
 
 
 def test_wide_composition_has_the_promised_slack():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from goodpairs.branchings import search_good_pair, verify_good_pair
 from goodpairs.composition import (
     Composition,
     independent,
@@ -19,6 +20,7 @@ from goodpairs.families import (
     random_quasi_transitive,
 )
 from goodpairs.oracle import oracle_good_pair
+from goodpairs.semicomplete import construct_good_pair, try_construct_pair
 from goodpairs.transitive_engine import (
     condensed_transitive,
     decide_quasi_transitive,
@@ -160,8 +162,31 @@ def test_matches_oracle_on_mixed_samples():
                 ver = decide_transitive_composition(comp, u, v)
                 assert ver.yes == (oracle_good_pair(flat, u, v) is not None)
                 assert validate_verdict(comp, ver) is None
+                if ver.yes:
+                    # one constructor: the pair is the greedy-plus-search one
+                    assert ver.pair == construct_good_pair(flat, u, v)
                 checked += 1
     assert checked > 200
+
+
+@pytest.mark.parametrize(
+    "sink_arcs",
+    [[(1, 2), (2, 0), (2, 1)], [(1, 0), (2, 0), (2, 1)]],
+)
+def test_greedy_miss_is_built_by_the_search(sink_arcs):
+    # u alone in the source part, v in a 3-vertex sink part: the greedy
+    # finds no pair here and the complete search builds it
+    comp = Composition(
+        transitive_tournament(2), (singleton(), Digraph(3, sink_arcs))
+    )
+    flat = comp.flatten()
+    u, v = 0, 1
+    greedy = try_construct_pair(flat, u, v)
+    assert greedy is None or not verify_good_pair(flat, u, v, greedy)
+    ver = decide_transitive_composition(comp, u, v)
+    assert ver.yes and ver.pair == search_good_pair(flat, u, v)
+    assert validate_verdict(comp, ver) is None
+    assert oracle_good_pair(flat, u, v) is not None
 
 
 def test_quasi_transitive_front_door_relabels():
