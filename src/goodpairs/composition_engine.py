@@ -5,11 +5,12 @@ arc-disjoint out-branching rooted at u and in-branching rooted at v,
 or it falls into a short list of blocked shapes: a root with too few
 arcs, one of seven named small families, or a layered quotient witness
 whose designated arcs all keep their blocking power once part sizes
-are taken into account.  decide_composition checks the blocked shapes
-exactly and otherwise builds a verified pair on the flat digraph with
-the semicomplete constructor: its greedy first, then its complete
-search.  The quotient only enters the decision; any verified pair of
-the flat digraph answers YES.
+are taken into account.  decide_composition tries the semicomplete
+greedy on the flat digraph first, right after the degree test: a pair
+that verifies answers YES before any blocked shape is looked for.  Only
+a greedy miss checks the blocked shapes exactly, and a miss that none
+of them blocks is built by the complete search.  The quotient only
+enters the decision; any verified pair of the flat digraph answers YES.
 
 Each family is a predicate on the flat digraph's bitset rows: five say
 which arcs every row must hold and which it may add, and the other two
@@ -197,25 +198,26 @@ def match_known_family(comp: Composition, u: int, v: int):
 
 
 def two_arc_strong_pair(g: Digraph, u: int, v: int) -> BranchingPair:
-    """Good (u, v)-pair in a 2-arc-strong digraph outside the blocked shape."""
-    return semicomplete.construct_good_pair(g, u, v)
+    """Good (u, v)-pair in a 2-arc-strong digraph outside the blocked
+    shapes, once the greedy missed: the verified search pair."""
+    return semicomplete.searched_good_pair(g, u, v)
 
 
 def construct_composition_pair(flat: Digraph, u: int, v: int) -> BranchingPair:
-    """Verified pair on the flat digraph once the decision promised one.
-
-    The greedy of `semicomplete.construct_good_pair` runs first and its
-    complete search finishes what the greedy misses.
+    """Verified pair on the flat digraph once the greedy missed and the
+    decision promised one: the pair of `semicomplete.searched_good_pair`.
     """
-    return semicomplete.construct_good_pair(flat, u, v)
+    return semicomplete.searched_good_pair(flat, u, v)
 
 
 def decide_composition(comp: Composition, u: int, v: int) -> Verdict:
     """Decide a composition with a strong semicomplete quotient.
 
     No-verdicts carry checkable evidence: a starved root degree, the
-    matched family, or a quotient witness with the per-arc blocking
-    conditions.  Yes-verdicts carry a verified branching pair.
+    matched family, a quotient witness with the per-arc blocking
+    conditions, or a forcing trace.  Yes-verdicts carry a verified
+    branching pair: the greedy's, tried right after the degree test,
+    or the search's once every blocked shape is ruled out.
     """
     quotient = comp.quotient
     if comp.s < 2:
@@ -229,6 +231,9 @@ def decide_composition(comp: Composition, u: int, v: int) -> Verdict:
         raise InvalidInput("roots out of range")
     if u != v and (flat.out_degree(u) < 2 or flat.in_degree(v) < 2):
         return Verdict(yes=False, u=u, v=v, reason=DEGREE)
+    pair = semicomplete.greedy_good_pair(flat, u, v)
+    if pair is not None:
+        return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
     hit = match_known_family(comp, u, v)
     if hit is not None:
         family, reversed_ = hit

@@ -3,11 +3,15 @@
 A good (u,v)-pair exists unless one of four obstructions is present: a
 root that does not span, one of six small exceptional digraphs with the
 roots in fixed position, a single arc whose removal starves both roots,
-or a layered kind-A witness with at least five levels.  On YES a pair is
-built greedily, and `branchings.search_good_pair` builds it when the
-greedy misses; `construct_good_pair` verifies whichever it returns.  It
-is the construction tail for every engine: the composition and
-transitive engines call it once their structured recipes fail.
+or a layered kind-A witness with at least five levels.  A pair that
+verifies is a whole YES certificate, so once the roots span, the greedy
+pair of `greedy_good_pair` is tried before any obstruction test and
+answers YES when it verifies.  Only a greedy miss runs the obstruction
+tests, and a miss that none of them blocks is built by the complete
+`branchings.search_good_pair` in `searched_good_pair`.  Every engine
+decides in this order: greedy first, then its own obstructions, then the
+search; `construct_good_pair`, the greedy else the search, is the pair
+each of them answers YES with.
 
 The arc-obstruction scan, the witness enumeration and the greedy's
 guarded growth rest on two BFS-tree facts.  An arc off a BFS tree cannot
@@ -164,18 +168,27 @@ def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
     )
 
 
-def construct_good_pair(g: Digraph, u: int, v: int) -> BranchingPair:
-    """A good (u,v)-pair the caller's decision promised; never a silent miss.
+def greedy_good_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
+    """The greedy pair of `try_construct_pair` when it verifies, else None.
 
-    The greedy pair when it verifies, else the pair of the complete
-    `search_good_pair`, verified too, so callers need not check again.
-    No pair at all, or a search pair that fails verification,
-    contradicts the promise and raises InternalInconsistency; a search
-    past its node budget raises ResourceExceeded.
+    A verified pair is a complete YES certificate, so every engine asks
+    for it before its obstruction tests, and a NO can only follow a miss.
     """
     pair = try_construct_pair(g, u, v)
     if pair is not None and verify_good_pair(g, u, v, pair):
         return pair
+    return None
+
+
+def searched_good_pair(g: Digraph, u: int, v: int) -> BranchingPair:
+    """The complete search's pair once the greedy missed and the decision
+    promised one.
+
+    The pair is verified, so callers need not check again.  No pair at
+    all, or one that fails verification, contradicts the promise and
+    raises InternalInconsistency; a search past its node budget raises
+    ResourceExceeded.
+    """
     pair = search_good_pair(g, u, v)
     if pair is None:
         raise InternalInconsistency(
@@ -183,6 +196,20 @@ def construct_good_pair(g: Digraph, u: int, v: int) -> BranchingPair:
         )
     if not verify_good_pair(g, u, v, pair):
         raise InternalInconsistency("constructed pair failed verification")
+    return pair
+
+
+def construct_good_pair(g: Digraph, u: int, v: int) -> BranchingPair:
+    """A good (u,v)-pair the caller's decision promised; never a silent miss.
+
+    The verified greedy pair when there is one, else `searched_good_pair`:
+    the pair every engine answers YES with.  The engines call the two
+    halves apart, with their obstruction tests between them, so the
+    greedy runs once per decision.
+    """
+    pair = greedy_good_pair(g, u, v)
+    if pair is None:
+        pair = searched_good_pair(g, u, v)
     return pair
 
 
@@ -216,6 +243,14 @@ def _obstruction_arc(g: Digraph, u: int, v: int) -> Arc | None:
 
 
 def decide_semicomplete(g: Digraph, u: int, v: int) -> Verdict:
+    """Decide a flat semicomplete digraph at the roots u, v.
+
+    After the root-span tests the verified greedy pair answers YES on
+    its own.  Only a greedy miss runs the small exceptions, the
+    single-arc scan and the kind-A witnesses, each a NO with its
+    evidence, and a miss that none of them blocks is built by the
+    complete search.
+    """
     if not is_semicomplete(g):
         raise InvalidInput("input digraph is not semicomplete")
     if not (0 <= u < g.n and 0 <= v < g.n):
@@ -227,6 +262,9 @@ def decide_semicomplete(g: Digraph, u: int, v: int) -> Verdict:
         return Verdict(yes=False, u=u, v=v, reason=ROOT_COMPONENT, side="out")
     if coreach_mask(g, 1 << v) != full:
         return Verdict(yes=False, u=u, v=v, reason=ROOT_COMPONENT, side="in")
+    pair = greedy_good_pair(g, u, v)
+    if pair is not None:
+        return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
     hit = match_small_exception(g, u, v)
     if hit is not None:
         name, mapping = hit
@@ -244,7 +282,7 @@ def decide_semicomplete(g: Digraph, u: int, v: int) -> Verdict:
     for w in iter_type_a(g, u, v):
         if w.alpha >= 2:
             return Verdict(yes=False, u=u, v=v, reason=LAYERED_A, witness=w)
-    pair = construct_good_pair(g, u, v)
+    pair = searched_good_pair(g, u, v)
     return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
 
 

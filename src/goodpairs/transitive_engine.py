@@ -4,10 +4,11 @@ A transitive quotient collapses reachability into domination: once the
 out-root reaches every vertex it dominates everything outside its own
 part, and dually everything outside the in-root's part dominates the
 in-root.  That rigidity leaves exactly three flat obstruction shapes on
-top of the generic root-component and degree failures.  Every instance
-that none of them blocks is built by `semicomplete.construct_good_pair`
-on the flat digraph, the greedy and complete search that every class
-ends in, and the pair it returns is verified.
+top of the generic root-component and degree failures.  Past the root
+and degree tests the semicomplete greedy runs on the flat digraph first,
+and a pair that verifies answers YES before the shapes are tested; an
+instance that the greedy misses and no shape blocks is built by the
+complete search, as in every class.
 
 `decide_quasi_transitive` is the front door for flat quasi-transitive
 digraphs: it answers a starved root side from a reach test on the input
@@ -33,7 +34,7 @@ from .digraph import (
     strong_components,
 )
 from .errors import InternalInconsistency, InvalidInput
-from .semicomplete import construct_good_pair
+from .semicomplete import greedy_good_pair, searched_good_pair
 from .verdicts import (
     DEGREE,
     LAYERED_A,
@@ -51,7 +52,8 @@ def decide_transitive_composition(comp: Composition, u: int, v: int) -> Verdict:
     """Decide a composition whose quotient is a transitive digraph.
 
     NO comes as a starved root side, a starved root degree, or one of
-    two exact flat shapes; YES comes with a verified branching pair.
+    two exact flat shapes; YES comes with a verified branching pair, the
+    greedy's, tried before the shapes, or else the search's.
     """
     if comp.s < 2:
         raise InvalidInput("composition needs at least two parts")
@@ -65,9 +67,12 @@ def decide_transitive_composition(comp: Composition, u: int, v: int) -> Verdict:
         return Verdict(yes=False, u=u, v=v, reason=ROOT_COMPONENT, side="out")
     if coreach_mask(flat, 1 << v) != full:
         return Verdict(yes=False, u=u, v=v, reason=ROOT_COMPONENT, side="in")
+    if u != v and (flat.out_degree(u) < 2 or flat.in_degree(v) < 2):
+        return Verdict(yes=False, u=u, v=v, reason=DEGREE)
+    pair = greedy_good_pair(flat, u, v)
+    if pair is not None:
+        return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
     if u != v:
-        if flat.out_degree(u) < 2 or flat.in_degree(v) < 2:
-            return Verdict(yes=False, u=u, v=v, reason=DEGREE)
         if middle_blocked_violation(flat, u, v) is None:
             return Verdict(yes=False, u=u, v=v, reason=MIDDLE_BLOCKED)
         for side in ("out", "in"):
@@ -81,12 +86,11 @@ def decide_transitive_composition(comp: Composition, u: int, v: int) -> Verdict:
 
 
 def construct_transitive_pair(flat: Digraph, u: int, v: int) -> BranchingPair:
-    """A verified pair for a transitive composition that is not blocked.
-
-    The same greedy and complete search as every other class:
-    `semicomplete.construct_good_pair` on the flat digraph.
+    """A verified pair for a transitive composition that is not blocked,
+    once the greedy missed: the search pair of
+    `semicomplete.searched_good_pair`, as in every other class.
     """
-    return construct_good_pair(flat, u, v)
+    return searched_good_pair(flat, u, v)
 
 
 def _as_pair(u, v, out_arcs, in_arcs) -> BranchingPair:

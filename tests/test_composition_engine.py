@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from goodpairs import composition_engine, semicomplete
 from goodpairs.composition import Composition, independent, singleton
 from goodpairs.composition_engine import (
     _FLAT_MATCHERS,
@@ -31,8 +32,9 @@ from goodpairs.families import (
 )
 from goodpairs.semicomplete import EXCEPTION_PATTERNS, match_small_exception
 from goodpairs.oracle import oracle_good_pair
-from goodpairs.branchings import verify_good_pair
+from goodpairs.branchings import is_two_arc_strong, search_good_pair, verify_good_pair
 from goodpairs.verdicts import middle_blocked_violation, validate_verdict
+from test_semicomplete import count_greedy_calls, forbid, greedy_hits
 
 
 def test_rejects_non_strong_or_single_part():
@@ -110,6 +112,52 @@ def test_two_arc_strong_always_yes():
         for u, v in ((0, 0), (0, 5), (3, 2)):
             pair = two_arc_strong_pair(g, u, v)
             assert verify_good_pair(g, u, v, pair)
+
+
+def test_verified_greedy_pair_answers_before_any_blocked_shape(monkeypatch):
+    # a pair that verifies is a whole YES certificate: no family, witness,
+    # forcing or search layer may run once the greedy has built one
+    comp = random_composition(74)
+    want = greedy_hits(comp.flatten())
+    assert len(want) == comp.n**2 - 2  # the greedy misses (1, 0) and (1, 4)
+    forbid(
+        monkeypatch,
+        composition_engine,
+        (
+            "match_known_family",
+            "is_two_arc_strong",
+            "finest_refinement",
+            "_layered_no",
+            "iter_type_a",
+            "iter_type_b",
+            "force_trace",
+            "two_arc_strong_pair",
+            "construct_composition_pair",
+        ),
+    )
+    forbid(monkeypatch, semicomplete, ("searched_good_pair",))
+    for (u, v), pair in want.items():
+        ver = decide_composition(comp, u, v)
+        assert ver.yes and ver.pair == pair
+
+
+@pytest.mark.parametrize(
+    "seed, u, v, two_arc_strong",
+    [(21, 0, 2, False), (74, 1, 0, True)],
+)
+def test_greedy_miss_is_built_by_the_search(seed, u, v, two_arc_strong, monkeypatch):
+    # a greedy miss on either YES tail: past the 2-arc-strong test, or
+    # past the layered and forcing tests
+    comp = random_composition(seed)
+    flat = comp.flatten()
+    assert is_two_arc_strong(flat) == two_arc_strong
+    calls = count_greedy_calls(monkeypatch)
+    ver = decide_composition(comp, u, v)
+    # the blocked shapes and the search run after one greedy attempt
+    assert calls == [(u, v)]
+    assert ver.yes and ver.pair == search_good_pair(flat, u, v)
+    assert validate_verdict(comp, ver) is None
+    assert oracle_good_pair(flat, u, v) is not None
 
 
 def test_random_sweep_matches_oracle():

@@ -10,14 +10,18 @@ as a digest mismatch.  A second, pair-free digest per group clears the
 pair of every YES verdict, so it pins answers, reasons, NO evidence and
 errors even when a constructor is meant to pick other pairs.
 Regenerate with `python tests/test_corpus.py` only when a verdict is
-meant to change.
+meant to change.  The same pass also checks that no NO verdict has a
+greedy pair that verifies, since every engine answers YES from such a
+pair before it looks for an obstruction.
 """
 
 import copy
+import functools
 import hashlib
 
 import pytest
 
+from goodpairs.branchings import verify_good_pair
 from goodpairs.composition import Composition, singleton, transitive_tournament
 from goodpairs.dispatch import decide
 from goodpairs.errors import InternalInconsistency, InvalidInput, ResourceExceeded
@@ -33,6 +37,7 @@ from goodpairs.families import (
     random_quasi_transitive,
 )
 from goodpairs.forcing import force_trace, replay
+from goodpairs.semicomplete import try_construct_pair
 
 # random_composition seeds 908 and 943 are the only ones below 1200 whose
 # decisions end in an arc-forcing verdict
@@ -117,20 +122,43 @@ def without_pair(verdict):
     return bare
 
 
-def decision_lines(target, u, v) -> tuple[str, str]:
-    """(full line, pair-free line) for one decision."""
+def digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def decision(target, u, v):
+    """The verdict of one decision, or the exception it raised."""
     try:
-        verdict = decide(target, u, v)
+        return decide(target, u, v)
     except (InvalidInput, ResourceExceeded, InternalInconsistency) as exc:
-        line = f"{type(exc).__name__}: {exc}"
+        return exc
+
+
+def decision_lines(outcome) -> tuple[str, str]:
+    """(full line, pair-free line) for one decision's outcome."""
+    if isinstance(outcome, Exception):
+        line = f"{type(outcome).__name__}: {outcome}"
         return line, line
-    return repr(verdict), repr(without_pair(verdict))
+    return repr(outcome), repr(without_pair(outcome))
 
 
-def verdict_lines(group) -> tuple[list[str], list[str]]:
-    """Full and pair-free lines of one group, from one decision pass."""
-    pairs = [decision_lines(t, u, v) for t, u, v in corpus(group)]
-    return [full for full, _ in pairs], [bare for _, bare in pairs]
+@functools.lru_cache(maxsize=None)
+def corpus_pass(group) -> tuple[int, str, str, tuple]:
+    """(decisions, full digest, pair-free digest, NO decisions) of one
+    group, from one decision pass that the tests below share.
+
+    The NO decisions are (target, u, v, reason); only digests of the
+    lines are kept, so the cache stays small.
+    """
+    full, bare, no = [], [], []
+    for target, u, v in corpus(group):
+        outcome = decision(target, u, v)
+        line, free = decision_lines(outcome)
+        full.append(line)
+        bare.append(free)
+        if not isinstance(outcome, Exception) and not outcome.yes:
+            no.append((target, u, v, outcome.reason))
+    return len(full), digest(full), digest(bare), tuple(no)
 
 
 def forcing_lines():
@@ -141,10 +169,6 @@ def forcing_lines():
             status, trace = force_trace(flat, u, v)
             lines.append(f"{status} {trace!r} {replay(flat, u, v, trace)!r}")
     return lines
-
-
-def digest(lines) -> str:
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 # group: (decisions, sha256 of the joined lines)
@@ -178,12 +202,26 @@ FORCING_DIGEST = (1354, "d83b7d742e4ee20c288458546b65f1507b08bb50e54d253234fbf91
 
 @pytest.mark.parametrize("group", GROUPS)
 def test_verdict_bytes_are_pinned(group):
-    lines, pair_free = verdict_lines(group)
+    count, full, pair_free, _ = corpus_pass(group)
     # the pair-free digest pins answers, reasons, NO evidence and errors
     # on their own, so a change that only picks other YES pairs shows
     # here as a full-digest mismatch alone
-    assert digest(pair_free) == PAIR_FREE_DIGESTS[group]
-    assert (len(lines), digest(lines)) == VERDICT_DIGESTS[group]
+    assert pair_free == PAIR_FREE_DIGESTS[group]
+    assert (count, full) == VERDICT_DIGESTS[group]
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_no_verdict_has_a_verified_greedy_pair(group):
+    # every engine answers YES from a greedy pair that verifies before it
+    # looks for an obstruction, so a NO here with such a pair would be a
+    # NO the engine should never have reached: a false NO
+    false_no = []
+    for target, u, v, reason in corpus_pass(group)[3]:
+        flat = target.flatten() if isinstance(target, Composition) else target
+        pair = try_construct_pair(flat, u, v)
+        if pair is not None and verify_good_pair(flat, u, v, pair):
+            false_no.append((target, u, v, reason))
+    assert false_no == []
 
 
 def test_forcing_traces_and_replays_are_pinned():
@@ -192,11 +230,10 @@ def test_forcing_traces_and_replays_are_pinned():
 
 
 if __name__ == "__main__":
-    free = {}
     for name in GROUPS:
-        found, free[name] = verdict_lines(name)
-        print(f'    "{name}": ({len(found)}, "{digest(found)}"),')
+        count, full, _, _ = corpus_pass(name)
+        print(f'    "{name}": ({count}, "{full}"),')
     for name in GROUPS:
-        print(f'    "{name}": "{digest(free[name])}",')
+        print(f'    "{name}": "{corpus_pass(name)[2]}",')
     found = forcing_lines()
     print(f'FORCING_DIGEST = ({len(found)}, "{digest(found)}")')

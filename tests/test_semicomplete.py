@@ -8,6 +8,7 @@ from goodpairs.branchings import (
     Branching,
     BranchingPair,
     branching_violation,
+    search_good_pair,
     verify_good_pair,
 )
 from goodpairs.digraph import (
@@ -113,13 +114,65 @@ def test_agrees_with_oracle_on_all_four_vertex_tournaments():
                     assert verify_good_pair(g, u, v, ver.pair)
 
 
-def test_construct_good_pair_on_strong_tournaments():
+def rotational_tournament():
     # [DERIVED] the rotational five-vertex tournament is arc-three-strong
     # enough to admit pairs at every root choice
-    g = Digraph(
+    return Digraph(
         5,
         [(i, (i + 1) % 5) for i in range(5)] + [(i, (i + 2) % 5) for i in range(5)],
     )
+
+
+def greedy_miss_yes():
+    """The first 4-vertex semicomplete (g, u, v) with a good pair that the
+    greedy does not build."""
+    return next(
+        (g, u, v)
+        for g in all_semicomplete(4)
+        for u in range(4)
+        for v in range(4)
+        if semicomplete.greedy_good_pair(g, u, v) is None
+        and oracle_good_pair(g, u, v) is not None
+    )
+
+
+def greedy_hits(g) -> dict:
+    """{(u, v): the verified greedy pair} at every root pair of g where
+    the greedy builds one."""
+    hits = {}
+    for u in range(g.n):
+        for v in range(g.n):
+            pair = semicomplete.greedy_good_pair(g, u, v)
+            if pair is not None:
+                hits[u, v] = pair
+    return hits
+
+
+def forbid(monkeypatch, module, names) -> None:
+    """Make each named function of module fail the test if called."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran after the greedy pair verified")
+
+    for name in names:
+        monkeypatch.setattr(module, name, unreachable)
+
+
+def count_greedy_calls(monkeypatch) -> list:
+    """Record the roots of every `try_construct_pair` call from now on."""
+    calls = []
+    real = semicomplete.try_construct_pair
+
+    def counted(g, u, v):
+        calls.append((u, v))
+        return real(g, u, v)
+
+    monkeypatch.setattr(semicomplete, "try_construct_pair", counted)
+    return calls
+
+
+def test_construct_good_pair_on_strong_tournaments():
+    g = rotational_tournament()
     for u in range(5):
         for v in range(5):
             pair = construct_good_pair(g, u, v)
@@ -127,17 +180,7 @@ def test_construct_good_pair_on_strong_tournaments():
 
 
 def test_search_budget_overrun_names_budget_and_size(monkeypatch):
-    def greedy_misses(g, u, v):
-        pair = try_construct_pair(g, u, v)
-        return pair is None or not verify_good_pair(g, u, v, pair)
-
-    g, u, v = next(
-        (g, u, v)
-        for g in all_semicomplete(4)
-        for u in range(4)
-        for v in range(4)
-        if greedy_misses(g, u, v) and oracle_good_pair(g, u, v) is not None
-    )
+    g, u, v = greedy_miss_yes()
     assert construct_good_pair(g, u, v) == oracle_good_pair(g, u, v)
     monkeypatch.setattr(branchings, "SEARCH_BUDGET", 1)
     with pytest.raises(ResourceExceeded, match=r"budget of 1 nodes .* n=4$"):
@@ -155,6 +198,39 @@ def test_construct_good_pair_verifies_the_search_pair(monkeypatch):
     monkeypatch.setattr(semicomplete, "search_good_pair", lambda g, u, v: bad)
     with pytest.raises(InternalInconsistency, match="failed verification"):
         construct_good_pair(g, 0, 1)
+
+
+def test_verified_greedy_pair_answers_before_any_obstruction_test(monkeypatch):
+    # a pair that verifies is a whole YES certificate: no obstruction
+    # layer and no search may run once the greedy has built one
+    g = rotational_tournament()
+    want = greedy_hits(g)
+    assert len(want) == 20  # the greedy misses 5 of the 25 root pairs
+    forbid(
+        monkeypatch,
+        semicomplete,
+        (
+            "match_small_exception",
+            "_obstruction_arc",
+            "iter_type_a",
+            "searched_good_pair",
+            "search_good_pair",
+        ),
+    )
+    for (u, v), pair in want.items():
+        ver = decide_semicomplete(g, u, v)
+        assert ver.yes and ver.pair == pair
+
+
+def test_greedy_miss_runs_the_obstructions_then_the_search_once(monkeypatch):
+    g, u, v = greedy_miss_yes()
+    calls = count_greedy_calls(monkeypatch)
+    ver = decide_semicomplete(g, u, v)
+    assert ver.yes and ver.pair == search_good_pair(g, u, v)
+    assert ver.pair == construct_good_pair(g, u, v)
+    assert validate_verdict(g, ver) is None
+    # the greedy ran once for the decision, once more for the comparison
+    assert calls == [(u, v)] * 2
 
 
 def test_funnel_structure_and_pair():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from goodpairs import transitive_engine
 from goodpairs.branchings import search_good_pair, verify_good_pair
 from goodpairs.composition import (
     Composition,
@@ -28,6 +29,7 @@ from goodpairs.transitive_engine import (
     translate_verdict,
 )
 from goodpairs.verdicts import Verdict, validate_verdict
+from test_semicomplete import count_greedy_calls, forbid, greedy_hits
 
 TT2 = Digraph(2, [(0, 1)])
 
@@ -173,7 +175,7 @@ def test_matches_oracle_on_mixed_samples():
     "sink_arcs",
     [[(1, 2), (2, 0), (2, 1)], [(1, 0), (2, 0), (2, 1)]],
 )
-def test_greedy_miss_is_built_by_the_search(sink_arcs):
+def test_greedy_miss_is_built_by_the_search(sink_arcs, monkeypatch):
     # u alone in the source part, v in a 3-vertex sink part: the greedy
     # finds no pair here and the complete search builds it
     comp = Composition(
@@ -183,10 +185,38 @@ def test_greedy_miss_is_built_by_the_search(sink_arcs):
     u, v = 0, 1
     greedy = try_construct_pair(flat, u, v)
     assert greedy is None or not verify_good_pair(flat, u, v, greedy)
+    calls = count_greedy_calls(monkeypatch)
     ver = decide_transitive_composition(comp, u, v)
+    # the shapes and the search follow a single greedy attempt
+    assert calls == [(u, v)]
     assert ver.yes and ver.pair == search_good_pair(flat, u, v)
     assert validate_verdict(comp, ver) is None
     assert oracle_good_pair(flat, u, v) is not None
+
+
+def test_verified_greedy_pair_answers_before_the_shapes(monkeypatch):
+    # a pair that verifies is a whole YES certificate: neither flat shape
+    # nor the search may run once the greedy has built one
+    two_cycle = Digraph(2, [(0, 1), (1, 0)])
+    three_cycle = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+    comp = Composition(
+        transitive_tournament(3), (two_cycle, independent(2), three_cycle)
+    )
+    want = greedy_hits(comp.flatten())
+    assert len(want) == 6  # u in the source part, v in the sink part
+    forbid(
+        monkeypatch,
+        transitive_engine,
+        (
+            "middle_blocked_violation",
+            "tree_side_violation",
+            "construct_transitive_pair",
+            "searched_good_pair",
+        ),
+    )
+    for (u, v), pair in want.items():
+        ver = decide_transitive_composition(comp, u, v)
+        assert ver.yes and ver.pair == pair
 
 
 def test_quasi_transitive_front_door_relabels():
