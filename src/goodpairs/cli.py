@@ -158,6 +158,8 @@ def decide_cmd(source, u_name, v_name, klass):
 @click.option("--v", "v_name", default=None)
 def verify_cmd(source, pairfile, u_name, v_name):
     """Check a claimed pair (out/in arc lines, e.g. decide output)."""
+    if source == "-" and pairfile == "-":
+        _die("the document and the pair file cannot both be stdin")
     doc = _load(source)
     u, v = _roots(doc, u_name, v_name)
     out_arcs, in_arcs = [], []

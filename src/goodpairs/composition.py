@@ -267,6 +267,16 @@ class QtDecomposition:
     order: tuple[int, ...]  # flat composition vertex -> original vertex
 
 
+def qt_parts(g: Digraph) -> tuple[str, list[int]]:
+    """The kind and the part masks of g's quasi-transitive decomposition:
+    the non-adjacency components of a strong g, ordered by smallest
+    vertex, else its strong components in acyclic order."""
+    scc = strong_components(g)
+    if scc.is_strong:
+        return "strong", complement_components(g)
+    return "non-strong", scc.components
+
+
 def qt_decompose(g: Digraph) -> QtDecomposition:
     """Canonical decomposition of a quasi-transitive digraph.
 
@@ -279,9 +289,8 @@ def qt_decompose(g: Digraph) -> QtDecomposition:
         raise InvalidInput("decomposition needs at least two vertices")
     if not is_quasi_transitive(g):
         raise InvalidInput("input digraph is not quasi-transitive")
-    scc = strong_components(g)
-    if scc.is_strong:
-        masks = complement_components(g)
+    kind, masks = qt_parts(g)
+    if kind == "strong":
         if len(masks) < 2:
             raise InvalidInput("strong input with connected non-adjacency graph")
         built = composition_from_partition(g, masks)
@@ -291,7 +300,7 @@ def qt_decompose(g: Digraph) -> QtDecomposition:
         if not is_semicomplete(comp.quotient):
             raise InvalidInput("quotient of strong input is not semicomplete")
         return QtDecomposition("strong", comp, tuple(order))
-    built = composition_from_partition(g, scc.components)
+    built = composition_from_partition(g, masks)
     if built is None:
         raise InvalidInput("non-uniform join between strong components")
     comp, order = built

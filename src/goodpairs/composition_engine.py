@@ -234,6 +234,14 @@ def decide_composition(comp: Composition, u: int, v: int) -> Verdict:
     pair = semicomplete.greedy_good_pair(flat, u, v)
     if pair is not None:
         return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
+    return _decide_greedy_miss(comp, flat, u, v)
+
+
+def _decide_greedy_miss(comp: Composition, flat: Digraph, u: int, v: int) -> Verdict:
+    """`decide_composition` past a greedy miss on `flat`, comp's flat
+    digraph: the blocked shapes, then the search.  The quasi-transitive
+    front door, which runs its own greedy on renumbered rows, enters
+    here too."""
     hit = match_known_family(comp, u, v)
     if hit is not None:
         family, reversed_ = hit

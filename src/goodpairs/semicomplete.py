@@ -107,25 +107,32 @@ def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
 
     The trees are `_bfs` parent rows, and `succ[x]` is x's successor in
     v's in-tree: (x, y) is one of its arcs exactly when succ[x] == y.
+
+    Two whole-tree attempts come first, and only when u == v: u's BFS
+    out-tree banning v's BFS in-tree, then v's in-tree banning u's
+    out-tree.  For u != v neither can span.  A BFS in-tree at v holds
+    every arc into v, so the first search never reaches v; a BFS
+    out-tree at u holds every arc out of u, so the second never reaches
+    u.  The growth below needs only v's in-tree.
     """
     full = g.full_mask
-    # v's in-branching first, then u's out-branching without its arcs
-    # (ban[x] is succ[x]'s bit); then the same with the roles swapped
     spanned, succ, upto = _bfs(g, v, "in")
     if spanned != full:
         return None
-    covered, parent, _ = _bfs(g, u, ban=[1 << s if s >= 0 else 0 for s in succ])
-    inn = succ
-    if covered != full:
-        covered, parent, _ = _bfs(g, u)
+    if u == v:
+        # ban[x]: the bit of x's in-tree successor, then of its out-tree parent
+        covered, parent, _ = _bfs(g, u, ban=[1 << s if s >= 0 else 0 for s in succ])
+        inn = succ
+        if covered != full:
+            covered, parent, _ = _bfs(g, u)
+            if covered == full:
+                ban = [1 << p if p >= 0 else 0 for p in parent]
+                covered, inn, _ = _bfs(g, v, "in", ban=ban)
         if covered == full:
-            ban = [1 << p if p >= 0 else 0 for p in parent]
-            covered, inn, _ = _bfs(g, v, "in", ban=ban)
-    if covered == full:
-        return BranchingPair(
-            Branching(u, tuple(_tree_arcs(parent)), "out"),
-            Branching(v, tuple(_tree_arcs(inn, "in")), "in"),
-        )
+            return BranchingPair(
+                Branching(u, tuple(_tree_arcs(parent)), "out"),
+                Branching(v, tuple(_tree_arcs(inn, "in")), "in"),
+            )
     # guarded growth on the residual rows (g less the chosen arcs): accept
     # a frontier arc only while every vertex still reaches v without it.
     # Only an arc of v's BFS in-tree that passes the level test can cut a

@@ -11,10 +11,14 @@ instance that the greedy misses and no shape blocks is built by the
 complete search, as in every class.
 
 `decide_quasi_transitive` is the front door for flat quasi-transitive
-digraphs: it answers a starved root side from a reach test on the input
-itself, decomposes the rest, routes strong inputs to the semicomplete
-composition engine and non-strong ones here, and maps the evidence back
-to the original vertex labels.
+digraphs.  It runs the root tests on the input itself, then the class
+check and the degree test, then the greedy on the input's rows
+renumbered part by part, as the decomposition's flat digraph numbers
+them; a pair that verifies is mapped back, verified on the input and
+answers YES.  Only a miss decomposes the input and enters its engine
+past the engine's own greedy: strong inputs go to the semicomplete
+composition engine and non-strong ones stay here.  The evidence is
+mapped back to the original vertex labels.
 """
 
 from __future__ import annotations
@@ -23,8 +27,10 @@ from .branchings import Branching, BranchingPair, verify_good_pair
 from .composition import (
     Composition,
     composition_from_partition,
+    is_quasi_transitive,
     is_transitive,
     qt_decompose,
+    qt_parts,
 )
 from .digraph import (
     Digraph,
@@ -72,6 +78,13 @@ def decide_transitive_composition(comp: Composition, u: int, v: int) -> Verdict:
     pair = greedy_good_pair(flat, u, v)
     if pair is not None:
         return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
+    return _decide_greedy_miss(flat, u, v)
+
+
+def _decide_greedy_miss(flat: Digraph, u: int, v: int) -> Verdict:
+    """`decide_transitive_composition` past a greedy miss on the flat
+    digraph: the two flat shapes, then the search.
+    `decide_quasi_transitive` enters here too."""
     if u != v:
         if middle_blocked_violation(flat, u, v) is None:
             return Verdict(yes=False, u=u, v=v, reason=MIDDLE_BLOCKED)
@@ -108,10 +121,15 @@ def decide_quasi_transitive(g: Digraph, u: int, v: int) -> Verdict:
 
     A root side that misses a vertex (u does not reach everything, or
     not everything reaches v) is a NO in any digraph, so that test runs
-    on g itself, out side first, and such inputs never decompose; the
-    caller owns the class check for them.  The rest decompose through
-    `qt_decompose`, which checks the class: strong inputs go over a
-    semicomplete quotient to the composition engine, non-strong ones
+    on g itself, out side first, before the class check.  Then come
+    the class check, the degree test, and the greedy on g's rows
+    renumbered part by part through the `qt_parts` that `qt_decompose`
+    builds on: non-adjacency components when g is strong, strong
+    components otherwise.  Those rows are the decomposition's flat
+    digraph, so a greedy hit is the pair the engines would build;
+    mapped back, it is verified on g and answers YES.  Only a miss
+    decomposes g and runs the rest of its engine: strong inputs go over
+    a semicomplete quotient to the composition engine, non-strong ones
     over a transitive quotient stay here.  All evidence comes back
     relabelled to the input's own vertices.
     """
@@ -126,17 +144,76 @@ def decide_quasi_transitive(g: Digraph, u: int, v: int) -> Verdict:
         return Verdict(yes=False, u=u, v=v, reason=ROOT_COMPONENT, side="out")
     if coreach_mask(g, 1 << v) != full:
         return Verdict(yes=False, u=u, v=v, reason=ROOT_COMPONENT, side="in")
+    if not is_quasi_transitive(g):
+        raise InvalidInput("input digraph is not quasi-transitive")
+    if u != v and (g.out_degree(u) < 2 or g.in_degree(v) < 2):
+        return Verdict(yes=False, u=u, v=v, reason=DEGREE)
+    order = _part_order(g)
+    a, b = order.index(u), order.index(v)
+    pair = greedy_good_pair(_renumbered(g, order), a, b)
+    if pair is not None:
+        pair = _pair_through(g, order, pair, u, v)
+        return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
     dec = qt_decompose(g)
-    inv = [0] * g.n
-    for new, old in enumerate(dec.order):
-        inv[old] = new
+    comp = dec.composition
     if dec.kind == "strong":
-        from .composition_engine import decide_composition
+        from .composition_engine import _decide_greedy_miss as composition_miss
 
-        inner = decide_composition(dec.composition, inv[u], inv[v])
+        inner = composition_miss(comp, comp.flatten(), a, b)
     else:
-        inner = decide_transitive_composition(dec.composition, inv[u], inv[v])
-    return translate_verdict(g, dec.composition, dec.order, inner, u, v)
+        inner = _decide_greedy_miss(comp.flatten(), a, b)
+    return translate_verdict(g, comp, dec.order, inner, u, v)
+
+
+def _part_order(g: Digraph) -> list[int]:
+    """`qt_decompose(g).order` without the composition: the vertices of
+    the `qt_parts` of g, part by part."""
+    _, parts = qt_parts(g)
+    return [x for part in parts for x in bits(part)]
+
+
+def _renumbered(g: Digraph, order: list[int]) -> Digraph:
+    """g with vertex order[i] renumbered i.
+
+    Rows are mapped four bits at a time: table c sends each value of
+    bits 4c..4c+3 to those vertices' new bits, so a row costs n/4
+    lookups whatever its arc count.
+    """
+    new_bit = [0] * g.n
+    for new, old in enumerate(order):
+        new_bit[old] = 1 << new
+    tables = []
+    for c in range(0, g.n, 4):
+        table = [0]
+        for b in new_bit[c : c + 4]:
+            table += [t | b for t in table]
+        tables.append(table)
+
+    def renumber(rows: list[int]) -> list[int]:
+        out = []
+        for x in order:
+            row, acc = rows[x], 0
+            for table in tables:
+                acc |= table[row & 15]
+                row >>= 4
+            out.append(acc)
+        return out
+
+    return Digraph.from_rows(renumber(g.out_masks), renumber(g.in_masks))
+
+
+def _pair_through(flat: Digraph, order, pair: BranchingPair, u: int, v: int):
+    """The pair relabelled through order[inner vertex] = flat vertex,
+    rooted at (u, v) and verified on flat."""
+    out = _as_pair(
+        u,
+        v,
+        [(order[x], order[y]) for x, y in pair.out_branching.arcs],
+        [(order[x], order[y]) for x, y in pair.in_branching.arcs],
+    )
+    if not verify_good_pair(flat, u, v, out):
+        raise InternalInconsistency("translated pair fails verification")
+    return out
 
 
 def condensed_transitive(comp: Composition):
@@ -182,15 +259,8 @@ def translate_verdict(
 
     pair = None
     if verdict.pair is not None:
-        pair = _as_pair(
-            u,
-            v,
-            [amap(a) for a in verdict.pair.out_branching.arcs],
-            [amap(a) for a in verdict.pair.in_branching.arcs],
-        )
         flat = target.flatten() if isinstance(target, Composition) else target
-        if not verify_good_pair(flat, u, v, pair):
-            raise InternalInconsistency("translated pair fails verification")
+        pair = _pair_through(flat, order, verdict.pair, u, v)
     mapping = None
     if verdict.mapping is not None:
         mapping = tuple(order[x] for x in verdict.mapping)

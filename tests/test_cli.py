@@ -107,6 +107,21 @@ def test_verify_accepts_decide_output():
         assert "pair rejected" in rejected.output
 
 
+def test_verify_refuses_stdin_for_both_the_document_and_the_pair():
+    # stdin holds one stream: reading the document from it would leave
+    # the pair empty, so the command refuses before reading either
+    text = DIGON_PAIR + "roots a b\n"
+    decided = run("decide", "-", stdin=text)
+    assert decided.exit_code == 0
+    for args in (("verify", "-", "-"), ("verify", "-")):
+        r = run(*args, stdin=text + decided.output)
+        assert r.exit_code == 2, args
+        assert (
+            "error: the document and the pair file cannot both be stdin" in r.output
+        ), args
+        assert "cannot parse" not in r.output
+
+
 def test_non_utf8_input_is_malformed_input():
     # exit 2 with an error line, never 1 (decide's NO) with a traceback
     runner = CliRunner()

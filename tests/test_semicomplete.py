@@ -554,6 +554,91 @@ def test_parent_row_greedy_matches_the_arc_set_reference():
     assert cases > 75000 and built > 45000
 
 
+def reference_try_construct_pair_with_both_attempts(g, u, v):
+    """`try_construct_pair` as it was when its two whole-tree attempts ran
+    at every root pair, u != v included."""
+    full = g.full_mask
+    spanned, succ, upto = branchings._bfs(g, v, "in")
+    if spanned != full:
+        return None
+    ban = [1 << s if s >= 0 else 0 for s in succ]
+    covered, parent, _ = branchings._bfs(g, u, ban=ban)
+    inn = succ
+    if covered != full:
+        covered, parent, _ = branchings._bfs(g, u)
+        if covered == full:
+            ban = [1 << p if p >= 0 else 0 for p in parent]
+            covered, inn, _ = branchings._bfs(g, v, "in", ban=ban)
+    if covered == full:
+        return BranchingPair(
+            Branching(u, tuple(branchings._tree_arcs(parent)), "out"),
+            Branching(v, tuple(branchings._tree_arcs(inn, "in")), "in"),
+        )
+    out_rows, in_rows = g.out_masks[:], g.in_masks[:]
+    res = Digraph.from_rows(out_rows, in_rows)
+    tree = 1 << u
+    arcs = []
+    while tree != full:
+        for x in bits(tree):
+            cand = out_rows[x] & ~tree
+            if not cand:
+                continue
+            y = (cand & -cand).bit_length() - 1
+            if succ[x] == y and not out_rows[x] & upto[x] & ~(1 << y):
+                in_rows[y] ^= 1 << x
+                cut = coreach_mask(res, 1 << v) != full
+                in_rows[y] ^= 1 << x
+                if cut:
+                    cand ^= 1 << y
+                    if not cand:
+                        continue
+                    y = (cand & -cand).bit_length() - 1
+            break
+        else:
+            return None
+        out_rows[x] ^= 1 << y
+        in_rows[y] ^= 1 << x
+        arcs.append((x, y))
+        tree |= 1 << y
+        if succ[x] == y:
+            _, succ, upto = branchings._bfs(res, v, "in")
+    return BranchingPair(
+        Branching(u, tuple(arcs), "out"),
+        Branching(v, tuple(branchings._tree_arcs(succ, "in")), "in"),
+    )
+
+
+def _random_digraphs(rng):
+    """Seeded digraphs n 2..9 at several arc densities, 2-cycles allowed."""
+    for n in range(2, 10):
+        for p in (0.2, 0.35, 0.5, 0.7):
+            for _ in range(12):
+                arcs = [
+                    (a, b)
+                    for a in range(n)
+                    for b in range(n)
+                    if a != b and rng.random() < p
+                ]
+                yield Digraph(n, arcs)
+
+
+def test_whole_tree_attempts_run_only_for_equal_roots():
+    # for u != v the attempts cannot span, so leaving them out changes no
+    # pair; u == v keeps them and must agree too
+    rng = random.Random("whole-tree-attempts")
+    cases = spanning = same_root = 0
+    for g in [*_random_digraphs(rng), *_two_arc_strong_inputs()]:
+        full = g.full_mask
+        for u, v in product(range(g.n), repeat=2):
+            want = reference_try_construct_pair_with_both_attempts(g, u, v)
+            assert try_construct_pair(g, u, v) == want, (g, u, v)
+            cases += 1
+            if reach_mask(g, 1 << u) == full and coreach_mask(g, 1 << v) == full:
+                spanning += 1
+                same_root += u == v and want is not None
+    assert cases > 75000 and spanning > 50000 and same_root > 5000
+
+
 def _growth_inputs():
     """(digraph, root pairs): digraphs like the five benchmark workloads'
     at a few sampled root pairs each, then every root pair of small

@@ -1,8 +1,10 @@
 """Transitive compositions and the quasi-transitive front door."""
 
+import random
+
 import pytest
 
-from goodpairs import transitive_engine
+from goodpairs import composition_engine, transitive_engine
 from goodpairs.branchings import search_good_pair, verify_good_pair
 from goodpairs.composition import (
     Composition,
@@ -12,16 +14,21 @@ from goodpairs.composition import (
     transitive_tournament,
 )
 from goodpairs.composition_engine import decide_composition
-from goodpairs.digraph import Digraph
+from goodpairs.digraph import Digraph, coreach_mask, reach_mask
 from goodpairs.dispatch import decide, recognize
 from goodpairs.errors import InvalidInput
 from goodpairs.families import (
     all_quasi_transitive,
     family_b,
     random_quasi_transitive,
+    random_strong_semicomplete,
 )
 from goodpairs.oracle import oracle_good_pair
-from goodpairs.semicomplete import construct_good_pair, try_construct_pair
+from goodpairs.semicomplete import (
+    construct_good_pair,
+    greedy_good_pair,
+    try_construct_pair,
+)
 from goodpairs.transitive_engine import (
     condensed_transitive,
     decide_quasi_transitive,
@@ -282,7 +289,8 @@ def test_dispatch_recognize_and_overrides():
 
 
 def decide_by_decomposition(g, dec, u, v):
-    """The verdict of the decomposition route at every root pair:
+    """The verdict of the decomposition route, the one the front door
+    took for every verdict before its greedy on renumbered rows:
     qt_decompose, then the engine its kind names, then translate_verdict."""
     inv = [0] * g.n
     for new, old in enumerate(dec.order):
@@ -311,3 +319,175 @@ def test_root_check_agrees_with_the_decomposition_route():
                 assert validate_verdict(g, ver) is None
                 starved += ver.reason == "root-component"
     assert starved
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Digraph(g.n, [(perm[a], perm[b]) for a, b in g.arcs()])
+
+
+def _composed_quasi_transitive(rng, n, strong):
+    """A strong quasi-transitive digraph on n >= 2 vertices, random
+    quasi-transitive parts over a random strong tournament (a 2-cycle in
+    the quotient would need the parts on it to be semicomplete); or a
+    non-strong one, strong end parts and independent or random middle
+    parts over a transitive tournament, so that most roots span."""
+    if n == 1:
+        return singleton()
+    if n == 2 and strong:
+        return Digraph(2, [(0, 1), (1, 0)])
+    s = rng.randint(3 if strong else 2, min(5, n))
+    cut = sorted(rng.sample(range(1, n), s - 1))
+    sizes = [b - a for a, b in zip([0] + cut, cut + [n])]
+    if strong:
+        quotient = random_strong_semicomplete(rng, s, 0.0)
+        parts = [random_quasi_transitive(rng.randrange(1 << 30), k) for k in sizes]
+    else:
+        quotient = transitive_tournament(s)
+        parts = [
+            independent(k)
+            if rng.random() < 0.3
+            else random_quasi_transitive(rng.randrange(1 << 30), k)
+            for k in sizes
+        ]
+        parts[0] = _composed_quasi_transitive(rng, sizes[0], True)
+        parts[-1] = _composed_quasi_transitive(rng, sizes[-1], True)
+    return Composition(quotient, tuple(parts)).flatten()
+
+
+def _front_door_samples():
+    """Seeded random quasi-transitive digraphs n 2..60 under a random
+    numbering, so that the parts are scattered: at each n one of
+    `random_quasi_transitive`, one strong and one non-strong with a
+    single initial and terminal part."""
+    rng = random.Random("qt-front-door")
+    for n in range(2, 61):
+        yield _relabelled(random_quasi_transitive(rng.randrange(1 << 30), n), rng)
+        for strong in (True, False):
+            yield _relabelled(_composed_quasi_transitive(rng, n, strong), rng)
+
+
+def test_renumbered_rows_are_the_decomposition_flat_rows():
+    kinds = {"strong": 0, "non-strong": 0}
+    for g in _front_door_samples():
+        dec = qt_decompose(g)
+        order = transitive_engine._part_order(g)
+        assert order == list(dec.order)
+        flat = dec.composition.flatten()
+        rows = transitive_engine._renumbered(g, order)
+        assert rows.out_masks == flat.out_masks and rows.in_masks == flat.in_masks
+        kinds[dec.kind] += 1
+    assert kinds["strong"] > 20 and kinds["non-strong"] > 20
+
+
+def test_front_door_agrees_with_the_decomposition_route_at_spanning_roots():
+    # the route before the renumbered greedy: every verdict, pair
+    # included, must come out the same
+    rng = random.Random("qt-front-door/roots")
+    seen = {}
+    for g in _front_door_samples():
+        full = g.full_mask
+        dec = qt_decompose(g)
+        sources = [u for u in range(g.n) if reach_mask(g, 1 << u) == full]
+        sinks = [v for v in range(g.n) if coreach_mask(g, 1 << v) == full]
+        roots = [(u, v) for u in sources for v in sinks]
+        for u, v in rng.sample(roots, min(len(roots), 12)):
+            ver = decide_quasi_transitive(g, u, v)
+            assert ver == decide_by_decomposition(g, dec, u, v), (g, u, v)
+            key = (dec.kind, ver.yes)
+            seen[key] = seen.get(key, 0) + 1
+    # non-strong NOs at spanning roots are rare at random; the
+    # exhaustive n = 4 sweep above and the shapes below decide them
+    assert seen.get(("strong", False), 0) > 50
+    assert seen[("strong", True)] > 500 and seen[("non-strong", True)] > 500
+
+
+def greedy_hits_at(g, u, v):
+    """Whether the greedy builds a pair on the renumbered rows at (u, v)."""
+    order = transitive_engine._part_order(g)
+    rows = transitive_engine._renumbered(g, order)
+    return greedy_good_pair(rows, order.index(u), order.index(v)) is not None
+
+
+# (arcs, u, v): a greedy miss on each route, and a starved degree
+GREEDY_MISS_YES_NON_STRONG = ([(0, 2), (1, 0), (1, 2), (2, 0)], 1, 2)
+GREEDY_MISS_YES_STRONG = ([(0, 2), (1, 0), (1, 2), (2, 0), (2, 1)], 1, 2)
+GREEDY_MISS_NO_NON_STRONG = ([(1, 0), (2, 0), (2, 1)], 2, 0)
+GREEDY_MISS_NO_STRONG = ([(0, 2), (1, 0), (2, 1)], 0, 0)
+DEGREE_NON_STRONG = ([(0, 1)], 0, 1)
+DEGREE_STRONG = ([(0, 2), (1, 0), (2, 1)], 0, 1)
+
+
+def _front_door_case(case):
+    arcs, u, v = case
+    g = Digraph(max(max(a) for a in arcs) + 1, arcs)
+    return g, qt_decompose(g), u, v
+
+
+@pytest.mark.parametrize(
+    "case, kind, reason",
+    [
+        (GREEDY_MISS_YES_NON_STRONG, "non-strong", "good-pair"),
+        (GREEDY_MISS_YES_STRONG, "strong", "good-pair"),
+        (GREEDY_MISS_NO_NON_STRONG, "non-strong", "middle-blocked"),
+        (GREEDY_MISS_NO_STRONG, "strong", "layered-a"),
+    ],
+)
+def test_front_door_greedy_miss_runs_the_greedy_once(case, kind, reason, monkeypatch):
+    g, dec, u, v = _front_door_case(case)
+    assert dec.kind == kind and not greedy_hits_at(g, u, v)
+    want = decide_by_decomposition(g, dec, u, v)
+    calls = count_greedy_calls(monkeypatch)
+    ver = decide_quasi_transitive(g, u, v)
+    # the front door's greedy on the renumbered rows, and no other
+    assert calls == [(dec.order.index(u), dec.order.index(v))]
+    assert ver == want and ver.reason == reason
+    assert validate_verdict(g, ver) is None
+    assert ver.yes == (oracle_good_pair(g, u, v) is not None)
+
+
+@pytest.mark.parametrize(
+    "case, kind", [(DEGREE_NON_STRONG, "non-strong"), (DEGREE_STRONG, "strong")]
+)
+def test_front_door_degree_no_runs_no_greedy(case, kind, monkeypatch):
+    g, dec, u, v = _front_door_case(case)
+    assert dec.kind == kind
+    want = decide_by_decomposition(g, dec, u, v)
+    calls = count_greedy_calls(monkeypatch)
+    forbid(monkeypatch, transitive_engine, ("qt_decompose", "_part_order"))
+    ver = decide_quasi_transitive(g, u, v)
+    assert calls == [] and ver == want and ver.reason == "degree"
+    assert validate_verdict(g, ver) is None
+
+
+def test_front_door_greedy_hit_builds_no_composition(monkeypatch):
+    # a greedy hit answers from the renumbered rows alone: no
+    # decomposition, engine or verdict translation runs
+    wants = []
+    for g in _front_door_samples():
+        if 20 <= g.n <= 23:
+            dec = qt_decompose(g)
+            for u in range(g.n):
+                for v in range(g.n):
+                    want = decide_by_decomposition(g, dec, u, v)
+                    if want.yes:
+                        wants.append((g, dec.kind, u, v, want))
+    forbid(
+        monkeypatch,
+        transitive_engine,
+        (
+            "qt_decompose",
+            "translate_verdict",
+            "decide_transitive_composition",
+            "_decide_greedy_miss",
+        ),
+    )
+    forbid(monkeypatch, composition_engine, ("_decide_greedy_miss",))
+    kinds = {"strong": 0, "non-strong": 0}
+    for g, kind, u, v, want in wants:
+        if greedy_hits_at(g, u, v):
+            assert decide_quasi_transitive(g, u, v) == want, (g, u, v)
+            kinds[kind] += 1
+    assert kinds["strong"] > 100 and kinds["non-strong"] > 20
+
