@@ -1,4 +1,5 @@
-"""Branchings, good-pair verification and search, branching-plus-path search.
+"""Branchings, good-pair verification and search, and the search for an
+out-branching plus an arc-disjoint path (`out_branching_avoiding_path`).
 
 A good (u,v)-pair is an out-branching rooted at u and an in-branching
 rooted at v sharing no arc.  Everything here returns explicit arc sets so
@@ -11,11 +12,8 @@ from dataclasses import dataclass
 
 from .digraph import (
     Arc,
-    CutWitness,
     Digraph,
-    _cut_from_side,
     _spread,
-    arc_disjoint_paths,
     bits,
     coreach_mask,
     reach_mask,
@@ -265,89 +263,6 @@ def find_branching(
     return Branching(root=root, arcs=tuple(_tree_arcs(parent, kind)), kind=kind)
 
 
-def _extract_path(
-    g: Digraph, y: int, b: int, banned=None, within: int | None = None
-) -> list[int]:
-    """Shortest vertex path y -> b in g less `banned`, inside `within`,
-    taken from the BFS out-tree at y; InternalInconsistency if none."""
-    seen, parent, _ = _bfs(g, y, "out", within, _ban_rows(g, "out", banned))
-    if not seen >> b & 1:
-        raise InternalInconsistency(f"no path {y} -> {b}")
-    path = [b]
-    while path[-1] != y:
-        path.append(parent[path[-1]])
-    return path[::-1]
-
-
-def path_arcs(path: list[int]) -> list[Arc]:
-    return list(zip(path, path[1:]))
-
-
-def branching_avoiding_path(g: Digraph, y: int, b: int):
-    """Out-branching rooted y plus a y->b path, arc-disjoint.
-
-    Succeeds exactly when y reaches every vertex and (y = b or there are
-    two arc-disjoint y->b paths).  Returns (Branching, path) or a
-    CutWitness for the violated demand.
-    """
-    full = g.full_mask
-    reached = reach_mask(g, 1 << y)
-    if reached != full:
-        return _cut_from_side(g, reached, full)
-    if y == b:
-        return find_branching(g, y, "out"), [y]
-    value, side = unit_flow(g, 1 << y, b, cap=2)
-    if value < 2:
-        return _cut_from_side(g, side, full)
-
-    # cheap route: reserve one of two disjoint flow paths for the walk and
-    # grow the branching on the rest
-    paths = arc_disjoint_paths(g, y, b, 2)
-    if isinstance(paths, list):
-        for p in paths:
-            tree = find_branching(g, y, "out", banned=set(path_arcs(p)))
-            if tree is not None:
-                return tree, p
-
-    # guarded growth: keep, for every set X missing y, at least
-    # [X disjoint from tree] + [b in X] unused entering arcs
-    tree_mask = 1 << y
-    tree_arcs: list[Arc] = []
-    used: set[Arc] = set()
-    while tree_mask != full:
-        picked = None
-        for x in bits(tree_mask):
-            for w in bits(g.out_masks[x] & ~tree_mask):
-                if _avoiding_safe(g, y, b, used, tree_mask, (x, w)):
-                    picked = (x, w)
-                    break
-            if picked:
-                break
-        if picked is None:
-            raise InternalInconsistency("branching-plus-path growth stuck")
-        used.add(picked)
-        tree_arcs.append(picked)
-        tree_mask |= 1 << picked[1]
-    path = _extract_path(g, y, b, used)
-    return Branching(root=y, arcs=tuple(tree_arcs), kind="out"), path
-
-
-def _avoiding_safe(
-    g: Digraph, y: int, b: int, used: set[Arc], tree_mask: int, arc: Arc
-) -> bool:
-    banned = used | {arc}
-    new_tree = tree_mask | 1 << arc[1]
-    rest = g.full_mask & ~new_tree
-    if reach_mask(g, new_tree, banned=banned) != g.full_mask:
-        return False
-    if rest >> b & 1:
-        value, _ = unit_flow(g, new_tree, b, banned=banned, cap=2)
-        if value < 2:
-            return False
-    value, _ = unit_flow(g, 1 << y, b, banned=banned, cap=1)
-    return value >= 1
-
-
 def out_branching_avoiding_path(
     g: Digraph, u: int, w: int, v: int, budget: int = 200_000
 ):
@@ -357,11 +272,9 @@ def out_branching_avoiding_path(
     branching root, which puts this outside the clean packing theory, so
     after necessary cut checks we search over candidate paths whose removal
     keeps u spanning; the budget bounds that search and overrunning it is a
-    loud error, never a silent no.
+    loud error, never a silent no.  The same walk covers w == u, where
+    the path starts at the root.
     """
-    if w == u:
-        result = branching_avoiding_path(g, u, v)
-        return None if isinstance(result, CutWitness) else result
     if reach_mask(g, 1 << u) != g.full_mask:
         return None
     if v != w:

@@ -431,35 +431,6 @@ def local_arc_connectivity(
     return k, _cut_from_side(g, side, allowed)
 
 
-def arc_disjoint_paths(g: Digraph, x: int, y: int, k: int):
-    """k arc-disjoint (x,y)-paths as vertex lists, or a failure CutWitness."""
-    if x == y:
-        raise InvalidInput("arc_disjoint_paths needs x != y")
-    value, side, used = _augmenting_flow(g, 1 << x, y, (), g.full_mask, k)
-    if value < k:
-        return _cut_from_side(g, side, g.full_mask)
-    # Decompose the used arcs into k paths, shortcutting repeated vertices.
-    succ = [list(bits(row)) for row in used]
-    paths = []
-    for _ in range(k):
-        walk = [x]
-        v = x
-        while v != y:
-            w = succ[v].pop(0)
-            walk.append(w)
-            v = w
-        path = []
-        pos = {}
-        for v in walk:
-            if v in pos:
-                del path[pos[v] + 1 :]
-            else:
-                pos[v] = len(path)
-                path.append(v)
-        paths.append(path)
-    return paths
-
-
 def is_k_arc_strong(g: Digraph, k: int) -> tuple[bool, CutWitness | None]:
     """True iff every local arc connectivity is at least k."""
     if g.n < 2:

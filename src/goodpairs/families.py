@@ -259,7 +259,7 @@ def kind_a_instance(seed: int) -> tuple[Digraph, TypeABWitness]:
 
 def kind_b_instance(seed: int) -> tuple[Digraph, TypeABWitness]:
     """Semicomplete host carrying a kind-B witness with strongly tied
-    level chords, so the structured pair recipe applies."""
+    level chords, so a pair sharing exactly the designated arcs exists."""
     rng = random.Random(seed)
     beta = rng.choice((1, 2, 3))
     # each level is either collapsed (entry equals exit) or a complete

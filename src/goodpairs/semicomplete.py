@@ -30,11 +30,8 @@ from .branchings import (
     Branching,
     BranchingPair,
     _bfs,
-    _extract_path,
     _may_cut,
     _tree_arcs,
-    find_branching,
-    path_arcs,
     search_good_pair,
     verify_good_pair,
 )
@@ -44,7 +41,6 @@ from .digraph import (
     _spread,
     bits,
     coreach_mask,
-    mask_of,
     reach_mask,
 )
 from .composition import is_semicomplete
@@ -57,7 +53,7 @@ from .verdicts import (
     YES,
     Verdict,
 )
-from .witnesses import TypeABWitness, iter_type_a
+from .witnesses import TypeABWitness, iter_type_a, validate_witness
 
 # The six root-pinned digraphs that block a good pair despite passing the
 # reachability and single-arc tests.  Two non-strong shapes on the roots
@@ -293,216 +289,6 @@ def decide_semicomplete(g: Digraph, u: int, v: int) -> Verdict:
     return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
 
 
-class _RecipeFailed(Exception):
-    """Internal: a structured construction hit an unmodelled corner."""
-
-
-def _spine(
-    g: Digraph, w: TypeABWitness, arc_numbers: list[int], start: int | None
-) -> tuple[list[Arc], list[int]]:
-    """Chain the given designated arcs with connectors.
-
-    Consecutive arc numbers differing by two are joined by a path inside
-    the level they share; a difference of one is bridged by the mandatory
-    upward arc.  `start` is the vertex acting as y_0 when the chain begins
-    below the first designated arc; None starts the chain at the first
-    arc's tail directly.  Returns (arcs, visited vertices in order).
-    """
-    arcs: list[Arc] = []
-    visited: list[int] = [] if start is None else [start]
-    prev_num = None if start is None else 0
-    prev_y = start
-    for i in arc_numbers:
-        x, y = w.backward_arcs[i - 1]
-        if prev_num is not None:
-            gap = i - prev_num
-            if gap == 2:
-                level = w.sets[w.level_of(prev_y)]
-                path = _extract_path(g, prev_y, x, within=level)
-                arcs.extend(path_arcs(path))
-                visited.extend(path[1:])
-            elif gap == 1:
-                if not g.has_arc(prev_y, x):
-                    raise _RecipeFailed(f"missing upward arc ({prev_y},{x})")
-                arcs.append((prev_y, x))
-                visited.append(x)
-            else:
-                raise _RecipeFailed("designated arcs out of step")
-        elif x not in visited:
-            visited.append(x)
-        arcs.append((x, y))
-        visited.append(y)
-        prev_num = i
-        prev_y = y
-    return arcs, visited
-
-
-def _checked_arc(g: Digraph, x: int, y: int) -> Arc:
-    if not g.has_arc(x, y):
-        raise _RecipeFailed(f"expected arc ({x},{y}) is absent")
-    return (x, y)
-
-
-def _almost_pair_a(g: Digraph, w: TypeABWitness, r: int) -> BranchingPair:
-    """Pair rooted (a, b) sharing exactly designated arc number r.
-
-    The out-side walks the even-numbered designated arcs up to r and the
-    odd-numbered ones from r on; the in-side takes the complementary
-    selection.  Both selections contain r and nothing else in common, and
-    at every shared level the two chains leave through different exits.
-    """
-    if w.alpha < 2:
-        raise _RecipeFailed("five-level recipe needs at least five levels")
-    last = len(w.backward_arcs)
-    plus_nums = [i for i in range(2, last + 1, 2) if i <= r] + [
-        i for i in range(1, last + 1, 2) if i >= r
-    ]
-    minus_nums = sorted(
-        {i for i in range(1, last + 1, 2) if i < r}
-        | {r}
-        | {i for i in range(2, last + 1, 2) if i > r}
-    )
-    x1 = w.backward_arcs[0][0]
-    last_y = w.backward_arcs[-1][1]
-    pre_y = w.backward_arcs[last - 2][1]
-
-    plus_arcs, plus_visited = _spine(g, w, plus_nums, start=w.a)
-    covered_plus = set(plus_visited)
-    bottom_tree = find_branching(g, last_y, "out", within=w.sets[0])
-    if bottom_tree is None:
-        raise _RecipeFailed("chain foot does not span the bottom level")
-    plus_arcs.extend(bottom_tree.arcs)
-    covered_plus.update(bits(w.sets[0]))
-    if r == last and w.b not in covered_plus:
-        # the in-side ends with an upward hop into b, so the out-side must
-        # reach b inside its level instead of fanning from the chain foot
-        path = _extract_path(g, pre_y, w.b, within=w.sets[1])
-        plus_arcs.extend(path_arcs(path))
-        covered_plus.update(path)
-    for z in bits(g.full_mask & ~mask_of(covered_plus)):
-        plus_arcs.append(_checked_arc(g, last_y, z))
-
-    minus_arcs, minus_visited = _spine(g, w, minus_nums, start=None)
-    covered_minus = set(minus_visited)
-    top_tree = find_branching(g, x1, "in", within=w.sets[-1])
-    if top_tree is None:
-        raise _RecipeFailed("top level does not funnel into the chain head")
-    minus_arcs.extend(top_tree.arcs)
-    covered_minus.update(bits(w.sets[-1]))
-    if minus_nums[-1] == last:
-        if last_y != w.b:
-            minus_arcs.append(_checked_arc(g, last_y, w.b))
-            covered_minus.add(w.b)
-    else:
-        tail_y = w.backward_arcs[minus_nums[-1] - 1][1]
-        path = _extract_path(g, tail_y, w.b, within=w.sets[1])
-        minus_arcs.extend(path_arcs(path))
-        covered_minus.update(path)
-    if w.a not in covered_minus and r == 1:
-        # the out-side starts with a -> x_1, so route a inside its level
-        x2 = w.backward_arcs[1][0]
-        path = _extract_path(g, w.a, x2, within=w.sets[w.level_of(w.a)])
-        minus_arcs.extend(path_arcs(path))
-        covered_minus.update(path)
-    if last_y not in covered_minus and r != 1:
-        # y's fan arc to x_1 is taken by the out-side; divert it to a
-        minus_arcs.append(_checked_arc(g, last_y, w.a))
-        covered_minus.add(last_y)
-    for z in bits(g.full_mask & ~mask_of(covered_minus)):
-        minus_arcs.append(_checked_arc(g, z, x1))
-
-    return BranchingPair(
-        Branching(w.a, tuple(plus_arcs), "out"),
-        Branching(w.b, tuple(minus_arcs), "in"),
-    )
-
-
-def _almost_pair_b(g: Digraph, w: TypeABWitness) -> BranchingPair:
-    """Pair rooted (a, b) sharing exactly the whole designated arc set.
-
-    Each level contributes two arc-disjoint pieces: the top gives an
-    in-tree to x_1 plus a path a -> x_1, every middle level two parallel
-    paths between its entry and exit, and the bottom an out-tree from y_b
-    plus a path y_b -> b.  The designated arcs chain the pieces together
-    and are the only arcs used twice.
-    """
-    from .branchings import branching_avoiding_path
-    from .digraph import CutWitness, arc_disjoint_paths
-
-    top, bottom = w.sets[-1], w.sets[0]
-    x1 = w.backward_arcs[0][0]
-    y_last = w.backward_arcs[-1][1]
-
-    sub, old = g.induced(top)
-    pos = {o: i for i, o in enumerate(old)}
-    got = branching_avoiding_path(sub.converse(), pos[x1], pos[w.a])
-    if isinstance(got, CutWitness):
-        raise _RecipeFailed("root is only weakly tied to the chain head")
-    top_tree, rev_path = got
-    minus_arcs = [(old[d], old[c]) for c, d in top_tree.arcs]
-    plus_arcs = [
-        (old[d], old[c]) for c, d in path_arcs(rev_path)
-    ][::-1]
-    covered_plus = {w.a} | {old[i] for i in rev_path}
-
-    sub, old = g.induced(bottom)
-    pos = {o: i for i, o in enumerate(old)}
-    got = branching_avoiding_path(sub, pos[y_last], pos[w.b])
-    if isinstance(got, CutWitness):
-        raise _RecipeFailed("chain foot is only weakly tied to the sink root")
-    bot_tree, bot_path = got
-    plus_arcs.extend((old[c], old[d]) for c, d in bot_tree.arcs)
-    covered_minus = set(bits(top)) | {old[i] for i in bot_path}
-
-    plus_arcs.extend(w.backward_arcs)
-    minus_arcs.extend(w.backward_arcs)
-    minus_arcs.extend((old[c], old[d]) for c, d in path_arcs(bot_path))
-    covered_plus.update(bits(bottom))
-    for x, y in w.backward_arcs:
-        covered_plus.add(y)
-        covered_minus.add(y)
-
-    for j in range(1, w.p - 1):
-        level = w.sets[j]
-        i = w.p - 1 - j  # arcs i and i+1 meet in this level
-        entry = w.backward_arcs[i - 1][1]
-        exit_ = w.backward_arcs[i][0]
-        if entry == exit_:
-            continue
-        sub, old = g.induced(level)
-        pos = {o: i2 for i2, o in enumerate(old)}
-        paths = arc_disjoint_paths(sub, pos[entry], pos[exit_], 2)
-        if isinstance(paths, CutWitness):
-            raise _RecipeFailed("middle level is not two-connected on its chord")
-        first, second = paths[0], paths[1]
-        plus_arcs.extend((old[c], old[d]) for c, d in path_arcs(first))
-        minus_arcs.extend((old[c], old[d]) for c, d in path_arcs(second))
-        covered_plus.update(old[i2] for i2 in first)
-        covered_minus.update(old[i2] for i2 in second)
-
-    for z in bits(g.full_mask & ~mask_of(covered_plus)):
-        plus_arcs.append(_checked_arc(g, y_last, z))
-    for z in bits(g.full_mask & ~mask_of(covered_minus)):
-        minus_arcs.append(_checked_arc(g, z, x1))
-
-    return BranchingPair(
-        Branching(w.a, tuple(plus_arcs), "out"),
-        Branching(w.b, tuple(minus_arcs), "in"),
-    )
-
-
-def _pair_shape_ok(
-    g: Digraph, w: TypeABWitness, pair: BranchingPair, want: frozenset[Arc]
-) -> bool:
-    from .branchings import branching_violation
-
-    if branching_violation(g, pair.out_branching) is not None:
-        return False
-    if branching_violation(g, pair.in_branching) is not None:
-        return False
-    return pair.shared_arcs == want
-
-
 def almost_good_pair(
     g: Digraph, w: TypeABWitness, shared_index: int = 0
 ) -> BranchingPair:
@@ -510,12 +296,9 @@ def almost_good_pair(
 
     For a kind-A witness the result shares exactly the designated arc
     selected by shared_index; for kind B it shares exactly the whole
-    designated arc set.  A recipe's pair is returned once its shape
-    checks out; otherwise `search_good_pair` with that shared set builds
-    one.
+    designated arc set.  The pair is the first one `search_good_pair`
+    finds with that shared set.
     """
-    from .witnesses import validate_witness
-
     err = validate_witness(g, w)
     if err is not None:
         raise InvalidInput(f"witness does not fit the digraph: {err}")
@@ -525,18 +308,6 @@ def almost_good_pair(
         want = frozenset({w.backward_arcs[shared_index]})
     else:
         want = frozenset(w.backward_arcs)
-    builders = []
-    if w.kind == "A" and w.alpha >= 2:
-        builders.append(lambda: _almost_pair_a(g, w, shared_index + 1))
-    if w.kind == "B":
-        builders.append(lambda: _almost_pair_b(g, w))
-    for build in builders:
-        try:
-            pair = build()
-        except _RecipeFailed:
-            continue
-        if _pair_shape_ok(g, w, pair, want):
-            return pair
     pair = search_good_pair(g, w.a, w.b, shared=want)
     if pair is None:
         raise InternalInconsistency(

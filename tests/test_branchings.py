@@ -11,19 +11,16 @@ from goodpairs.branchings import (
     _bfs,
     _may_cut,
     _tree_arcs,
-    branching_avoiding_path,
     branching_violation,
     find_branching,
     good_pair_violation,
     is_two_arc_strong,
     out_branching_avoiding_path,
-    path_arcs,
     reach_tree,
     search_good_pair,
     verify_good_pair,
 )
 from goodpairs.digraph import (
-    CutWitness,
     Digraph,
     bits,
     coreach_mask,
@@ -103,35 +100,15 @@ def test_good_pair_verification():
 
 
 def assert_branching_plus_path(g, result, root, start, end):
-    assert result is not None and not isinstance(result, CutWitness)
+    assert result is not None
     tree, path = result
     assert branching_violation(g, tree) is None
     assert tree.root == root
     assert path[0] == start and path[-1] == end
     assert len(set(path)) == len(path)
-    for a, b in path_arcs(path):
+    for a, b in zip(path, path[1:]):
         assert g.has_arc(a, b)
-    assert not set(path_arcs(path)) & tree.arc_set
-
-
-def test_branching_avoiding_path_success():
-    g = complete_digraph(4)
-    assert_branching_plus_path(g, branching_avoiding_path(g, 0, 3), 0, 0, 3)
-    # fallback route must also handle the two-path graph 0->1, 0->2->1
-    h = Digraph(3, [(0, 1), (0, 2), (2, 1)])
-    assert_branching_plus_path(h, branching_avoiding_path(h, 0, 1), 0, 0, 1)
-
-
-def test_branching_avoiding_path_same_endpoints():
-    result = branching_avoiding_path(cycle3(), 0, 0)
-    assert_branching_plus_path(cycle3(), result, 0, 0, 0)
-
-
-def test_branching_avoiding_path_cut():
-    # [DERIVED] only one arc enters 2 in the triangle, so no second path
-    result = branching_avoiding_path(cycle3(), 0, 2)
-    assert isinstance(result, CutWitness)
-    assert result.validate(cycle3())
+    assert not set(zip(path, path[1:])) & tree.arc_set
 
 
 def test_out_branching_avoiding_path():
@@ -141,6 +118,17 @@ def test_out_branching_avoiding_path():
     # [DERIVED] in the triangle, removing the only 1->2 walk's first arc
     # disconnects the root, so no branching can avoid a 1->2 path
     assert out_branching_avoiding_path(cycle3(), 0, 1, 2) is None
+    # a path from the root itself: the same walk, starting at u
+    assert_branching_plus_path(g, out_branching_avoiding_path(g, 0, 0, 3), 0, 0, 3)
+    # [DERIVED] only one arc enters 2 in the triangle, so no second 0->2 path
+    assert out_branching_avoiding_path(cycle3(), 0, 0, 2) is None
+    # the one-vertex path when w == v == u, and the two-path graph
+    # 0->1, 0->2->1, where the path and the tree split the routes into 1
+    assert_branching_plus_path(
+        cycle3(), out_branching_avoiding_path(cycle3(), 0, 0, 0), 0, 0, 0
+    )
+    h = Digraph(3, [(0, 1), (0, 2), (2, 1)])
+    assert_branching_plus_path(h, out_branching_avoiding_path(h, 0, 0, 1), 0, 0, 1)
 
 
 def test_search_matches_the_oracle_on_small_semicomplete_digraphs():

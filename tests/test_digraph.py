@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from goodpairs import digraph
 from goodpairs.digraph import (
-    CutWitness,
     Digraph,
     SccDecomposition,
-    arc_disjoint_paths,
     bits,
     coreach_mask,
     is_k_arc_strong,
@@ -156,24 +154,6 @@ def test_local_connectivity_cap_stops_early():
     g = complete_digraph(5)
     k, cut = local_arc_connectivity(g, 0, 1, cap=2)
     assert k == 2 and cut is None
-
-
-def test_arc_disjoint_paths_found():
-    g = tt3()
-    paths = arc_disjoint_paths(g, 0, 2, 2)
-    assert isinstance(paths, list)
-    assert sorted(paths) == [[0, 1, 2], [0, 2]]
-    for p in paths:
-        for a, b in zip(p, p[1:]):
-            assert g.has_arc(a, b)
-
-
-def test_arc_disjoint_paths_failure_gives_cut():
-    g = tt3()
-    cut = arc_disjoint_paths(g, 0, 1, 2)
-    assert isinstance(cut, CutWitness)
-    assert cut.validate(g)
-    assert len(cut.crossing) < 2
 
 
 def test_k_arc_strong():
@@ -422,16 +402,7 @@ def _flow_samples(rng):
             yield g, rng.getrandbits(n) & ~(1 << sink) or 1 << (sink + 1) % n, sink
 
 
-def augmenting_flow_as_rows(g, source_mask, sink, banned, allowed, cap):
-    """The set reference with its used arcs handed back as rows."""
-    value, side, used = augmenting_flow_by_sets(g, source_mask, sink, banned, allowed, cap)
-    rows = [0] * g.n
-    for a, b in used:
-        rows[a] |= 1 << b
-    return value, side, rows
-
-
-def test_row_flow_matches_the_set_reference(monkeypatch):
+def test_row_flow_matches_the_set_reference():
     rng = random.Random(14)
     queries = 0
     for g, source_mask, sink in _flow_samples(rng):
@@ -449,15 +420,6 @@ def test_row_flow_matches_the_set_reference(monkeypatch):
                     g, source_mask, sink, bans, within, cap
                 ), (g, source_mask, sink, bans, within, cap)
                 queries += 1
-        if source_mask & (source_mask - 1):
-            continue
-        x = source_mask.bit_length() - 1
-        for k in (1, 2, 3):
-            paths = arc_disjoint_paths(g, x, sink, k)
-            with monkeypatch.context() as m:
-                m.setattr(digraph, "_augmenting_flow", augmenting_flow_as_rows)
-                want = arc_disjoint_paths(g, x, sink, k)
-            assert paths == want
     assert queries == (30 + 300 * 6) * 2 * 4
 
 

@@ -39,7 +39,7 @@ from goodpairs.semicomplete import (
     try_construct_pair,
 )
 from goodpairs.verdicts import validate_verdict
-from goodpairs.witnesses import iter_type_a, iter_type_b
+from goodpairs.witnesses import iter_type_a, iter_type_b, validate_witness
 from test_branchings import _two_arc_strong_inputs, reference_bfs
 from test_large_inputs import fixture_a
 from test_witnesses import level_test_inputs
@@ -259,6 +259,19 @@ def test_almost_good_pair_kind_b_shares_backward_set():
         assert pair.shared_arcs == set(w.backward_arcs)
         assert branching_violation(g, pair.out_branching) is None
         assert branching_violation(g, pair.in_branching) is None
+
+
+def test_almost_good_pair_rejects_a_bad_witness_or_index():
+    g = five_level_chain()
+    w = next(w for w in iter_type_a(g, 3, 1) if w.alpha == 2)
+    # without its first designated arc the digraph no longer fits w
+    h = g.without_arcs({w.backward_arcs[0]})
+    assert validate_witness(h, w) is not None
+    with pytest.raises(InvalidInput, match="witness does not fit"):
+        almost_good_pair(h, w)
+    for r in (-1, len(w.backward_arcs)):
+        with pytest.raises(InvalidInput, match="shared_index out of range"):
+            almost_good_pair(g, w, shared_index=r)
 
 
 def _first_obstruction_arcs(g):
