@@ -6,19 +6,13 @@ transitive compositions, quasi-transitive digraphs) has a good (u,v)-pair:
 an out-branching rooted at u and an in-branching rooted at v sharing no
 arc.  YES answers come with a verified pair, NO answers with a
 machine-checkable obstruction, and a brute-force oracle validates both at
-small sizes.
+small sizes.  `decide` is the one entry point for every class.
 """
 
 from .digraph import Digraph
 from .branchings import Branching, BranchingPair, verify_good_pair
 from .composition import Composition, qt_decompose
 from .dispatch import decide, recognize
-from .semicomplete import decide_semicomplete
-from .composition_engine import decide_composition
-from .transitive_engine import (
-    decide_quasi_transitive,
-    decide_transitive_composition,
-)
 from .oracle import oracle_good_pair
 from .verdicts import Verdict, validate_verdict, verdict_to_dict
 
@@ -30,10 +24,6 @@ __all__ = [
     "Verdict",
     "decide",
     "recognize",
-    "decide_semicomplete",
-    "decide_composition",
-    "decide_transitive_composition",
-    "decide_quasi_transitive",
     "qt_decompose",
     "oracle_good_pair",
     "validate_verdict",

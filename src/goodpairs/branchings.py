@@ -273,11 +273,12 @@ def out_branching_avoiding_path(
     after necessary cut checks we search over candidate paths whose removal
     keeps u spanning; the budget bounds that search and overrunning it is a
     loud error, never a silent no.  The same walk covers w == u, where
-    the path starts at the root.
+    the path starts at the root, and v == u, where it ends there; the
+    two-path cut check into v runs only when v is neither u nor w.
     """
     if reach_mask(g, 1 << u) != g.full_mask:
         return None
-    if v != w:
+    if v not in (u, w):
         value, _ = unit_flow(g, 1 << u | 1 << w, v, cap=2)
         if value < 2:
             return None

@@ -277,17 +277,19 @@ def qt_parts(g: Digraph) -> tuple[str, list[int]]:
     return "non-strong", scc.components
 
 
-def qt_decompose(g: Digraph) -> QtDecomposition:
+def qt_decompose(g: Digraph, recognized: bool = False) -> QtDecomposition:
     """Canonical decomposition of a quasi-transitive digraph.
 
     Strong inputs split along non-adjacency components with a strong
     semicomplete quotient; non-strong inputs split into their strong
     components under a transitive oriented quotient.  Inputs that fail
-    the uniformity this structure promises are rejected.
+    the uniformity this structure promises are rejected.  `recognized`
+    says the caller has already found g quasi-transitive, so the class
+    check is not run again.
     """
     if g.n < 2:
         raise InvalidInput("decomposition needs at least two vertices")
-    if not is_quasi_transitive(g):
+    if not recognized and not is_quasi_transitive(g):
         raise InvalidInput("input digraph is not quasi-transitive")
     kind, masks = qt_parts(g)
     if kind == "strong":

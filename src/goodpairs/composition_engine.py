@@ -1,16 +1,16 @@
-"""Decision engine for compositions over a strong semicomplete quotient.
+"""Decision tail for compositions over a strong semicomplete quotient.
 
 The flattened digraph of such a composition either carries an
 arc-disjoint out-branching rooted at u and in-branching rooted at v,
 or it falls into a short list of blocked shapes: a root with too few
 arcs, one of seven named small families, or a layered quotient witness
 whose designated arcs all keep their blocking power once part sizes
-are taken into account.  decide_composition tries the semicomplete
-greedy on the flat digraph first, right after the degree test: a pair
-that verifies answers YES before any blocked shape is looked for.  Only
-a greedy miss checks the blocked shapes exactly, and a miss that none
-of them blocks is built by the complete search.  The quotient only
-enters the decision; any verified pair of the flat digraph answers YES.
+are taken into account.  `dispatch.decide` runs the root and degree
+tests and the semicomplete greedy on the flat digraph for every class;
+only a greedy miss enters `decide_composition`, which checks the
+blocked shapes exactly, and a miss that none of them blocks is built by
+the complete search.  The quotient only enters the decision; any
+verified pair of the flat digraph answers YES.
 
 Each family is a predicate on the flat digraph's bitset rows: five say
 which arcs every row must hold and which it may add, and the other two
@@ -23,13 +23,12 @@ from __future__ import annotations
 
 from . import semicomplete
 from .branchings import BranchingPair, is_two_arc_strong
-from .composition import Composition, finest_refinement, is_semicomplete
+from .composition import Composition, finest_refinement
 from .digraph import Digraph, bits, coreach_mask, reach_mask
-from .errors import InvalidInput, ResourceExceeded
+from .errors import ResourceExceeded
 from .forcing import force_trace
 from .verdicts import (
     ARC_FORCING,
-    DEGREE,
     KNOWN_FAMILY,
     LAYERED_A,
     LAYERED_B,
@@ -210,38 +209,16 @@ def construct_composition_pair(flat: Digraph, u: int, v: int) -> BranchingPair:
     return semicomplete.searched_good_pair(flat, u, v)
 
 
-def decide_composition(comp: Composition, u: int, v: int) -> Verdict:
-    """Decide a composition with a strong semicomplete quotient.
+def decide_composition(comp: Composition, flat: Digraph, u: int, v: int) -> Verdict:
+    """The tail of `dispatch.decide` for a composition over a strong
+    semicomplete quotient, past a greedy miss on `flat`, comp's flat
+    digraph.
 
-    No-verdicts carry checkable evidence: a starved root degree, the
-    matched family, a quotient witness with the per-arc blocking
-    conditions, or a forcing trace.  Yes-verdicts carry a verified
-    branching pair: the greedy's, tried right after the degree test,
-    or the search's once every blocked shape is ruled out.
+    No-verdicts carry checkable evidence: the matched family, a quotient
+    witness with the per-arc blocking conditions, or a forcing trace.
+    Yes-verdicts carry the search's verified pair once every blocked
+    shape is ruled out.
     """
-    quotient = comp.quotient
-    if comp.s < 2:
-        raise InvalidInput("composition needs at least two parts")
-    if not is_semicomplete(quotient):
-        raise InvalidInput("quotient is not semicomplete")
-    if not _is_strong(quotient):
-        raise InvalidInput("quotient is not strong")
-    flat = comp.flatten()
-    if not (0 <= u < flat.n and 0 <= v < flat.n):
-        raise InvalidInput("roots out of range")
-    if u != v and (flat.out_degree(u) < 2 or flat.in_degree(v) < 2):
-        return Verdict(yes=False, u=u, v=v, reason=DEGREE)
-    pair = semicomplete.greedy_good_pair(flat, u, v)
-    if pair is not None:
-        return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
-    return _decide_greedy_miss(comp, flat, u, v)
-
-
-def _decide_greedy_miss(comp: Composition, flat: Digraph, u: int, v: int) -> Verdict:
-    """`decide_composition` past a greedy miss on `flat`, comp's flat
-    digraph: the blocked shapes, then the search.  The quasi-transitive
-    front door, which runs its own greedy on renumbered rows, enters
-    here too."""
     hit = match_known_family(comp, u, v)
     if hit is not None:
         family, reversed_ = hit

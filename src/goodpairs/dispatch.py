@@ -1,4 +1,28 @@
-"""Route a decision request to the engine that owns the input's class."""
+"""The one decision path: every class shares its first steps.
+
+`decide` checks the class, then the roots: out of range is an error,
+one vertex is a trivial YES, a root side that misses a vertex is a NO,
+and so is a starved root degree outside the semicomplete class.  Then
+the greedy of `semicomplete.greedy_good_pair` runs once, on the flat
+digraph in the input's own numbering; a pair that verifies is a whole
+YES certificate.  Only a miss goes on to the class's own tail, which
+looks for the class's obstructions and else builds the pair with the
+complete search:
+
+- semicomplete: `semicomplete.decide_semicomplete`;
+- composition over a strong semicomplete quotient:
+  `composition_engine.decide_composition`;
+- composition over a transitive quotient:
+  `transitive_engine.decide_transitive_composition`;
+- composition over a non-strong semicomplete quotient: its parts merged
+  along the quotient's strong components (`condensed_transitive`), then
+  the transitive tail;
+- quasi-transitive: `qt_decompose`, then the strong or the transitive tail.
+
+A tail that works on a renumbered composition has its verdict mapped
+back by `translate_verdict`, so every verdict speaks in the input's own
+numbering.
+"""
 
 from __future__ import annotations
 
@@ -7,17 +31,18 @@ from .composition import (
     is_quasi_transitive,
     is_semicomplete,
     is_transitive,
+    qt_decompose,
 )
-from .digraph import strong_components
+from .composition_engine import decide_composition
+from .digraph import Digraph, coreach_mask, reach_mask, strong_components
 from .errors import InvalidInput
-from .semicomplete import decide_semicomplete
+from .semicomplete import decide_semicomplete, greedy_good_pair, trivial_pair
 from .transitive_engine import (
     condensed_transitive,
-    decide_quasi_transitive,
     decide_transitive_composition,
     translate_verdict,
 )
-from .verdicts import Verdict
+from .verdicts import DEGREE, ROOT_COMPONENT, YES, Verdict
 
 CLASSES = ("auto", "semicomplete", "composition", "transitive", "qt")
 
@@ -69,18 +94,55 @@ def decide(target, u: int, v: int, klass: str = "auto") -> Verdict:
         klass = recognize(target)
     else:
         _check_forced_class(target, klass)
+    flat = target.flatten() if isinstance(target, Composition) else target
+    if not (0 <= u < flat.n and 0 <= v < flat.n):
+        raise InvalidInput("roots out of range")
+    if flat.n == 1:
+        return Verdict(yes=True, u=u, v=v, reason=YES, pair=trivial_pair(u))
+    full = flat.full_mask
+    if reach_mask(flat, 1 << u) != full:
+        return Verdict(yes=False, u=u, v=v, reason=ROOT_COMPONENT, side="out")
+    if coreach_mask(flat, 1 << v) != full:
+        return Verdict(yes=False, u=u, v=v, reason=ROOT_COMPONENT, side="in")
+    # semicomplete inputs skip the degree test: their tail names a starved
+    # degree by its own evidence, a small exception or an obstructing arc
+    if klass != "semicomplete" and u != v and (
+        flat.out_degree(u) < 2 or flat.in_degree(v) < 2
+    ):
+        return Verdict(yes=False, u=u, v=v, reason=DEGREE)
+    pair = greedy_good_pair(flat, u, v)
+    if pair is not None:
+        return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
+    return _decide_greedy_miss(target, flat, u, v, klass)
+
+
+def _decide_greedy_miss(
+    target, flat: Digraph, u: int, v: int, klass: str
+) -> Verdict:
+    """The class's tail past a greedy miss on `flat`, target's flat
+    digraph.  Quasi-transitive inputs and compositions over a non-strong
+    semicomplete quotient are decided over a renumbered composition and
+    their verdict mapped back."""
+    if klass == "semicomplete":
+        return decide_semicomplete(flat, u, v)
     if isinstance(target, Composition):
         if klass == "transitive":
-            return decide_transitive_composition(target, u, v)
+            return decide_transitive_composition(flat, u, v)
         if strong_components(target.quotient).is_strong:
-            from .composition_engine import decide_composition
-
-            return decide_composition(target, u, v)
-        return _condensed_decide(target, u, v)
-    if klass == "semicomplete":
-        return decide_semicomplete(target, u, v)
-    # transitive digraphs are quasi-transitive; reuse that front door
-    return decide_quasi_transitive(target, u, v)
+            return decide_composition(target, flat, u, v)
+        comp, order = condensed_transitive(target)
+        strong = False
+    else:
+        dec = qt_decompose(flat, recognized=True)
+        comp, order, strong = dec.composition, dec.order, dec.kind == "strong"
+    inv = [0] * flat.n
+    for new, old in enumerate(order):
+        inv[old] = new
+    if strong:
+        inner = decide_composition(comp, comp.flatten(), inv[u], inv[v])
+    else:
+        inner = decide_transitive_composition(comp.flatten(), inv[u], inv[v])
+    return translate_verdict(flat, comp, order, inner, u, v)
 
 
 def _check_forced_class(target, klass: str) -> None:
@@ -98,15 +160,3 @@ def _check_forced_class(target, klass: str) -> None:
         raise InvalidInput("input digraph is not quasi-transitive")
     elif klass == "composition":
         raise InvalidInput("composition class needs a composition input")
-
-
-def _condensed_decide(comp: Composition, u: int, v: int) -> Verdict:
-    """Non-strong semicomplete quotient: merge parts along its strong
-    components, decide over the resulting transitive quotient, and
-    relabel the evidence back."""
-    tcomp, order = condensed_transitive(comp)
-    inv = [0] * tcomp.n
-    for new, old in enumerate(order):
-        inv[old] = new
-    inner = decide_transitive_composition(tcomp, inv[u], inv[v])
-    return translate_verdict(comp, tcomp, order, inner, u, v)

@@ -3,15 +3,14 @@
 A good (u,v)-pair exists unless one of four obstructions is present: a
 root that does not span, one of six small exceptional digraphs with the
 roots in fixed position, a single arc whose removal starves both roots,
-or a layered kind-A witness with at least five levels.  A pair that
-verifies is a whole YES certificate, so once the roots span, the greedy
-pair of `greedy_good_pair` is tried before any obstruction test and
-answers YES when it verifies.  Only a greedy miss runs the obstruction
-tests, and a miss that none of them blocks is built by the complete
-`branchings.search_good_pair` in `searched_good_pair`.  Every engine
-decides in this order: greedy first, then its own obstructions, then the
-search; `construct_good_pair`, the greedy else the search, is the pair
-each of them answers YES with.
+or a layered kind-A witness with at least five levels.  `dispatch.decide`
+tests the roots and tries the greedy pair of `greedy_good_pair` for
+every class; a pair that verifies is a whole YES certificate.  Only a
+greedy miss enters `decide_semicomplete`, which runs the other three
+obstruction tests, and a miss that none of them blocks is built by the
+complete `branchings.search_good_pair` in `searched_good_pair`.  The
+other classes' tails end in the same search, so `construct_good_pair`,
+the greedy else the search, is the pair every class answers YES with.
 
 The arc-obstruction scan, the witness enumeration and the greedy's
 guarded growth rest on two BFS-tree facts.  An arc off a BFS tree cannot
@@ -43,12 +42,10 @@ from .digraph import (
     coreach_mask,
     reach_mask,
 )
-from .composition import is_semicomplete
 from .errors import InternalInconsistency, InvalidInput
 from .verdicts import (
     ARC_OBSTRUCTION,
     LAYERED_A,
-    ROOT_COMPONENT,
     SMALL_EXCEPTION,
     YES,
     Verdict,
@@ -174,8 +171,9 @@ def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
 def greedy_good_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
     """The greedy pair of `try_construct_pair` when it verifies, else None.
 
-    A verified pair is a complete YES certificate, so every engine asks
-    for it before its obstruction tests, and a NO can only follow a miss.
+    A verified pair is a complete YES certificate, so `dispatch.decide`
+    asks for it before any class's obstruction tests, and a NO can only
+    follow a miss.
     """
     pair = try_construct_pair(g, u, v)
     if pair is not None and verify_good_pair(g, u, v, pair):
@@ -206,9 +204,9 @@ def construct_good_pair(g: Digraph, u: int, v: int) -> BranchingPair:
     """A good (u,v)-pair the caller's decision promised; never a silent miss.
 
     The verified greedy pair when there is one, else `searched_good_pair`:
-    the pair every engine answers YES with.  The engines call the two
-    halves apart, with their obstruction tests between them, so the
-    greedy runs once per decision.
+    the pair every class answers YES with.  `dispatch.decide` and the
+    class tails call the two halves apart, with the obstruction tests
+    between them, so the greedy runs once per decision.
     """
     pair = greedy_good_pair(g, u, v)
     if pair is None:
@@ -246,28 +244,11 @@ def _obstruction_arc(g: Digraph, u: int, v: int) -> Arc | None:
 
 
 def decide_semicomplete(g: Digraph, u: int, v: int) -> Verdict:
-    """Decide a flat semicomplete digraph at the roots u, v.
-
-    After the root-span tests the verified greedy pair answers YES on
-    its own.  Only a greedy miss runs the small exceptions, the
-    single-arc scan and the kind-A witnesses, each a NO with its
-    evidence, and a miss that none of them blocks is built by the
-    complete search.
+    """The semicomplete tail of `dispatch.decide`, past the root tests
+    and a greedy miss on g: the small exceptions, the single-arc scan
+    and the kind-A witnesses, each a NO with its evidence, and a miss
+    that none of them blocks is built by the complete search.
     """
-    if not is_semicomplete(g):
-        raise InvalidInput("input digraph is not semicomplete")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise InvalidInput("roots out of range")
-    if g.n == 1:
-        return Verdict(yes=True, u=u, v=v, reason=YES, pair=trivial_pair(u))
-    full = g.full_mask
-    if reach_mask(g, 1 << u) != full:
-        return Verdict(yes=False, u=u, v=v, reason=ROOT_COMPONENT, side="out")
-    if coreach_mask(g, 1 << v) != full:
-        return Verdict(yes=False, u=u, v=v, reason=ROOT_COMPONENT, side="in")
-    pair = greedy_good_pair(g, u, v)
-    if pair is not None:
-        return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
     hit = match_small_exception(g, u, v)
     if hit is not None:
         name, mapping = hit

@@ -229,7 +229,7 @@ def _check_known_family(flat, comp, verdict: Verdict) -> str | None:
     u, v = verdict.u, verdict.v
     if comp is None:
         # Flat inputs reach this reason only through the quasi-transitive
-        # front door, so the decomposition can be rebuilt here.
+        # route, so the decomposition can be rebuilt here.
         from .composition import qt_decompose
 
         try:

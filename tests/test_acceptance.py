@@ -17,7 +17,6 @@ from goodpairs.branchings import (
     out_branching_avoiding_path,
     verify_good_pair,
 )
-from goodpairs.composition_engine import decide_composition
 from goodpairs.digraph import bits, is_k_arc_strong, strong_components
 from goodpairs.dispatch import decide
 from goodpairs.families import (
@@ -34,8 +33,7 @@ from goodpairs.families import (
     random_wide_composition,
 )
 from goodpairs.oracle import enumerate_out_branchings, oracle_good_pair
-from goodpairs.semicomplete import almost_good_pair, decide_semicomplete
-from goodpairs.transitive_engine import decide_quasi_transitive
+from goodpairs.semicomplete import almost_good_pair
 from goodpairs.verdicts import validate_verdict
 from goodpairs.witnesses import iter_type_a, iter_type_b, validate_witness
 
@@ -57,7 +55,7 @@ def _small_sweep():
     for g in graphs:
         for u in range(g.n):
             for v in range(g.n):
-                verdict = decide_semicomplete(g, u, v)
+                verdict = decide(g, u, v, "semicomplete")
                 oracle_yes = oracle_good_pair(g, u, v) is not None
                 rows.append((g, u, v, verdict, oracle_yes))
     return rows, time.perf_counter() - t0
@@ -142,7 +140,7 @@ def test_04_random_composition_crosscheck():
         flat = comp.flatten()
         for u in range(flat.n):
             for v in range(flat.n):
-                ver = decide_composition(comp, u, v)
+                ver = decide(comp, u, v, "composition")
                 if ver.yes != (oracle_good_pair(flat, u, v) is not None):
                     mismatches += 1
                     continue
@@ -161,7 +159,7 @@ def test_05_two_arc_strong_is_always_yes():
         assert ok
         for u in range(n):
             for v in range(n):
-                ver = decide_semicomplete(g, u, v)
+                ver = decide(g, u, v, "semicomplete")
                 assert ver.yes, (seed, u, v, ver.reason)
                 assert verify_good_pair(g, u, v, ver.pair)
 
@@ -178,7 +176,7 @@ def test_05_two_arc_strong_is_always_yes():
         blocked_pairs = []
         for u in range(flat.n):
             for v in range(flat.n):
-                ver = decide_composition(comp, u, v)
+                ver = decide(comp, u, v, "composition")
                 if not ver.yes:
                     blocked_pairs.append(ver)
                 else:
@@ -272,7 +270,7 @@ def test_09_quasi_transitive_end_to_end():
         for g in all_quasi_transitive(n):
             for u in range(n):
                 for v in range(n):
-                    ver = decide_quasi_transitive(g, u, v)
+                    ver = decide(g, u, v, "qt")
                     if ver.yes != (oracle_good_pair(g, u, v) is not None):
                         mismatches += 1
                     assert validate_verdict(g, ver) is None
@@ -280,7 +278,7 @@ def test_09_quasi_transitive_end_to_end():
         g = random_quasi_transitive(seed, 6)
         for u in range(g.n):
             for v in range(g.n):
-                ver = decide_quasi_transitive(g, u, v)
+                ver = decide(g, u, v, "qt")
                 if ver.yes != (oracle_good_pair(g, u, v) is not None):
                     mismatches += 1
                     continue

@@ -129,6 +129,9 @@ def test_out_branching_avoiding_path():
     )
     h = Digraph(3, [(0, 1), (0, 2), (2, 1)])
     assert_branching_plus_path(h, out_branching_avoiding_path(h, 0, 0, 1), 0, 0, 1)
+    # a path back into the root: no two-path cut check into v == u
+    k3 = complete_digraph(3)
+    assert_branching_plus_path(k3, out_branching_avoiding_path(k3, 0, 1, 0), 0, 1, 0)
 
 
 def test_search_matches_the_oracle_on_small_semicomplete_digraphs():

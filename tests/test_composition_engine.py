@@ -11,7 +11,6 @@ from goodpairs.composition_engine import (
     _FLAT_MATCHERS,
     _is_strong,
     _match_ring,
-    decide_composition,
     match_known_family,
     two_arc_strong_pair,
 )
@@ -38,22 +37,25 @@ from test_semicomplete import count_greedy_calls, forbid, greedy_hits
 
 
 def test_rejects_non_strong_or_single_part():
-    comp = Composition(Digraph(2, [(0, 1)]), (singleton(), singleton()))
+    # a non-strong semicomplete quotient is decided through its strong
+    # components (`condensed_transitive`); one that is not semicomplete
+    # has no composition route
+    comp = Composition(Digraph(2, []), (singleton(), singleton()))
     with pytest.raises(InvalidInput):
-        decide_composition(comp, 0, 1)
+        decide(comp, 0, 1, "composition")
     comp = Composition(Digraph(1, []), (independent(2),))
     with pytest.raises(InvalidInput):
-        decide_composition(comp, 0, 1)
+        decide(comp, 0, 1, "composition")
 
 
 def test_family_match_direct_and_reversed():
     comp, u, v = family_a(back_arc=False)
     assert match_known_family(comp, u, v) == ("a", False)
-    ver = decide_composition(comp, u, v)
+    ver = decide(comp, u, v, "composition")
     assert not ver.yes and ver.reason == "known-family" and ver.family == "a"
     assert validate_verdict(comp, ver) is None
     # swapped roots stay blocked and the verdict still validates
-    swapped = decide_composition(comp, v, u)
+    swapped = decide(comp, v, u, "composition")
     assert not swapped.yes
     assert validate_verdict(comp, swapped) is None
     assert oracle_good_pair(comp.flatten(), v, u) is None
@@ -63,7 +65,7 @@ def test_family_c_blocked_and_validated():
     # the t=1 member is small enough for the degree precheck to claim it
     for t, reason in ((1, "degree"), (2, "known-family")):
         comp, u, v = family_c(t, 0)
-        ver = decide_composition(comp, u, v)
+        ver = decide(comp, u, v, "composition")
         assert not ver.yes and ver.reason == reason
         assert validate_verdict(comp, ver) is None
         assert oracle_good_pair(comp.flatten(), u, v) is None
@@ -71,7 +73,7 @@ def test_family_c_blocked_and_validated():
 
 def test_family_g_is_the_pinned_quad():
     comp, u, v = family_g()
-    ver = decide_composition(comp, u, v)
+    ver = decide(comp, u, v, "composition")
     assert not ver.yes and validate_verdict(comp, ver) is None
     assert oracle_good_pair(comp.flatten(), u, v) is None
 
@@ -80,7 +82,7 @@ def test_refined_layering_beats_the_given_presentation():
     # [DERIVED] seed 263 at roots (2,1) needs the finest repartition:
     # the four given parts hide a five-cell type-A layering
     comp = random_composition(263)
-    ver = decide_composition(comp, 2, 1)
+    ver = decide(comp, 2, 1, "composition")
     assert not ver.yes and ver.reason == "layered-a"
     assert ver.refinement == (0, 1, 2, 3, 3, 4)
     assert validate_verdict(comp, ver) is None
@@ -98,7 +100,7 @@ def test_forced_arc_cascade():
         (3, 2, "arc-forcing"),
         (4, 2, "arc-forcing"),
     ):
-        ver = decide_composition(comp, u, v)
+        ver = decide(comp, u, v, "composition")
         assert not ver.yes and ver.reason == reason
         assert validate_verdict(comp, ver) is None
         assert oracle_good_pair(flat, u, v) is None
@@ -137,7 +139,7 @@ def test_verified_greedy_pair_answers_before_any_blocked_shape(monkeypatch):
     )
     forbid(monkeypatch, semicomplete, ("searched_good_pair",))
     for (u, v), pair in want.items():
-        ver = decide_composition(comp, u, v)
+        ver = decide(comp, u, v, "composition")
         assert ver.yes and ver.pair == pair
 
 
@@ -152,7 +154,7 @@ def test_greedy_miss_is_built_by_the_search(seed, u, v, two_arc_strong, monkeypa
     flat = comp.flatten()
     assert is_two_arc_strong(flat) == two_arc_strong
     calls = count_greedy_calls(monkeypatch)
-    ver = decide_composition(comp, u, v)
+    ver = decide(comp, u, v, "composition")
     # the blocked shapes and the search run after one greedy attempt
     assert calls == [(u, v)]
     assert ver.yes and ver.pair == search_good_pair(flat, u, v)
@@ -166,7 +168,7 @@ def test_random_sweep_matches_oracle():
         flat = comp.flatten()
         for u in range(flat.n):
             for v in range(flat.n):
-                ver = decide_composition(comp, u, v)
+                ver = decide(comp, u, v, "composition")
                 assert ver.yes == (oracle_good_pair(flat, u, v) is not None)
                 assert validate_verdict(comp, ver) is None
 

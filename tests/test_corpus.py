@@ -11,8 +11,8 @@ pair of every YES verdict, so it pins answers, reasons, NO evidence and
 errors even when a constructor is meant to pick other pairs.
 Regenerate with `python tests/test_corpus.py` only when a verdict is
 meant to change.  The same pass also checks that no NO verdict has a
-greedy pair that verifies, since every engine answers YES from such a
-pair before it looks for an obstruction.
+greedy pair that verifies, since `decide` answers YES from such a pair
+before any class looks for an obstruction.
 """
 
 import copy
@@ -176,7 +176,7 @@ VERDICT_DIGESTS = {
     "semicomplete-n4": (11920, "3a365dfe15b43831f94f7ac82d40ce5aba8e42004b6d0e9148bd97f20261cbce"),
     "families": (154, "07fe736381258edeacd24e26f21b66ff7ce7e45e92f3c18dd5fead1c53a52528"),
     "random-composition": (1354, "4d7c91459310a2aa00a2c1e6695b080e97235a7bd6cf00813309b6bb8fea2fc9"),
-    "random-qt": (2940, "c77beb5448bca611eb3aefc3b1d7dc8c013aa157dd55a622c0a7490103c94f8b"),
+    "random-qt": (2940, "4f68625a24e6268342b82c8711cd4cc88a9dc1f4ea10c8b742dd8df582e28200"),
     "all-qt-4": (17424, "aee0ab75885ee88c5f0596169ef7c3148078157552f9c8b0fb3718b5000cce5e"),
     "kind-ab": (685, "e286cc9bfa3629decf6d7b77fa6ccd86a04ce2a3029c454d7229da96885ff550"),
     "transitive-3-parts": (2048, "f562e9b8ec20f92186d292d1c6a5100ea2f6a9a7ea048c35b5424e141a193941"),
@@ -212,9 +212,9 @@ def test_verdict_bytes_are_pinned(group):
 
 @pytest.mark.parametrize("group", GROUPS)
 def test_no_verdict_has_a_verified_greedy_pair(group):
-    # every engine answers YES from a greedy pair that verifies before it
-    # looks for an obstruction, so a NO here with such a pair would be a
-    # NO the engine should never have reached: a false NO
+    # decide answers YES from a greedy pair that verifies before any
+    # class looks for an obstruction, so a NO here with such a pair would
+    # be a NO the engine should never have reached: a false NO
     false_no = []
     for target, u, v, reason in corpus_pass(group)[3]:
         flat = target.flatten() if isinstance(target, Composition) else target

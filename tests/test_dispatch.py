@@ -1,15 +1,32 @@
-"""`recognize` names the class whose route an automatic `decide` takes."""
+"""`recognize` names the class whose route an automatic `decide` takes,
+and `decide` runs the steps every class shares once."""
 
 import sys
 
 import pytest
 from test_corpus import GROUPS, targets
 
-from goodpairs.composition import Composition, is_quasi_transitive, singleton
+from goodpairs.composition import (
+    Composition,
+    is_quasi_transitive,
+    is_semicomplete,
+    is_transitive,
+    singleton,
+    transitive_tournament,
+)
 from goodpairs.digraph import Digraph
 from goodpairs.dispatch import decide, recognize
 from goodpairs.errors import InvalidInput
-from goodpairs.families import all_digraphs
+from goodpairs.families import all_digraphs, family_c, random_composition
+from goodpairs.semicomplete import greedy_good_pair
+from goodpairs.verdicts import validate_verdict
+from test_semicomplete import greedy_miss_yes
+from test_transitive import (
+    DEGREE_NON_STRONG,
+    DEGREE_STRONG,
+    GREEDY_MISS_YES_NON_STRONG,
+    GREEDY_MISS_YES_STRONG,
+)
 
 
 def assert_recognize_agrees(target, roots):
@@ -39,22 +56,111 @@ def test_recognize_agrees_with_decide_on_the_corpus(group):
         assert_recognize_agrees(target, [roots[0], roots[-1]])
 
 
+def record_calls(monkeypatch, fn) -> list:
+    """Record the arguments of every call of fn from now on, under each
+    name a goodpairs module looks it up by."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("goodpairs") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
 def test_root_starved_quasi_transitive_input_checks_its_class_once(monkeypatch):
     # 0 -> 1, 0 -> 2 is quasi-transitive but not semicomplete, and the
     # in-root 1 is reached from 0 only: the root test answers before
-    # qt_decompose would check the class a second time
-    calls = []
-
-    def counted(g):
-        calls.append(g)
-        return is_quasi_transitive(g)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("goodpairs") and (
-            getattr(module, "is_quasi_transitive", None) is is_quasi_transitive
-        ):
-            monkeypatch.setattr(module, "is_quasi_transitive", counted)
+    # any class tail runs
+    calls = record_calls(monkeypatch, is_quasi_transitive)
     g = Digraph(3, [(0, 1), (0, 2)])
     ver = decide(g, 0, 1)
     assert not ver.yes and ver.reason == "root-component" and ver.side == "in"
     assert len(calls) == 1
+
+
+def _flat_case(case, reason, klass):
+    arcs, u, v = case
+    return Digraph(max(max(a) for a in arcs) + 1, arcs), u, v, reason, klass
+
+
+# quasi-transitive but not semicomplete, so `recognize` routes them "qt"
+QT_STRONG_MISS_NO = ([(0, 3), (1, 3), (2, 0), (2, 1), (3, 2)], 0, 0)
+QT_NON_STRONG_MISS_NO = ([(1, 0), (2, 0), (3, 0), (3, 1), (3, 2)], 3, 0)
+
+
+def front_door_cases(route):
+    """(class predicate, [(target, u, v, reason, klass)]) for one route:
+    greedy misses, then a starved root degree where the route tests it.
+    The `GREEDY_MISS_*` and `DEGREE_*` digraphs are semicomplete too, so
+    they force the quasi-transitive route."""
+    tt2 = transitive_tournament(2)
+    if route == "semicomplete":
+        return is_semicomplete, [(*greedy_miss_yes(), "good-pair", "auto")]
+    if route == "composition":
+        comp, u, v = family_c(1, 0)
+        return is_semicomplete, [
+            (random_composition(21), 0, 2, "good-pair", "auto"),
+            (comp, u, v, "degree", "auto"),
+        ]
+    if route == "transitive":
+        sink = Digraph(3, [(1, 2), (2, 0), (2, 1)])
+        return is_transitive, [
+            (Composition(tt2, (singleton(), sink)), 0, 1, "good-pair", "auto"),
+            (Composition(tt2, (singleton(), singleton())), 0, 1, "degree", "auto"),
+        ]
+    if route == "condensed":
+        # a 3-cycle under a source: semicomplete, neither strong nor
+        # transitive; its spanning roots cannot starve a degree
+        q = Digraph(4, [(1, 2), (2, 3), (3, 1), (0, 1), (0, 2), (0, 3)])
+        comp = Composition(q, (singleton(),) * 4)
+        return is_semicomplete, [(comp, 0, 1, "good-pair", "auto")]
+    if route == "qt-strong":
+        return is_quasi_transitive, [
+            _flat_case(QT_STRONG_MISS_NO, "layered-a", "auto"),
+            _flat_case(GREEDY_MISS_YES_STRONG, "good-pair", "qt"),
+            _flat_case(DEGREE_STRONG, "degree", "qt"),
+        ]
+    return is_quasi_transitive, [
+        _flat_case(QT_NON_STRONG_MISS_NO, "middle-blocked", "auto"),
+        _flat_case(GREEDY_MISS_YES_NON_STRONG, "good-pair", "qt"),
+        _flat_case(DEGREE_NON_STRONG, "degree", "qt"),
+    ]
+
+
+ROUTES = (
+    "semicomplete",
+    "composition",
+    "transitive",
+    "condensed",
+    "qt-strong",
+    "qt-non-strong",
+)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_front_door_runs_each_step_once(route, monkeypatch):
+    # decide checks the class once, and runs the greedy once on the flat
+    # digraph at the roots: a tail past a miss never runs it again, and a
+    # degree NO runs none
+    predicate, cases = front_door_cases(route)
+    greedy = record_calls(monkeypatch, greedy_good_pair)
+    checks = record_calls(monkeypatch, predicate)
+    for target, u, v, reason, klass in cases:
+        composed = isinstance(target, Composition)
+        flat = target.flatten() if composed else target
+        assert reason == "degree" or greedy_good_pair(flat, u, v) is None
+        greedy.clear()
+        checks.clear()
+        ver = decide(target, u, v, klass)
+        assert len(checks) == 1
+        assert checks[0][0] is (target.quotient if composed else target)
+        if reason == "degree":
+            assert greedy == []
+        else:
+            assert len(greedy) == 1 and greedy[0][0] is flat
+            assert greedy[0][1:] == (u, v)
+        assert ver.reason == reason and validate_verdict(target, ver) is None

@@ -10,14 +10,12 @@ from goodpairs.digraph import Digraph
 from goodpairs.dispatch import decide
 from goodpairs.families import random_composition, random_quasi_transitive
 from goodpairs.oracle import oracle_good_pair
-from goodpairs.semicomplete import decide_semicomplete
 from goodpairs.textio import (
     composition_document,
     emit_document,
     flat_document,
     parse_document,
 )
-from goodpairs.transitive_engine import decide_quasi_transitive
 from goodpairs.verdicts import validate_verdict
 
 PROPERTY_SETTINGS = settings(
@@ -54,7 +52,7 @@ class TestEngineAgainstOracle:
     @given(case=_rooted_semicomplete())
     def test_semicomplete_answer_matches_exhaustive_search(self, case) -> None:
         g, u, v = case
-        verdict = decide_semicomplete(g, u, v)
+        verdict = decide(g, u, v, "semicomplete")
         assert verdict.yes == (oracle_good_pair(g, u, v) is not None)
         assert validate_verdict(g, verdict) is None
         if verdict.yes:
@@ -64,8 +62,8 @@ class TestEngineAgainstOracle:
     @given(case=_rooted_semicomplete())
     def test_converse_swaps_the_roots(self, case) -> None:
         g, u, v = case
-        mirrored = decide_semicomplete(g.converse(), v, u)
-        assert decide_semicomplete(g, u, v).yes == mirrored.yes
+        mirrored = decide(g.converse(), v, u, "semicomplete")
+        assert decide(g, u, v, "semicomplete").yes == mirrored.yes
 
     @PROPERTY_SETTINGS
     @given(
@@ -77,7 +75,7 @@ class TestEngineAgainstOracle:
         self, seed: int, u: int, v: int
     ) -> None:
         g = random_quasi_transitive(seed, 6)
-        verdict = decide_quasi_transitive(g, u, v)
+        verdict = decide(g, u, v, "qt")
         assert verdict.yes == (oracle_good_pair(g, u, v) is not None)
         assert validate_verdict(g, verdict) is None
 

@@ -18,6 +18,7 @@ from goodpairs.digraph import (
     reach_mask,
     strong_components,
 )
+from goodpairs.dispatch import decide
 from goodpairs.errors import InternalInconsistency, InvalidInput, ResourceExceeded
 from goodpairs.families import (
     all_semicomplete,
@@ -34,7 +35,6 @@ from goodpairs.semicomplete import (
     _obstruction_arc,
     almost_good_pair,
     construct_good_pair,
-    decide_semicomplete,
     match_small_exception,
     try_construct_pair,
 )
@@ -61,13 +61,13 @@ def five_level_chain():
 
 def test_rejects_non_semicomplete():
     with pytest.raises(InvalidInput):
-        decide_semicomplete(Digraph(3, [(0, 1), (1, 2)]), 0, 2)
+        decide(Digraph(3, [(0, 1), (1, 2)]), 0, 2, "semicomplete")
     with pytest.raises(InvalidInput):
-        decide_semicomplete(Digraph(2, [(0, 1)]), 0, 2)
+        decide(Digraph(2, [(0, 1)]), 0, 2, "semicomplete")
 
 
 def test_single_vertex_is_trivially_yes():
-    ver = decide_semicomplete(Digraph(1, []), 0, 0)
+    ver = decide(Digraph(1, []), 0, 0, "semicomplete")
     assert ver.yes and validate_verdict(Digraph(1, []), ver) is None
 
 
@@ -75,7 +75,7 @@ def test_exception_patterns_match_at_pinned_roots_only():
     for name, (pattern, pu, pv) in EXCEPTION_PATTERNS.items():
         hit = match_small_exception(pattern, pu, pv)
         assert hit is not None and hit[0] == name
-        ver = decide_semicomplete(pattern, pu, pv)
+        ver = decide(pattern, pu, pv, "semicomplete")
         assert ver.reason == "small-exception" and ver.exception_id == name
         assert validate_verdict(pattern, ver) is None
 
@@ -83,21 +83,21 @@ def test_exception_patterns_match_at_pinned_roots_only():
 def test_relabelled_exception_found():
     # [DERIVED] pattern "b" under the permutation 0->1, 1->2, 2->0
     g = Digraph(3, [(1, 2), (1, 0), (2, 0)])
-    ver = decide_semicomplete(g, 1, 0)
+    ver = decide(g, 1, 0, "semicomplete")
     assert ver.reason == "small-exception" and ver.exception_id == "b"
     assert ver.mapping == (1, 2, 0)
 
 
 def test_arc_obstruction_on_two_cycle():
     g = Digraph(2, [(0, 1), (1, 0)])
-    ver = decide_semicomplete(g, 0, 1)
+    ver = decide(g, 0, 1, "semicomplete")
     assert ver.reason == "arc-obstruction" and ver.arc == (0, 1)
     assert validate_verdict(g, ver) is None
 
 
 def test_layered_verdict_on_five_level_chain():
     g = five_level_chain()
-    ver = decide_semicomplete(g, 3, 1)
+    ver = decide(g, 3, 1, "semicomplete")
     assert ver.reason == "layered-a" and ver.witness.alpha == 2
     assert validate_verdict(g, ver) is None
 
@@ -108,7 +108,7 @@ def test_agrees_with_oracle_on_all_four_vertex_tournaments():
         rows = oracle_all_pairs(g)
         for u in range(4):
             for v in range(4):
-                ver = decide_semicomplete(g, u, v)
+                ver = decide(g, u, v, "semicomplete")
                 assert ver.yes == bool(rows[u] >> v & 1)
                 if ver.yes:
                     assert verify_good_pair(g, u, v, ver.pair)
@@ -218,14 +218,14 @@ def test_verified_greedy_pair_answers_before_any_obstruction_test(monkeypatch):
         ),
     )
     for (u, v), pair in want.items():
-        ver = decide_semicomplete(g, u, v)
+        ver = decide(g, u, v, "semicomplete")
         assert ver.yes and ver.pair == pair
 
 
 def test_greedy_miss_runs_the_obstructions_then_the_search_once(monkeypatch):
     g, u, v = greedy_miss_yes()
     calls = count_greedy_calls(monkeypatch)
-    ver = decide_semicomplete(g, u, v)
+    ver = decide(g, u, v, "semicomplete")
     assert ver.yes and ver.pair == search_good_pair(g, u, v)
     assert ver.pair == construct_good_pair(g, u, v)
     assert validate_verdict(g, ver) is None
@@ -237,7 +237,7 @@ def test_funnel_structure_and_pair():
     # [DERIVED] strong tournament where every (0,0) pair is blocked: the
     # out-side ends and the in-side starts share the single bridge arc
     g = Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1), (2, 3)])
-    assert not decide_semicomplete(g, 0, 0).yes
+    assert not decide(g, 0, 0, "semicomplete").yes
 
 
 def test_almost_good_pair_kind_a_each_shared_arc():

@@ -1,10 +1,10 @@
-"""Transitive compositions and the quasi-transitive front door."""
+"""Transitive compositions and the quasi-transitive route of `decide`."""
 
 import random
 
 import pytest
 
-from goodpairs import composition_engine, transitive_engine
+from goodpairs import dispatch, transitive_engine
 from goodpairs.branchings import search_good_pair, verify_good_pair
 from goodpairs.composition import (
     Composition,
@@ -13,7 +13,6 @@ from goodpairs.composition import (
     singleton,
     transitive_tournament,
 )
-from goodpairs.composition_engine import decide_composition
 from goodpairs.digraph import Digraph, coreach_mask, reach_mask
 from goodpairs.dispatch import decide, recognize
 from goodpairs.errors import InvalidInput
@@ -31,11 +30,10 @@ from goodpairs.semicomplete import (
 )
 from goodpairs.transitive_engine import (
     condensed_transitive,
-    decide_quasi_transitive,
-    decide_transitive_composition,
     translate_verdict,
 )
 from goodpairs.verdicts import Verdict, validate_verdict
+from test_corpus import without_pair
 from test_semicomplete import count_greedy_calls, forbid, greedy_hits
 
 TT2 = Digraph(2, [(0, 1)])
@@ -49,20 +47,20 @@ def tt3_middle(t):
 def test_rejects_bad_inputs():
     comp = Composition(Digraph(3, [(0, 1), (1, 2), (2, 0)]), (singleton(),) * 3)
     with pytest.raises(InvalidInput):
-        decide_transitive_composition(comp, 0, 1)  # cycle quotient
+        decide(comp, 0, 1, "transitive")  # cycle quotient
     one = Composition(Digraph(1, []), (independent(3),))
     with pytest.raises(InvalidInput):
-        decide_transitive_composition(one, 0, 1)
+        decide(one, 0, 1, "transitive")
     good, u, v = tt3_middle(2)
     with pytest.raises(InvalidInput):
-        decide_transitive_composition(good, 0, 99)
+        decide(good, 0, 99, "transitive")
 
 
 def test_root_component_sides():
     comp = Composition(TT2, (singleton(), singleton()))
-    ver = decide_transitive_composition(comp, 1, 1)
+    ver = decide(comp, 1, 1, "transitive")
     assert (not ver.yes) and ver.reason == "root-component" and ver.side == "out"
-    ver = decide_transitive_composition(comp, 0, 0)
+    ver = decide(comp, 0, 0, "transitive")
     assert ver.reason == "root-component" and ver.side == "in"
     assert validate_verdict(comp, ver) is None
 
@@ -72,7 +70,7 @@ def test_middle_blocked_family():
     # direct arc: both branchings would need that arc
     for t in (1, 2, 3):
         comp, u, v = tt3_middle(t)
-        ver = decide_transitive_composition(comp, u, v)
+        ver = decide(comp, u, v, "transitive")
         assert not ver.yes and ver.reason == "middle-blocked"
         assert validate_verdict(comp, ver) is None
         assert oracle_good_pair(comp.flatten(), u, v) is None
@@ -83,14 +81,14 @@ def test_tree_side_both_orientations():
     # shape instead, which is matched first
     out_tree = Digraph(3, [(0, 1), (1, 2)])
     comp = Composition(TT2, (out_tree, singleton()))
-    ver = decide_transitive_composition(comp, 0, 3)
+    ver = decide(comp, 0, 3, "transitive")
     assert not ver.yes and ver.reason == "tree-side" and ver.side == "out"
     assert validate_verdict(comp, ver) is None
     assert oracle_good_pair(comp.flatten(), 0, 3) is None
 
     in_tree = Digraph(3, [(0, 1), (1, 2)])
     comp = Composition(TT2, (singleton(), in_tree))
-    ver = decide_transitive_composition(comp, 0, 3)
+    ver = decide(comp, 0, 3, "transitive")
     assert not ver.yes and ver.reason == "tree-side" and ver.side == "in"
     assert validate_verdict(comp, ver) is None
     assert oracle_good_pair(comp.flatten(), 0, 3) is None
@@ -100,7 +98,7 @@ def test_star_tree_is_the_blocked_middle():
     # the star instance of the one-sided tree is exactly the blocked
     # middle shape; reason stays deterministic
     comp = Composition(TT2, (Digraph(3, [(0, 1), (0, 2)]), singleton()))
-    ver = decide_transitive_composition(comp, 0, 3)
+    ver = decide(comp, 0, 3, "transitive")
     assert ver.reason == "middle-blocked"
     assert validate_verdict(comp, ver) is None
 
@@ -109,7 +107,7 @@ def test_tree_plus_return_arc_is_yes():
     # the 2n-3 count only bites when the in-root is a sink; one arc back
     # out of v already allows a pair
     g = Digraph(3, [(0, 1), (0, 2), (1, 2), (2, 1)])
-    ver = decide_quasi_transitive(g, 0, 2)
+    ver = decide(g, 0, 2, "qt")
     assert ver.yes and validate_verdict(g, ver) is None
     # and a fabricated tree-side claim on it must not validate
     fake = Verdict(yes=False, u=0, v=2, reason="tree-side", side="out")
@@ -120,7 +118,7 @@ def test_degree_starved_same_part_root():
     # u and v share a part; u's only arcs leave through the other part
     part = Digraph(2, [(1, 0)])
     comp = Composition(Digraph(2, [(0, 1), (1, 0)]), (part, singleton()))
-    ver = decide_transitive_composition(comp, 0, 1)
+    ver = decide(comp, 0, 1, "transitive")
     assert not ver.yes and ver.reason == "degree"
     assert oracle_good_pair(comp.flatten(), 0, 1) is None
 
@@ -131,7 +129,7 @@ def test_middle_part_with_internal_arc_is_yes():
         transitive_tournament(3),
         (singleton(), Digraph(2, [(0, 1)]), singleton()),
     )
-    ver = decide_transitive_composition(comp, 0, 3)
+    ver = decide(comp, 0, 3, "transitive")
     assert ver.yes and validate_verdict(comp, ver) is None
 
 
@@ -139,7 +137,7 @@ def test_same_part_roots_construct():
     digon = Digraph(2, [(0, 1), (1, 0)])
     comp = Composition(digon, (digon, singleton()))
     for u, v in ((0, 1), (1, 0), (0, 0)):
-        ver = decide_transitive_composition(comp, u, v)
+        ver = decide(comp, u, v, "transitive")
         want = oracle_good_pair(comp.flatten(), u, v) is not None
         assert ver.yes == want
         assert validate_verdict(comp, ver) is None
@@ -168,7 +166,7 @@ def test_matches_oracle_on_mixed_samples():
             continue
         for u in range(flat.n):
             for v in range(flat.n):
-                ver = decide_transitive_composition(comp, u, v)
+                ver = decide(comp, u, v, "transitive")
                 assert ver.yes == (oracle_good_pair(flat, u, v) is not None)
                 assert validate_verdict(comp, ver) is None
                 if ver.yes:
@@ -193,7 +191,7 @@ def test_greedy_miss_is_built_by_the_search(sink_arcs, monkeypatch):
     greedy = try_construct_pair(flat, u, v)
     assert greedy is None or not verify_good_pair(flat, u, v, greedy)
     calls = count_greedy_calls(monkeypatch)
-    ver = decide_transitive_composition(comp, u, v)
+    ver = decide(comp, u, v, "transitive")
     # the shapes and the search follow a single greedy attempt
     assert calls == [(u, v)]
     assert ver.yes and ver.pair == search_good_pair(flat, u, v)
@@ -222,7 +220,7 @@ def test_verified_greedy_pair_answers_before_the_shapes(monkeypatch):
         ),
     )
     for (u, v), pair in want.items():
-        ver = decide_transitive_composition(comp, u, v)
+        ver = decide(comp, u, v, "transitive")
         assert ver.yes and ver.pair == pair
 
 
@@ -231,7 +229,7 @@ def test_quasi_transitive_front_door_relabels():
     flat = comp.flatten()
     perm = [3, 0, 2, 1]  # old -> new label
     g = Digraph(flat.n, [(perm[a], perm[b]) for a, b in flat.arcs()])
-    ver = decide_quasi_transitive(g, perm[u], perm[v])
+    ver = decide(g, perm[u], perm[v], "qt")
     assert not ver.yes and ver.reason == "middle-blocked"
     assert ver.u == perm[u] and ver.v == perm[v]
     assert validate_verdict(g, ver) is None
@@ -242,7 +240,7 @@ def test_quasi_transitive_yes_pair_speaks_original_labels():
     hits = 0
     for u in range(g.n):
         for v in range(g.n):
-            ver = decide_quasi_transitive(g, u, v)
+            ver = decide(g, u, v, "qt")
             assert ver.yes == (oracle_good_pair(g, u, v) is not None)
             assert validate_verdict(g, ver) is None
             hits += ver.yes
@@ -252,9 +250,9 @@ def test_quasi_transitive_yes_pair_speaks_original_labels():
 def test_quasi_transitive_rejects_other_digraphs():
     path = Digraph(3, [(0, 1), (1, 2)])  # 0,2 nonadjacent after a 2-path
     with pytest.raises(InvalidInput):
-        decide_quasi_transitive(path, 0, 2)
+        decide(path, 0, 2, "qt")
     single = Digraph(1, [])
-    ver = decide_quasi_transitive(single, 0, 0)
+    ver = decide(single, 0, 0, "qt")
     assert ver.yes and validate_verdict(single, ver) is None
 
 
@@ -289,16 +287,14 @@ def test_dispatch_recognize_and_overrides():
 
 
 def decide_by_decomposition(g, dec, u, v):
-    """The verdict of the decomposition route, the one the front door
-    took for every verdict before its greedy on renumbered rows:
-    qt_decompose, then the engine its kind names, then translate_verdict."""
+    """The verdict of the decomposition route: qt_decompose, then the
+    route its kind names, then translate_verdict.  The front door's
+    greedy runs on g's own rows instead, so a YES pair may differ."""
     inv = [0] * g.n
     for new, old in enumerate(dec.order):
         inv[old] = new
-    if dec.kind == "strong":
-        inner = decide_composition(dec.composition, inv[u], inv[v])
-    else:
-        inner = decide_transitive_composition(dec.composition, inv[u], inv[v])
+    klass = "composition" if dec.kind == "strong" else "transitive"
+    inner = decide(dec.composition, inv[u], inv[v], klass)
     return translate_verdict(g, dec.composition, dec.order, inner, u, v)
 
 
@@ -314,8 +310,10 @@ def test_root_check_agrees_with_the_decomposition_route():
         dec = qt_decompose(g)
         for u in range(g.n):
             for v in range(g.n):
-                ver = decide_quasi_transitive(g, u, v)
-                assert ver == decide_by_decomposition(g, dec, u, v), (g, u, v)
+                ver = decide(g, u, v, "qt")
+                want = decide_by_decomposition(g, dec, u, v)
+                # a YES pair may differ: the greedy runs on g's own rows
+                assert without_pair(ver) == without_pair(want), (g, u, v)
                 assert validate_verdict(g, ver) is None
                 starved += ver.reason == "root-component"
     assert starved
@@ -368,22 +366,10 @@ def _front_door_samples():
             yield _relabelled(_composed_quasi_transitive(rng, n, strong), rng)
 
 
-def test_renumbered_rows_are_the_decomposition_flat_rows():
-    kinds = {"strong": 0, "non-strong": 0}
-    for g in _front_door_samples():
-        dec = qt_decompose(g)
-        order = transitive_engine._part_order(g)
-        assert order == list(dec.order)
-        flat = dec.composition.flatten()
-        rows = transitive_engine._renumbered(g, order)
-        assert rows.out_masks == flat.out_masks and rows.in_masks == flat.in_masks
-        kinds[dec.kind] += 1
-    assert kinds["strong"] > 20 and kinds["non-strong"] > 20
-
-
 def test_front_door_agrees_with_the_decomposition_route_at_spanning_roots():
-    # the route before the renumbered greedy: every verdict, pair
-    # included, must come out the same
+    # the decomposition route gives the same answer, reason and evidence;
+    # a YES pair may differ, since the front door's greedy runs on the
+    # input's own rows, so each one is validated instead
     rng = random.Random("qt-front-door/roots")
     seen = {}
     for g in _front_door_samples():
@@ -393,21 +379,17 @@ def test_front_door_agrees_with_the_decomposition_route_at_spanning_roots():
         sinks = [v for v in range(g.n) if coreach_mask(g, 1 << v) == full]
         roots = [(u, v) for u in sources for v in sinks]
         for u, v in rng.sample(roots, min(len(roots), 12)):
-            ver = decide_quasi_transitive(g, u, v)
-            assert ver == decide_by_decomposition(g, dec, u, v), (g, u, v)
+            ver = decide(g, u, v, "qt")
+            want = decide_by_decomposition(g, dec, u, v)
+            assert without_pair(ver) == without_pair(want), (g, u, v)
+            if ver.yes:
+                assert validate_verdict(g, ver) is None
             key = (dec.kind, ver.yes)
             seen[key] = seen.get(key, 0) + 1
     # non-strong NOs at spanning roots are rare at random; the
     # exhaustive n = 4 sweep above and the shapes below decide them
     assert seen.get(("strong", False), 0) > 50
     assert seen[("strong", True)] > 500 and seen[("non-strong", True)] > 500
-
-
-def greedy_hits_at(g, u, v):
-    """Whether the greedy builds a pair on the renumbered rows at (u, v)."""
-    order = transitive_engine._part_order(g)
-    rows = transitive_engine._renumbered(g, order)
-    return greedy_good_pair(rows, order.index(u), order.index(v)) is not None
 
 
 # (arcs, u, v): a greedy miss on each route, and a starved degree
@@ -436,12 +418,12 @@ def _front_door_case(case):
 )
 def test_front_door_greedy_miss_runs_the_greedy_once(case, kind, reason, monkeypatch):
     g, dec, u, v = _front_door_case(case)
-    assert dec.kind == kind and not greedy_hits_at(g, u, v)
+    assert dec.kind == kind and greedy_good_pair(g, u, v) is None
     want = decide_by_decomposition(g, dec, u, v)
     calls = count_greedy_calls(monkeypatch)
-    ver = decide_quasi_transitive(g, u, v)
-    # the front door's greedy on the renumbered rows, and no other
-    assert calls == [(dec.order.index(u), dec.order.index(v))]
+    ver = decide(g, u, v, "qt")
+    # the front door's greedy on the input's own rows, and no other
+    assert calls == [(u, v)]
     assert ver == want and ver.reason == reason
     assert validate_verdict(g, ver) is None
     assert ver.yes == (oracle_good_pair(g, u, v) is not None)
@@ -455,39 +437,37 @@ def test_front_door_degree_no_runs_no_greedy(case, kind, monkeypatch):
     assert dec.kind == kind
     want = decide_by_decomposition(g, dec, u, v)
     calls = count_greedy_calls(monkeypatch)
-    forbid(monkeypatch, transitive_engine, ("qt_decompose", "_part_order"))
-    ver = decide_quasi_transitive(g, u, v)
+    forbid(monkeypatch, dispatch, ("qt_decompose",))
+    ver = decide(g, u, v, "qt")
     assert calls == [] and ver == want and ver.reason == "degree"
     assert validate_verdict(g, ver) is None
 
 
 def test_front_door_greedy_hit_builds_no_composition(monkeypatch):
-    # a greedy hit answers from the renumbered rows alone: no
-    # decomposition, engine or verdict translation runs
-    wants = []
+    # a greedy hit answers from the input's rows alone: no
+    # decomposition, class tail or verdict translation runs
+    hits = []
     for g in _front_door_samples():
         if 20 <= g.n <= 23:
-            dec = qt_decompose(g)
+            kind = qt_decompose(g).kind
             for u in range(g.n):
                 for v in range(g.n):
-                    want = decide_by_decomposition(g, dec, u, v)
-                    if want.yes:
-                        wants.append((g, dec.kind, u, v, want))
+                    pair = greedy_good_pair(g, u, v)
+                    if pair is not None:
+                        hits.append((g, kind, u, v, pair))
     forbid(
         monkeypatch,
-        transitive_engine,
+        dispatch,
         (
             "qt_decompose",
             "translate_verdict",
             "decide_transitive_composition",
-            "_decide_greedy_miss",
+            "decide_composition",
         ),
     )
-    forbid(monkeypatch, composition_engine, ("_decide_greedy_miss",))
     kinds = {"strong": 0, "non-strong": 0}
-    for g, kind, u, v, want in wants:
-        if greedy_hits_at(g, u, v):
-            assert decide_quasi_transitive(g, u, v) == want, (g, u, v)
-            kinds[kind] += 1
+    for g, kind, u, v, pair in hits:
+        ver = decide(g, u, v, "qt")
+        assert ver.yes and ver.pair == pair, (g, u, v)
+        kinds[kind] += 1
     assert kinds["strong"] > 100 and kinds["non-strong"] > 20
-

@@ -10,7 +10,7 @@ from goodpairs.digraph import Digraph
 from goodpairs.dispatch import decide
 from goodpairs.errors import InvalidInput
 from goodpairs.families import kind_a_instance, random_composition
-from goodpairs.semicomplete import EXCEPTION_PATTERNS, decide_semicomplete
+from goodpairs.semicomplete import EXCEPTION_PATTERNS
 from goodpairs.verdicts import (
     ARC_FORCING,
     ARC_OBSTRUCTION,
@@ -54,7 +54,7 @@ def test_validate_yes_pair():
     # [TRIVIAL] the single arc cannot serve both branchings
     assert bad is not None
     trip = Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2), (2, 1), (1, 0)])
-    ver = decide_semicomplete(trip, 0, 1)
+    ver = decide(trip, 0, 1, "semicomplete")
     assert ver.yes and validate_verdict(trip, ver) is None
 
 
@@ -79,7 +79,7 @@ def test_validate_arc_obstruction():
 def test_validate_small_exception_through_engine():
     # [DERIVED] relabelled two-cycle-plus-hub blocks the pinned roots
     g = Digraph(3, [(2, 1), (1, 2), (2, 0), (0, 1)])
-    ver = decide_semicomplete(g, 2, 1)
+    ver = decide(g, 2, 1, "semicomplete")
     assert ver.reason == "small-exception" and ver.exception_id == "c"
     assert validate_verdict(g, ver) is None
     tampered = Verdict(
@@ -99,7 +99,7 @@ def test_validate_layered_on_flat_tournament():
     # confirmed this instance is a NO
     up = [(0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (3, 4)]
     g = Digraph(5, up + [(4, 2), (3, 1), (2, 0)])
-    ver = decide_semicomplete(g, 3, 1)
+    ver = decide(g, 3, 1, "semicomplete")
     assert ver.reason == LAYERED_A
     assert ver.witness.backward_arcs == ((4, 2), (3, 1), (2, 0))
     assert validate_verdict(g, ver) is None
@@ -148,10 +148,10 @@ ROUND_TRIP_GROUPS = (
 
 def test_dict_round_trip():
     g = two_cycle()
-    ver = decide_semicomplete(g, 0, 1)
+    ver = decide(g, 0, 1, "semicomplete")
     assert verdict_from_dict(verdict_to_dict(ver)) == ver
     trip = Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2), (2, 1), (1, 0)])
-    yes = decide_semicomplete(trip, 0, 1)
+    yes = decide(trip, 0, 1, "semicomplete")
     assert verdict_from_dict(verdict_to_dict(yes)) == yes
     with pytest.raises(InvalidInput):
         verdict_from_dict({"answer": "no"})
