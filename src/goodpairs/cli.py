@@ -258,6 +258,8 @@ def _generate(
         1: families.singleton(),
         2: families.Digraph(2, [(0, 1), (1, 0)]),
     }
+    if family in ("e5", "f") and head not in heads:
+        raise InvalidInput(f"--head must be 1 or 2, not {head}")
     if family == "a":
         comp, u, v = families.family_a(back_arc)
     elif family == "b":
@@ -269,10 +271,9 @@ def _generate(
     elif family == "e4":
         comp, u, v = families.family_e4(t, tu, ku)
     elif family == "e5":
-        comp, u, v = families.family_e5(heads.get(head, heads[1]), t, tu, ku)
+        comp, u, v = families.family_e5(heads[head], t, tu, ku)
     elif family == "f":
-        modes = ("both",) * heads.get(head, heads[1]).n
-        comp, u, v = families.family_f(heads.get(head, heads[1]), modes, tu, ku)
+        comp, u, v = families.family_f(heads[head], ("both",) * head, tu, ku)
     elif family == "g":
         comp, u, v = families.family_g()
     elif family == "kind-a":
@@ -283,7 +284,7 @@ def _generate(
         return flat_document(g, roots=(w.a, w.b))
     elif family == "near-miss":
         members = list(families.near_miss_members(index + 1))
-        if index >= len(members):
+        if not 0 <= index < len(members):
             raise InvalidInput(f"near-miss index {index} out of range")
         comp, u, v, _ = members[index]
     elif family == "random-composition":
@@ -349,8 +350,8 @@ def crosscheck_cmd(
         report("compositions", *sweep_compositions(compositions, start_seed))
     if qt_exhaustive is not None or qt_samples:
         ex = qt_exhaustive or 0
-        if ex > 4 or qt_sample_n > DEFAULT_MAX_N:
-            _die("quasi-transitive exhaustive bound is 4, samples at most 9 vertices")
+        if ex > 4 or not 1 <= qt_sample_n <= DEFAULT_MAX_N:
+            _die("quasi-transitive exhaustive bound is 4, samples 1 to 9 vertices")
         report(
             "quasi-transitive",
             *sweep_quasi_transitive(ex, qt_samples, qt_sample_n),

@@ -30,9 +30,10 @@ def mask_of(vertices) -> int:
 
 
 class Digraph:
-    """Immutable digraph without loops or parallel arcs."""
+    """Digraph without loops or parallel arcs, held as its bitset rows
+    and nothing else; `from_rows` says who may edit the rows."""
 
-    __slots__ = ("n", "out_masks", "in_masks", "_arcs")
+    __slots__ = ("n", "out_masks", "in_masks")
 
     def __init__(self, n: int, arcs=()):
         self.n = n
@@ -47,7 +48,6 @@ class Digraph:
             in_masks[b] |= 1 << a
         self.out_masks = out_masks
         self.in_masks = in_masks
-        self._arcs = None
 
     @property
     def full_mask(self) -> int:
@@ -70,15 +70,12 @@ class Digraph:
         return self.is_vertex(a) and self.is_vertex(b) and self.has_arc(a, b)
 
     def arcs(self) -> list[Arc]:
-        if self._arcs is None:
-            self._arcs = [
-                (a, b) for a in range(self.n) for b in bits(self.out_masks[a])
-            ]
-        return self._arcs
+        """The arcs in sorted order, as a fresh list built from the rows."""
+        return [(a, b) for a in range(self.n) for b in bits(self.out_masks[a])]
 
     @property
     def m(self) -> int:
-        return len(self.arcs())
+        return sum(map(int.bit_count, self.out_masks))
 
     def out_degree(self, v: int, within: int | None = None) -> int:
         row = self.out_masks[v]
@@ -94,13 +91,14 @@ class Digraph:
 
     @classmethod
     def from_rows(cls, out_masks: list[int], in_masks: list[int]) -> "Digraph":
-        """Digraph on the given rows, taken as they are: the caller owns
-        that they describe one loopless arc set inside 0..n-1."""
+        """Digraph on the given rows, taken as they are and not copied: the
+        caller owns that they describe one loopless arc set inside 0..n-1.
+        A caller that edits the rows afterwards edits the digraph, and
+        must keep out_masks and in_masks in step."""
         h = cls.__new__(cls)
         h.n = len(out_masks)
         h.out_masks = out_masks
         h.in_masks = in_masks
-        h._arcs = None
         return h
 
     def converse(self) -> "Digraph":

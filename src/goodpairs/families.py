@@ -106,7 +106,7 @@ def family_f(
     if not is_semicomplete(head):
         raise InvalidInput("head part must be semicomplete here")
     k, z, hu_q, v_q = hs, hs + 1, hs + 2, hs + 3
-    arcs: list[Arc] = list(head.arcs())
+    arcs: list[Arc] = head.arcs()
     for h, mode in enumerate(orientations):
         if mode in ("fwd", "both"):
             arcs.append((h, k))
@@ -435,6 +435,8 @@ def random_composition(seed: int) -> Composition:
 
 
 def random_two_arc_strong_semicomplete(seed: int, n: int) -> Digraph:
+    if n < 3:  # out-degree 2 needs 3 vertices: a smaller draw never ends
+        raise InvalidInput(f"two-arc-strong needs n >= 3, not {n}")
     rng = random.Random(seed)
     while True:
         g = random_semicomplete(rng, n, two_cycle=0.45)
@@ -496,6 +498,8 @@ def _random_qt_flat(rng: random.Random, n: int) -> Digraph:
 
 
 def random_quasi_transitive(seed: int, n: int) -> Digraph:
+    if n < 1:
+        raise InvalidInput(f"random-qt needs n >= 1, not {n}")
     rng = random.Random(seed)
     while True:
         g = _random_qt_flat(rng, n)

@@ -53,12 +53,6 @@ class TypeABWitness:
     def beta(self) -> int:
         return self.p - 1
 
-    def level_of(self, v: int) -> int:
-        for i, m in enumerate(self.sets):
-            if m >> v & 1:
-                return i
-        raise ValueError(f"vertex {v} on no level")
-
     def source_level(self, j: int) -> int:
         """0-based level index holding x_{j+1}."""
         return self.p - 1 - j

@@ -228,6 +228,35 @@ def test_gen_every_family_emits_a_parseable_document():
         parse_document(r.output)
 
 
+def test_gen_rejects_a_size_or_index_that_has_no_instance():
+    # exit 1 means NO, so a size or index with no instance exits 2;
+    # a 2-arc-strong draw on fewer than 3 vertices would never end
+    for family, n, least in (
+        ("random-qt", "0", 1),
+        ("random-qt", "-4", 1),
+        ("two-arc-strong", "2", 3),
+    ):
+        r = run("gen", "--family", family, "--n", n)
+        assert r.exit_code == 2, (family, n, r.output)
+        assert r.output == f"error: {family} needs n >= {least}, not {n}\n"
+    assert run("gen", "--family", "random-qt", "--n", "1").output == "vertices v0\n"
+    for index in ("-1", "-5", "99"):
+        r = run("gen", "--family", "near-miss", "--index", index)
+        assert r.exit_code == 2, (index, r.output)
+        assert r.output == f"error: near-miss index {index} out of range\n"
+
+
+def test_gen_rejects_a_head_size_it_cannot_build():
+    default = run("gen", "--family", "e5").output
+    assert run("gen", "--family", "e5", "--head", "1").output == default
+    assert run("gen", "--family", "f", "--head", "2").exit_code == 0
+    for family in ("e5", "f"):
+        for head in ("0", "3", "7", "-1"):
+            r = run("gen", "--family", family, "--head", head)
+            assert r.exit_code == 2, (family, head, r.output)
+            assert r.output == f"error: --head must be 1 or 2, not {head}\n"
+
+
 def test_crosscheck_file_and_sweep():
     runner = CliRunner()
     with runner.isolated_filesystem():
@@ -241,6 +270,10 @@ def test_crosscheck_file_and_sweep():
     assert "0 mismatches" in r.output
     r = run("crosscheck")
     assert r.exit_code == 2
+    # exit 1 means a mismatch, so a sample size out of range is exit 2
+    for n in ("0", "10"):
+        r = run("crosscheck", "--qt-samples", "2", "--qt-sample-n", n)
+        assert r.exit_code == 2, (n, r.output)
 
 
 def _live_text_wrappers():

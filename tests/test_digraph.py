@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from goodpairs.digraph import (
     strong_components,
 )
 from goodpairs.errors import InvalidInput
+from goodpairs.textio import emit_document, flat_document
 
 
 def cycle3():
@@ -61,6 +64,55 @@ def test_arc_queries():
     assert g.m == 3
     assert g.out_degree(0) == 2 and g.in_degree(2) == 2
     assert g.out_degree(0, within=mask_of([1])) == 1
+
+
+def test_arcs_and_m_follow_an_in_place_row_edit():
+    # the growth loop and the arc-obstruction scan edit the rows of a
+    # from_rows digraph in place, between reads of its arcs
+    g = cycle3()
+    h = Digraph.from_rows(g.out_masks[:], g.in_masks[:])
+    assert h.arcs() == [(0, 1), (1, 2), (2, 0)] and h.m == 3
+    h.out_masks[0] ^= 1 << 1
+    h.in_masks[1] ^= 1 << 0
+    assert h.arcs() == [(1, 2), (2, 0)] and h.m == 2
+    h.out_masks[0] |= 1 << 2
+    h.in_masks[2] |= 1 << 0
+    assert h.arcs() == [(0, 2), (1, 2), (2, 0)] and h.m == 3
+    assert h == Digraph(3, h.arcs())
+    assert g.arcs() == [(0, 1), (1, 2), (2, 0)]
+
+
+def test_arcs_is_a_fresh_list_each_call():
+    g = tt3()
+    arcs = g.arcs()
+    assert arcs is not g.arcs()
+    arcs.clear()
+    assert g.arcs() == [(0, 1), (0, 2), (1, 2)] and g.m == 3
+
+
+def test_emitting_a_digraph_keeps_no_per_arc_memory():
+    # a digraph is its rows: writing its document must leave nothing
+    # behind on it once the text is dropped; an arc-tuple cache would keep
+    # about 67 B per arc, and the bound leaves room for allocator noise
+    rng = random.Random(60)
+    pairs = [(a, b) for a in range(60) for b in range(60) if a != b]
+    arcs = [arc for arc in pairs if rng.random() < 0.6]
+    g = Digraph(60, arcs)
+    m = len(arcs)
+    del pairs, arcs
+    assert m > 2000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = emit_document(flat_document(g))
+        assert text.count("\narc ") == m
+        del text
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4 * m, retained
 
 
 def test_vertices_and_arcs_are_ints_not_bools():
