@@ -18,14 +18,7 @@ import sys
 
 import click
 
-from . import families
 from .branchings import Branching, BranchingPair, good_pair_violation
-from .crosscheck import (
-    check_target,
-    sweep_compositions,
-    sweep_quasi_transitive,
-    sweep_semicomplete,
-)
 from .dispatch import CLASSES, decide
 from .errors import InternalInconsistency, InvalidInput, ResourceExceeded
 from .oracle import DEFAULT_MAX_N, oracle_good_pair
@@ -254,6 +247,7 @@ def gen_cmd(family, t, back_arc, arcs, tu, ku, tv, kv, head, seed, n, index):
 def _generate(
     family, t, back_arc, arcs, tu, ku, tv, kv, head, seed, n, index
 ) -> InputDocument:
+    from . import families
     heads = {
         1: families.singleton(),
         2: families.Digraph(2, [(0, 1), (1, 0)]),
@@ -327,6 +321,12 @@ def crosscheck_cmd(
     source,
 ):
     """Compare engines against the exhaustive oracle; nonzero on mismatch."""
+    from .crosscheck import (
+        check_target,
+        sweep_compositions,
+        sweep_quasi_transitive,
+        sweep_semicomplete,
+    )
     ran = False
     bad = 0
 

@@ -5,9 +5,9 @@ one vertex is a trivial YES, a root side that misses a vertex is a NO,
 and so is a starved root degree outside the semicomplete class.  Then
 the greedy of `semicomplete.greedy_good_pair` runs once, on the flat
 digraph in the input's own numbering; a pair that verifies is a whole
-YES certificate.  Only a miss goes on to the class's own tail, which
-looks for the class's obstructions and else builds the pair with the
-complete search:
+YES certificate.  Only a miss imports and runs the class's own tail,
+which looks for the class's obstructions and else builds the pair with
+the complete search:
 
 - semicomplete: `semicomplete.decide_semicomplete`;
 - composition over a strong semicomplete quotient:
@@ -33,15 +33,9 @@ from .composition import (
     is_transitive,
     qt_decompose,
 )
-from .composition_engine import decide_composition
 from .digraph import Digraph, coreach_mask, reach_mask, strong_components
 from .errors import InvalidInput
-from .semicomplete import decide_semicomplete, greedy_good_pair, trivial_pair
-from .transitive_engine import (
-    condensed_transitive,
-    decide_transitive_composition,
-    translate_verdict,
-)
+from .semicomplete import greedy_good_pair, trivial_pair
 from .verdicts import DEGREE, ROOT_COMPONENT, YES, Verdict
 
 CLASSES = ("auto", "semicomplete", "composition", "transitive", "qt")
@@ -123,6 +117,13 @@ def _decide_greedy_miss(
     digraph.  Quasi-transitive inputs and compositions over a non-strong
     semicomplete quotient are decided over a renumbered composition and
     their verdict mapped back."""
+    from .composition_engine import decide_composition
+    from .semicomplete import decide_semicomplete
+    from .transitive_engine import (
+        condensed_transitive,
+        decide_transitive_composition,
+        translate_verdict,
+    )
     if klass == "semicomplete":
         return decide_semicomplete(flat, u, v)
     if isinstance(target, Composition):

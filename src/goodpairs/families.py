@@ -29,11 +29,13 @@ from .witnesses import TypeABWitness, validate_witness
 
 def _star_into(size: int, arc_count: int) -> Digraph:
     """Part whose internal arcs all aim at local vertex 0."""
+    if size > 0 and not 0 <= arc_count < size:
+        raise InvalidInput(f"no star part of {size} vertices has {arc_count} arcs")
     return Digraph(size, [(i, 0) for i in range(1, min(size, arc_count + 1))])
 
 
 def _star_out_of(size: int, arc_count: int) -> Digraph:
-    return Digraph(size, [(0, i) for i in range(1, min(size, arc_count + 1))])
+    return _star_into(size, arc_count).converse()
 
 
 def family_a(back_arc: bool) -> tuple[Composition, int, int]:
@@ -55,8 +57,8 @@ def family_b(t: int, back_arc: bool) -> tuple[Composition, int, int]:
 
 def family_c(t: int, arcs: int) -> tuple[Composition, int, int]:
     """Triangle u -> middle -> v -> u with at most one arc in the middle."""
-    if arcs > 1:
-        raise InvalidInput("middle part carries at most one arc")
+    if t > 0 and not 0 <= arcs <= min(1, t - 1):
+        raise InvalidInput(f"no middle part of {t} vertices has {arcs} arcs")
     middle = Digraph(t, [(0, 1)] if arcs and t >= 2 else [])
     comp = Composition(directed_cycle(3), (singleton(), middle, singleton()))
     return comp, 0, comp.flat_index(2, 0)

@@ -25,6 +25,8 @@ in-trees); so a tree arc that fails it needs no reach check either.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .branchings import (
     Branching,
     BranchingPair,
@@ -50,7 +52,9 @@ from .verdicts import (
     YES,
     Verdict,
 )
-from .witnesses import TypeABWitness, iter_type_a, validate_witness
+
+if TYPE_CHECKING:
+    from .witnesses import TypeABWitness
 
 # The six root-pinned digraphs that block a good pair despite passing the
 # reachability and single-arc tests.  Two non-strong shapes on the roots
@@ -249,6 +253,7 @@ def decide_semicomplete(g: Digraph, u: int, v: int) -> Verdict:
     and the kind-A witnesses, each a NO with its evidence, and a miss
     that none of them blocks is built by the complete search.
     """
+    from .witnesses import iter_type_a
     hit = match_small_exception(g, u, v)
     if hit is not None:
         name, mapping = hit
@@ -280,6 +285,7 @@ def almost_good_pair(
     designated arc set.  The pair is the first one `search_good_pair`
     finds with that shared set.
     """
+    from .witnesses import validate_witness
     err = validate_witness(g, w)
     if err is not None:
         raise InvalidInput(f"witness does not fit the digraph: {err}")

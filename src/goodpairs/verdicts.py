@@ -8,13 +8,15 @@ without trusting the engine.  `validate_verdict` is that re-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .branchings import Branching, BranchingPair, good_pair_violation
 from .composition import Composition, composition_from_partition, is_semicomplete
 from .digraph import Arc, Digraph, bits, coreach_mask, mask_of, reach_mask
 from .errors import InvalidInput
-from .forcing import replay as _replay_forcing
-from .witnesses import TypeABWitness, arc_condition, validate_witness
+
+if TYPE_CHECKING:
+    from .witnesses import TypeABWitness
 
 YES = "good-pair"
 SMALL_EXCEPTION = "small-exception"
@@ -179,6 +181,7 @@ def _refined_composition(flat: Digraph, refinement) -> tuple | str:
 
 
 def _check_layered(flat, comp, verdict: Verdict) -> str | None:
+    from .witnesses import arc_condition, validate_witness
     w = verdict.witness
     if w is None:
         return "no witness attached"
@@ -262,9 +265,10 @@ def _check_degree(flat, comp, verdict: Verdict) -> str | None:
 
 
 def _check_forcing(flat, comp, verdict: Verdict) -> str | None:
+    from .forcing import replay
     if verdict.forcing is None:
         return "no forcing trace attached"
-    return _replay_forcing(flat, verdict.u, verdict.v, verdict.forcing)
+    return replay(flat, verdict.u, verdict.v, verdict.forcing)
 
 
 def middle_blocked_violation(g: Digraph, u: int, v: int) -> str | None:
@@ -416,6 +420,7 @@ def _forcing(steps) -> tuple[tuple[str, str, int, int], ...]:
 
 
 def verdict_from_dict(d: dict) -> Verdict:
+    from .witnesses import TypeABWitness
     try:
         yes = d["answer"] == "yes"
         pair = None

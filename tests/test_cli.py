@@ -3,10 +3,15 @@
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import goodpairs
 from goodpairs.cli import main
 from goodpairs.composition import qt_decompose
 from goodpairs.digraph import Digraph
@@ -255,6 +260,82 @@ def test_gen_rejects_a_head_size_it_cannot_build():
             r = run("gen", "--family", family, "--head", head)
             assert r.exit_code == 2, (family, head, r.output)
             assert r.output == f"error: --head must be 1 or 2, not {head}\n"
+
+
+def test_gen_rejects_a_star_or_middle_arc_count_it_cannot_build():
+    # a count the part cannot hold used to print another count's document
+    assert run("gen", "--family", "f", "--ku", "0").exit_code == 0
+    assert run("gen", "--family", "c", "--t", "2", "--arcs", "1").exit_code == 0
+    for family, flag in (
+        ("d", "--ku"),
+        ("d", "--kv"),
+        ("e4", "--ku"),
+        ("e5", "--ku"),
+        ("f", "--ku"),
+    ):
+        for count in ("2", "5", "-1"):
+            r = run("gen", "--family", family, flag, count)
+            assert r.exit_code == 2, (family, flag, count, r.output)
+            assert r.output == (
+                f"error: no star part of 2 vertices has {count} arcs\n"
+            )
+    for t, arcs in (("2", "-1"), ("2", "2"), ("1", "1"), ("3", "-4")):
+        r = run("gen", "--family", "c", "--t", t, "--arcs", arcs)
+        assert r.exit_code == 2, (t, arcs, r.output)
+        assert r.output == (
+            f"error: no middle part of {t} vertices has {arcs} arcs\n"
+        )
+
+
+def _fresh_python(code: str, *args: str, stdin: str = ""):
+    """Run code in a new interpreter that finds this goodpairs first."""
+    env = dict(os.environ)
+    src = str(Path(goodpairs.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH", "")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+def test_cli_import_loads_only_the_decision_path():
+    r = _fresh_python(
+        "import sys, goodpairs.cli\n"
+        "print(' '.join(sorted(m for m in sys.modules "
+        "if m.startswith('goodpairs.'))))"
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == [
+        f"goodpairs.{name}"
+        for name in (
+            "branchings",
+            "cli",
+            "composition",
+            "digraph",
+            "dispatch",
+            "errors",
+            "oracle",
+            "semicomplete",
+            "textio",
+            "verdicts",
+        )
+    ]
+
+
+def test_fresh_process_imports_the_semicomplete_tail_on_first_use():
+    doc = run("gen", "--family", "kind-a", "--seed", "5").output
+    want = run("decide", "-", stdin=doc)
+    main_code = "from goodpairs.cli import main; main()"
+    r = _fresh_python(main_code, "decide", "-", stdin=doc)
+    assert r.returncode == want.exit_code == 1, r.stderr
+    assert r.stdout.splitlines()[:2] == ["NO", "reason layered-a"]
+    assert r.stdout == want.output
 
 
 def test_crosscheck_file_and_sweep():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from goodpairs import dispatch, transitive_engine
+from goodpairs import composition_engine, dispatch, transitive_engine
 from goodpairs.branchings import search_good_pair, verify_good_pair
 from goodpairs.composition import (
     Composition,
@@ -455,16 +455,14 @@ def test_front_door_greedy_hit_builds_no_composition(monkeypatch):
                     pair = greedy_good_pair(g, u, v)
                     if pair is not None:
                         hits.append((g, kind, u, v, pair))
+    forbid(monkeypatch, dispatch, ("qt_decompose",))
+    # dispatch imports the tails when a miss runs them, from their modules
     forbid(
         monkeypatch,
-        dispatch,
-        (
-            "qt_decompose",
-            "translate_verdict",
-            "decide_transitive_composition",
-            "decide_composition",
-        ),
+        transitive_engine,
+        ("translate_verdict", "decide_transitive_composition"),
     )
+    forbid(monkeypatch, composition_engine, ("decide_composition",))
     kinds = {"strong": 0, "non-strong": 0}
     for g, kind, u, v, pair in hits:
         ver = decide(g, u, v, "qt")
