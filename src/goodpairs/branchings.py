@@ -49,10 +49,6 @@ class BranchingPair:
     def shared_arcs(self) -> frozenset[Arc]:
         return self.out_branching.arc_set & self.in_branching.arc_set
 
-    @property
-    def arc_disjoint(self) -> bool:
-        return not self.shared_arcs
-
 
 def branching_violation(g: Digraph, branching: Branching) -> str | None:
     """None if the branching is a valid spanning tree of g, else a reason.
@@ -70,17 +66,21 @@ def branching_violation(g: Digraph, branching: Branching) -> str | None:
     parented = 0
     children = [0] * n
     for arc in branching.arcs:
-        a, b = arc if len(arc) == 2 else (None, None)
-        vertices = type(a) is type(b) is int and 0 <= a < n and 0 <= b < n
-        if not (vertices and rows[a] >> b & 1):
+        try:
+            a, b = arc
+        except ValueError:
+            a = b = None
+        if not (
+            type(a) is type(b) is int and 0 <= a < n and 0 <= b < n and rows[a] >> b & 1
+        ):
             return f"arc ({','.join(map(str, arc))}) not in the digraph"
-        parent, child = (a, b) if out else (b, a)
+        child = b if out else a
         if child == root:
             return f"root {root} has a parent arc"
         if parented >> child & 1:
             return f"vertex {child} has two parent arcs"
         parented |= 1 << child
-        children[parent] |= 1 << child
+        children[a if out else b] |= 1 << child
     span = g.full_mask
     missing = span & ~parented & ~(1 << root)
     if missing:
@@ -105,7 +105,7 @@ def good_pair_violation(g: Digraph, u: int, v: int, pair: BranchingPair) -> str 
     reason = branching_violation(g, pair.in_branching)
     if reason:
         return f"in-branching: {reason}"
-    if not pair.arc_disjoint:
+    if not set(pair.out_branching.arcs).isdisjoint(pair.in_branching.arcs):
         return f"shared arcs {sorted(pair.shared_arcs)}"
     return None
 
@@ -129,10 +129,13 @@ def _bfs(
     reads (out-rows for "out", in-rows for "in"): x's row loses ban[x].
     `upto[y]` holds the covered vertices no deeper than y, 0 where y is
     not covered.  See `_may_cut` for what the depths are good for.
+    `ban` and `within` are folded into a copy of the rows, once per call.
     """
-    within = g.full_mask if within is None else within
     rows = g.out_masks if kind == "out" else g.in_masks
-    ban = ban or [0] * g.n
+    if ban is not None:
+        rows = [r & ~b for r, b in zip(rows, ban)]
+    if within is not None:
+        rows = [r & within for r in rows]
     seen = 1 << root
     parent = [-1] * g.n
     upto = [0] * g.n
@@ -141,7 +144,9 @@ def _bfs(
     while frontier:
         nxt = []
         for x in frontier:
-            new = rows[x] & within & ~seen & ~ban[x]
+            new = rows[x] & ~seen
+            if not new:
+                continue
             seen |= new
             while new:
                 low = new & -new
@@ -162,10 +167,12 @@ def _tree_arcs(parent: list[int], kind: str = "out") -> list[Arc]:
     return [(y, x) for y, x in enumerate(parent) if x >= 0]
 
 
-def _ban_rows(g: Digraph, kind: str, banned) -> list[int]:
+def _ban_rows(g: Digraph, kind: str, banned) -> list[int] | None:
     """`_bfs` ban masks that keep a set of arcs of g out of its search."""
+    if not banned:
+        return None
     ban = [0] * g.n
-    for a, b in banned or ():
+    for a, b in banned:
         x, y = (a, b) if kind == "out" else (b, a)
         ban[x] |= 1 << y
     return ban

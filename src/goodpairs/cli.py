@@ -79,15 +79,10 @@ def _roots(doc: InputDocument, u_name, v_name) -> tuple[int, int]:
 
 
 def _pair_lines(doc: InputDocument, pair: BranchingPair) -> list[str]:
+    # a Branching keeps its arcs sorted
     names = doc.names
-    out = [
-        f"out {names[a]} {names[b]}"
-        for a, b in sorted(pair.out_branching.arcs)
-    ]
-    out += [
-        f"in {names[a]} {names[b]}"
-        for a, b in sorted(pair.in_branching.arcs)
-    ]
+    out = [f"out {names[a]} {names[b]}" for a, b in pair.out_branching.arcs]
+    out += [f"in {names[a]} {names[b]}" for a, b in pair.in_branching.arcs]
     return out
 
 

@@ -39,7 +39,6 @@ from .branchings import (
 from .digraph import (
     Arc,
     Digraph,
-    _spread,
     bits,
     coreach_mask,
     reach_mask,
@@ -111,6 +110,11 @@ def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
     every arc into v, so the first search never reaches v; a BFS
     out-tree at u holds every arc out of u, so the second never reaches
     u.  The growth below needs only v's in-tree.
+
+    The growth tests a cut by one forward search from the arc's tail x
+    that stops at v (a path through the arc meets x first, so x is cut
+    off if any vertex is), and scans only the `live` out-tree vertices:
+    one with no frontier arc, or only a cutting one, is never picked.
     """
     full = g.full_mask
     spanned, succ, upto = _bfs(g, v, "in")
@@ -134,27 +138,35 @@ def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
     # a frontier arc only while every vertex still reaches v without it.
     # Only an arc of v's BFS in-tree that passes the level test can cut a
     # vertex from v, and x has one tree arc, so x's lowest frontier arc is
-    # taken unless it is that arc and cuts (one coreach with its bit
-    # cleared); then the next one is.  The tree is rebuilt only when one
-    # of its arcs is taken (an off-tree arc leaves it, depths included,
-    # unchanged); it spans throughout and is the in-branching.
+    # taken unless it is that arc and cuts; then the next one is.  The tree
+    # is rebuilt only when one of its arcs is taken (an off-tree arc leaves
+    # it, depths included, unchanged); it spans throughout and is the
+    # in-branching.  Rows only lose bits and the tree only grows, so an
+    # arc that cuts keeps cutting and a vertex out of `live` stays out.
     out_rows, in_rows = g.out_masks[:], g.in_masks[:]
     res = Digraph.from_rows(out_rows, in_rows)
-    tree = 1 << u
+    tree = live = 1 << u
     arcs: list[Arc] = []
     while tree != full:
-        for x in bits(tree):
+        for x in bits(live):
             cand = out_rows[x] & ~tree
             if not cand:
+                live ^= 1 << x
                 continue
             y = (cand & -cand).bit_length() - 1
             if succ[x] == y and not out_rows[x] & upto[x] & ~(1 << y):
-                in_rows[y] ^= 1 << x
-                cut = _spread(in_rows, 1 << v, full) != full
-                in_rows[y] ^= 1 << x
-                if cut:
+                out_rows[x] ^= 1 << y
+                seen = todo = 1 << x
+                while todo and not seen >> v & 1:
+                    low = todo & -todo
+                    new = out_rows[low.bit_length() - 1] & ~seen
+                    seen |= new
+                    todo ^= low | new
+                out_rows[x] ^= 1 << y
+                if not seen >> v & 1:
                     cand ^= 1 << y
                     if not cand:
+                        live ^= 1 << x
                         continue
                     y = (cand & -cand).bit_length() - 1
             break
@@ -164,6 +176,7 @@ def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
         in_rows[y] ^= 1 << x
         arcs.append((x, y))
         tree |= 1 << y
+        live |= 1 << y
         if succ[x] == y:
             _, succ, upto = _bfs(res, v, "in")
     return BranchingPair(

@@ -99,6 +99,18 @@ def test_good_pair_verification():
     assert "shared" in good_pair_violation(g, 0, 2, shared)
 
 
+def test_shared_arcs_message_lists_every_shared_arc_sorted():
+    # two valid branchings of K4 sharing (0,3) and (1,2), given unsorted
+    g = complete_digraph(4)
+    out = Branching(0, ((3, 1), (1, 2), (0, 3)), "out")
+    inn = Branching(2, ((3, 2), (1, 2), (0, 3)), "in")
+    assert branching_violation(g, out) is None
+    assert branching_violation(g, inn) is None
+    pair = BranchingPair(out, inn)
+    assert good_pair_violation(g, 0, 2, pair) == "shared arcs [(0, 3), (1, 2)]"
+    assert not verify_good_pair(g, 0, 2, pair)
+
+
 def assert_branching_plus_path(g, result, root, start, end):
     assert result is not None
     tree, path = result

@@ -425,6 +425,26 @@ def _try_construct_pair_by_full_coreach(g, u, v):
     return BranchingPair(Branching(u, tuple(arcs), "out"), inn), True
 
 
+def _quasi_transitive_inputs():
+    """(digraph, root pairs): seeded quasi-transitive digraphs, n 12-60,
+    the first 20 with spanning roots (u reaches every vertex and every
+    vertex reaches v), at up to 12 of those root pairs each.  Here the
+    greedy's cut test really cuts: most level-test candidates are cuts."""
+    rng = random.Random("quasi-transitive-greedy")
+    inputs = []
+    seed = 0
+    while len(inputs) < 20:
+        g = random_quasi_transitive(seed, rng.randint(12, 60))
+        seed += 1
+        full = g.full_mask
+        outs = [x for x in range(g.n) if reach_mask(g, 1 << x) == full]
+        ins = [x for x in range(g.n) if coreach_mask(g, 1 << x) == full]
+        roots = list(product(outs, ins))
+        if roots:
+            inputs.append((g, rng.sample(roots, min(12, len(roots)))))
+    return inputs
+
+
 def _assert_greedy_matches_full_coreach(g, roots):
     grown = 0
     for u, v in roots:
@@ -455,6 +475,10 @@ def test_guarded_growth_matches_full_coreach_on_random_graphs():
         ):
             grown += _assert_greedy_matches_full_coreach(g, roots)
     assert grown > 300
+    grown = 0
+    for g, roots in _quasi_transitive_inputs():
+        grown += _assert_greedy_matches_full_coreach(g, roots)
+    assert grown > 100
 
 
 def _try_construct_pair_by_sets(g, u, v):
@@ -546,10 +570,11 @@ def reference_try_construct_pair(g, u, v):
     )
 
 
-def test_parent_row_greedy_matches_the_arc_set_reference():
+def test_parent_row_greedy_matches_the_arc_set_reference(monkeypatch):
     # every root pair of random semicomplete digraphs, strong or not, and
     # of the 2-arc-strong test's inputs (dense and sparse digraphs with
-    # and without 2-cycles, flattened compositions)
+    # and without 2-cycles, flattened compositions), then the
+    # quasi-transitive inputs
     rng = random.Random("parent-row-greedy")
     graphs = []
     for n in range(3, 21):
@@ -566,6 +591,25 @@ def test_parent_row_greedy_matches_the_arc_set_reference():
             cases += 1
             built += want is not None
     assert cases > 75000 and built > 45000
+    inputs = _quasi_transitive_inputs()
+    # the reference's only coreach is its cut test: count the cuts it finds
+    coreach, cuts = coreach_mask, 0
+
+    def counted(g, start):
+        nonlocal cuts
+        mask = coreach(g, start)
+        cuts += mask != g.full_mask
+        return mask
+
+    monkeypatch.setitem(globals(), "coreach_mask", counted)
+    cases = built = 0
+    for g, roots in inputs:
+        for u, v in roots:
+            want = reference_try_construct_pair(g, u, v)
+            assert try_construct_pair(g, u, v) == want, (g, u, v)
+            cases += 1
+            built += want is not None
+    assert cases > 100 and built > 100 and cuts > 100
 
 
 def reference_try_construct_pair_with_both_attempts(g, u, v):
