@@ -118,7 +118,6 @@ def _bfs(
     g: Digraph,
     root: int,
     kind: str = "out",
-    within: int | None = None,
     ban: list[int] | None = None,
 ) -> tuple[int, list[int], list[int]]:
     """BFS tree at root: (covered mask, parent row, `upto` masks).
@@ -129,13 +128,11 @@ def _bfs(
     reads (out-rows for "out", in-rows for "in"): x's row loses ban[x].
     `upto[y]` holds the covered vertices no deeper than y, 0 where y is
     not covered.  See `_may_cut` for what the depths are good for.
-    `ban` and `within` are folded into a copy of the rows, once per call.
+    `ban` is folded into a copy of the rows, once per call.
     """
     rows = g.out_masks if kind == "out" else g.in_masks
     if ban is not None:
         rows = [r & ~b for r, b in zip(rows, ban)]
-    if within is not None:
-        rows = [r & within for r in rows]
     seen = 1 << root
     parent = [-1] * g.n
     upto = [0] * g.n
@@ -239,33 +236,25 @@ def is_two_arc_strong(g: Digraph) -> bool:
 
 
 def reach_tree(
-    g: Digraph,
-    root: int,
-    kind: str = "out",
-    within: int | None = None,
-    banned=None,
+    g: Digraph, root: int, kind: str = "out", banned=None
 ) -> tuple[int, set[Arc]]:
     """BFS tree at root: (mask of the vertices it covers, its arcs).
 
     An arc off this tree cannot cut the root from any covered vertex:
     the tree still reaches it once that arc is gone.
     """
-    seen, parent, _ = _bfs(g, root, kind, within, _ban_rows(g, kind, banned))
+    seen, parent, _ = _bfs(g, root, kind, _ban_rows(g, kind, banned))
     return seen, set(_tree_arcs(parent, kind))
 
 
 def find_branching(
-    g: Digraph,
-    root: int,
-    kind: str = "out",
-    within: int | None = None,
-    banned=None,
+    g: Digraph, root: int, kind: str = "out", banned=None
 ) -> Branching | None:
     """BFS spanning branching avoiding the `banned` arcs, or None when
-    the root does not cover `within` without them.  Its arcs are those
-    of `_bfs`'s parent row, built only once the tree spans."""
-    seen, parent, _ = _bfs(g, root, kind, within, _ban_rows(g, kind, banned))
-    if seen != (g.full_mask if within is None else within):
+    the root does not span g without them.  Its arcs are those of
+    `_bfs`'s parent row, built only once the tree spans."""
+    seen, parent, _ = _bfs(g, root, kind, _ban_rows(g, kind, banned))
+    if seen != g.full_mask:
         return None
     return Branching(root=root, arcs=tuple(_tree_arcs(parent, kind)), kind=kind)
 

@@ -16,11 +16,13 @@ The arc-obstruction scan, the witness enumeration and the greedy's
 guarded growth rest on two BFS-tree facts.  An arc off a BFS tree cannot
 cut any vertex from its root, and removing it leaves the tree exactly as
 it was (same distances, same first-found parents); so the growth keeps
-v's in-tree across its steps and rebuilds it only when it takes one of
-the tree's own arcs.  And a tree arc (x, y) of a BFS out-tree can cut y
-from the root only if y has no in-neighbour other than x at depth at
-most depth(y), the level test of `branchings._may_cut` (mirrored for
-in-trees); so a tree arc that fails it needs no reach check either.
+v's in-tree across its steps; when it takes one of the tree's own arcs
+it re-points that arc's tail one level nearer v where it can and
+rebuilds the tree only where it cannot.  And a tree arc (x, y) of a BFS
+out-tree can cut y from the root only if y has no in-neighbour other
+than x at depth at most depth(y), the level test of `branchings._may_cut`
+(mirrored for in-trees); so a tree arc that fails it needs no reach
+check either.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .branchings import (
 from .digraph import (
     Arc,
     Digraph,
-    bits,
     coreach_mask,
     reach_mask,
 )
@@ -115,6 +116,17 @@ def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
     that stops at v (a path through the arc meets x first, so x is cut
     off if any vertex is), and scans only the `live` out-tree vertices:
     one with no frontier arc, or only a cutting one, is never picked.
+    Taking x's tree arc (x, y) re-points succ[x] at x's lowest other
+    out-neighbour at y's depth, and only when x has none is the tree
+    rebuilt by a BFS.  A re-point changes no distance to v, so `upto`
+    stays exact, and the tree stays a shortest-path tree: an arc off it
+    cuts nothing and the level test holds on it, so the growth accepts
+    the arcs it would accept on the BFS tree.  It is not the BFS tree,
+    though, so when the tree was re-pointed since its last rebuild one
+    more BFS of the final rows gives the in-branching.  That is the tree
+    a BFS per taken tree arc ends with: every arc taken since the last
+    rebuild was off that rebuild's BFS tree, and removing such arcs
+    leaves a BFS tree as it is.
     """
     full = g.full_mask
     spanned, succ, upto = _bfs(g, v, "in")
@@ -136,27 +148,33 @@ def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
             )
     # guarded growth on the residual rows (g less the chosen arcs): accept
     # a frontier arc only while every vertex still reaches v without it.
-    # Only an arc of v's BFS in-tree that passes the level test can cut a
+    # Only an arc of v's in-tree that passes the level test can cut a
     # vertex from v, and x has one tree arc, so x's lowest frontier arc is
-    # taken unless it is that arc and cuts; then the next one is.  The tree
-    # is rebuilt only when one of its arcs is taken (an off-tree arc leaves
-    # it, depths included, unchanged); it spans throughout and is the
-    # in-branching.  Rows only lose bits and the tree only grows, so an
-    # arc that cuts keeps cutting and a vertex out of `live` stays out.
+    # taken unless it is that arc and cuts; then the next one is.  Rows
+    # only lose bits and the tree only grows, so an arc that cuts keeps
+    # cutting and a vertex out of `live` stays out.  A taken off-tree arc
+    # leaves the in-tree as it is; a taken tree arc (x, y) re-points x at
+    # out_rows[x] & upto[y], its out-neighbours at y's depth, if any, and
+    # else rebuilds it; `stale` marks a re-point since the last rebuild.
     out_rows, in_rows = g.out_masks[:], g.in_masks[:]
     res = Digraph.from_rows(out_rows, in_rows)
     tree = live = 1 << u
     arcs: list[Arc] = []
+    stale = False
     while tree != full:
-        for x in bits(live):
+        scan = live
+        while scan:
+            bit = scan & -scan
+            scan ^= bit
+            x = bit.bit_length() - 1
             cand = out_rows[x] & ~tree
             if not cand:
-                live ^= 1 << x
+                live ^= bit
                 continue
             y = (cand & -cand).bit_length() - 1
             if succ[x] == y and not out_rows[x] & upto[x] & ~(1 << y):
                 out_rows[x] ^= 1 << y
-                seen = todo = 1 << x
+                seen = todo = bit
                 while todo and not seen >> v & 1:
                     low = todo & -todo
                     new = out_rows[low.bit_length() - 1] & ~seen
@@ -166,7 +184,7 @@ def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
                 if not seen >> v & 1:
                     cand ^= 1 << y
                     if not cand:
-                        live ^= 1 << x
+                        live ^= bit
                         continue
                     y = (cand & -cand).bit_length() - 1
             break
@@ -178,7 +196,15 @@ def try_construct_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
         tree |= 1 << y
         live |= 1 << y
         if succ[x] == y:
-            _, succ, upto = _bfs(res, v, "in")
+            level = out_rows[x] & upto[y]
+            if level:
+                succ[x] = (level & -level).bit_length() - 1
+                stale = True
+            else:
+                _, succ, upto = _bfs(res, v, "in")
+                stale = False
+    if stale:
+        _, succ, _ = _bfs(res, v, "in")
     return BranchingPair(
         Branching(u, tuple(arcs), "out"),
         Branching(v, tuple(_tree_arcs(succ, "in")), "in"),

@@ -27,6 +27,7 @@ from goodpairs.families import (
     random_quasi_transitive,
     random_semicomplete,
     random_strong_semicomplete,
+    random_two_arc_strong_semicomplete,
     random_wide_composition,
 )
 from goodpairs.oracle import oracle_all_pairs, oracle_good_pair
@@ -610,6 +611,96 @@ def test_parent_row_greedy_matches_the_arc_set_reference(monkeypatch):
             cases += 1
             built += want is not None
     assert cases > 100 and built > 100 and cuts > 100
+
+
+def _large_growth_inputs():
+    """(digraph, root pairs): seeded strong semicomplete digraphs, with
+    and without 2-cycles, and strong near-transitive tournaments at n
+    40-120, at eight sampled root pairs each.  Here the greedy takes a
+    tree arc at almost every step, and its tail almost always has another
+    out-neighbour one level nearer v.  The quasi-transitive inputs meet
+    the same reference in the parent-row greedy test."""
+    rng = random.Random("re-pointed-growth")
+    for n in range(40, 121, 10):
+        for g in (
+            random_strong_semicomplete(rng, n, 0.0),
+            random_strong_semicomplete(rng, n, 0.25),
+            _near_transitive_tournament(rng, n),
+        ):
+            yield g, [(rng.randrange(n), rng.randrange(n)) for _ in range(8)]
+
+
+def _count_bfs(monkeypatch) -> tuple[list[int], list[int]]:
+    """Counters of the greedy's `_bfs` calls and of the reference's
+    `reference_bfs` calls, each in its one cell."""
+    greedy, reference = [0], [0]
+
+    def counting(bfs, calls):
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return bfs(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(semicomplete, "_bfs", counting(semicomplete._bfs, greedy))
+    monkeypatch.setitem(globals(), "reference_bfs", counting(reference_bfs, reference))
+    return greedy, reference
+
+
+def test_re_pointed_growth_matches_the_rebuilding_reference_at_large_n(monkeypatch):
+    # the reference rebuilds v's in-tree at every tree arc it takes; the
+    # greedy re-points it and must build the same pairs with far fewer
+    # BFS calls
+    greedy, reference = _count_bfs(monkeypatch)
+    cases = built = 0
+    for g, roots in _large_growth_inputs():
+        for u, v in roots:
+            want = reference_try_construct_pair(g, u, v)
+            assert try_construct_pair(g, u, v) == want, (g, u, v)
+            cases += 1
+            built += want is not None
+    assert cases == 216 and built > 200
+    assert reference[0] > 4 * greedy[0], (reference, greedy)
+
+
+def test_greedy_rebuilds_the_in_tree_only_when_it_cannot_re_point(monkeypatch):
+    # the 96-vertex document of `goodpairs gen --family two-arc-strong
+    # --n 96 --seed 1` at roots v3, v17, then seeded tournaments at n 48
+    # and 96, as (reference, greedy) BFS calls.  On the document the
+    # reference makes 39: v's in-tree, three for the whole-tree attempts
+    # it runs at every root pair, and 35 rebuilds, one per tree arc its
+    # growth takes.  The greedy makes 4: the first in-tree, two rebuilds,
+    # where a taken tree arc's tail had no other out-neighbour one level
+    # nearer v, and one BFS at the end, since it re-pointed the tree
+    # after its last rebuild.
+    cases = [(random_two_arc_strong_semicomplete(1, 96), 3, 17)]
+    rng = random.Random("greedy-bfs-count")
+    for n in (48, 96):
+        for _ in range(3):
+            g = random_strong_semicomplete(rng, n, 0.0)
+            cases.append((g, rng.randrange(n), rng.randrange(n)))
+    greedy, reference = _count_bfs(monkeypatch)
+    counts = []
+    for g, u, v in cases:
+        greedy[0] = reference[0] = 0
+        want = reference_try_construct_pair(g, u, v)
+        assert try_construct_pair(g, u, v) == want, (g, u, v)
+        assert verify_good_pair(g, u, v, want), (g, u, v)
+        counts.append((reference[0], greedy[0]))
+    assert counts == [(39, 4), (14, 3), (18, 2), (6, 3), (15, 3), (13, 4), (12, 3)]
+
+
+def test_greedy_leaves_the_digraph_rows_unchanged():
+    # the growth edits copies of the rows and its own successor row
+    rng = random.Random("greedy-rows")
+    graphs = [random_two_arc_strong_semicomplete(1, 96)]
+    graphs += [random_strong_semicomplete(rng, n, 0.25) for n in (20, 60)]
+    graphs += [g for g, _ in _quasi_transitive_inputs()[:5]]
+    for g in graphs:
+        out_rows, in_rows = list(g.out_masks), list(g.in_masks)
+        for u, v in [(0, 0), (0, g.n - 1), (g.n - 1, 0), (g.n // 2, 1)]:
+            try_construct_pair(g, u, v)
+            assert g.out_masks == out_rows and g.in_masks == in_rows, (g, u, v)
 
 
 def reference_try_construct_pair_with_both_attempts(g, u, v):
