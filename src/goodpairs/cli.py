@@ -135,7 +135,9 @@ def decide_cmd(source, u_name, v_name, klass):
     payload = {"names": list(doc.names)}
     payload.update(verdict_to_dict(verdict))
     lines.append("verdict-json " + json.dumps(payload, sort_keys=True))
-    click.echo("\n".join(lines), file=sys.stdout)
+    # color=True: click strips ANSI escapes, vertex names' included,
+    # whenever stdout is not a terminal
+    click.echo("\n".join(lines), file=sys.stdout, color=True)
     sys.exit(0 if verdict.yes else 1)
 
 
@@ -193,7 +195,7 @@ def oracle_cmd(source, u_name, v_name, max_n):
     if pair is None:
         click.echo("NO\nreason exhaustive-search", file=sys.stdout)
         sys.exit(1)
-    click.echo("\n".join(["YES"] + _pair_lines(doc, pair)), file=sys.stdout)
+    click.echo("\n".join(["YES"] + _pair_lines(doc, pair)), file=sys.stdout, color=True)
     sys.exit(0)
 
 

@@ -1,16 +1,15 @@
-"""Decision tail for compositions over a strong semicomplete quotient.
+"""Obstruction finder for compositions over a strong semicomplete quotient.
 
 The flattened digraph of such a composition either carries an
 arc-disjoint out-branching rooted at u and in-branching rooted at v,
 or it falls into a short list of blocked shapes: a root with too few
 arcs, one of seven named small families, or a layered quotient witness
 whose designated arcs all keep their blocking power once part sizes
-are taken into account.  `dispatch.decide` runs the root and degree
-tests and the semicomplete greedy on the flat digraph for every class;
-only a greedy miss enters `decide_composition`, which checks the
-blocked shapes exactly, and a miss that none of them blocks is built by
-the complete search.  The quotient only enters the decision; any
-verified pair of the flat digraph answers YES.
+are taken into account.  `dispatch` runs the root and degree tests for
+every class; `decide_composition` checks the other blocked shapes
+exactly and returns a NO with its evidence, or None.  The quotient only
+enters the decision: `dispatch.decide` builds a YES pair on the flat
+digraph, with the greedy and the search every class shares.
 
 Each family is a predicate on the flat digraph's bitset rows: five say
 which arcs every row must hold and which it may add, and the other two
@@ -33,7 +32,6 @@ from .verdicts import (
     LAYERED_A,
     LAYERED_B,
     Verdict,
-    YES,
     middle_blocked_violation,
 )
 from .witnesses import arc_condition, iter_type_a, iter_type_b
@@ -193,7 +191,7 @@ def match_known_family(comp: Composition, u: int, v: int):
     return None
 
 
-# --- constructions ---
+# --- constructions: no engine calls them; bench/tracer.py reads their spans ---
 
 
 def two_arc_strong_pair(g: Digraph, u: int, v: int) -> BranchingPair:
@@ -209,15 +207,18 @@ def construct_composition_pair(flat: Digraph, u: int, v: int) -> BranchingPair:
     return semicomplete.searched_good_pair(flat, u, v)
 
 
-def decide_composition(comp: Composition, flat: Digraph, u: int, v: int) -> Verdict:
-    """The tail of `dispatch.decide` for a composition over a strong
-    semicomplete quotient, past a greedy miss on `flat`, comp's flat
-    digraph.
+def decide_composition(
+    comp: Composition, flat: Digraph, u: int, v: int
+) -> Verdict | None:
+    """The obstruction finder for a composition over a strong
+    semicomplete quotient, past the shared steps of `dispatch`; `flat`
+    is comp's flat digraph.
 
-    No-verdicts carry checkable evidence: the matched family, a quotient
+    A NO carries checkable evidence: the matched family, a quotient
     witness with the per-arc blocking conditions, or a forcing trace.
-    Yes-verdicts carry the search's verified pair once every blocked
-    shape is ruled out.
+    None means no blocked shape is present: a 2-arc-strong flat digraph
+    is outside them all.  When a witness enumeration ran out of budget
+    and forcing does not block, its ResourceExceeded is raised instead.
     """
     hit = match_known_family(comp, u, v)
     if hit is not None:
@@ -231,8 +232,7 @@ def decide_composition(comp: Composition, flat: Digraph, u: int, v: int) -> Verd
             family_reversed=reversed_,
         )
     if is_two_arc_strong(flat):
-        pair = two_arc_strong_pair(flat, u, v)
-        return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
+        return None
     # A layered witness on any uniform repartition blocks the flat
     # digraph, and coarse parts can hide one, so the finest partition
     # is checked first and the given one kept as a second chance.
@@ -259,8 +259,7 @@ def decide_composition(comp: Composition, flat: Digraph, u: int, v: int) -> Verd
         return Verdict(yes=False, u=u, v=v, reason=ARC_FORCING, forcing=trace)
     if deferred is not None:
         raise deferred
-    pair = construct_composition_pair(flat, u, v)
-    return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
+    return None
 
 
 def _layered_no(

@@ -1,27 +1,29 @@
 """The one decision path: every class shares its first steps.
 
-`decide` checks the class, then the roots: out of range is an error,
-one vertex is a trivial YES, a root side that misses a vertex is a NO,
-and so is a starved root degree outside the semicomplete class.  Then
-the greedy of `semicomplete.greedy_good_pair` runs once, on the flat
-digraph in the input's own numbering; a pair that verifies is a whole
-YES certificate.  Only a miss imports and runs the class's own tail,
-which looks for the class's obstructions and else builds the pair with
-the complete search:
+`decide` and `blocked` check the class, then the roots: out of range is
+an error, one vertex is a trivial YES, a root side that misses a vertex
+is a NO, and so is a starved root degree outside the semicomplete class.
+Past those steps each class has one obstruction finder, which returns
+a NO verdict with its evidence or None:
 
 - semicomplete: `semicomplete.decide_semicomplete`;
 - composition over a strong semicomplete quotient:
   `composition_engine.decide_composition`;
-- composition over a transitive quotient:
-  `transitive_engine.decide_transitive_composition`;
-- composition over a non-strong semicomplete quotient: its parts merged
-  along the quotient's strong components (`condensed_transitive`), then
-  the transitive tail;
-- quasi-transitive: `qt_decompose`, then the strong or the transitive tail.
+- composition over any other quotient, and non-strong quasi-transitive
+  digraphs: `transitive_engine.decide_transitive_composition`, whose
+  shapes are predicates on the flat digraph alone;
+- strong quasi-transitive digraphs: `qt_decompose`, then the
+  composition finder on the renumbered composition, its NO mapped back
+  by `translate_verdict`.
 
-A tail that works on a renumbered composition has its verdict mapped
-back by `translate_verdict`, so every verdict speaks in the input's own
-numbering.
+Before its finder, each route tries the greedy of
+`semicomplete.greedy_good_pair` on the flat digraph in the input's own
+numbering, since a pair that verifies is a whole YES certificate; only
+a miss imports and runs the finder.  `decide` builds a miss that the
+finder does not block with `semicomplete.searched_good_pair`, on the
+same rows: the one call of the complete search on the decision path.
+`blocked` takes the same steps and stops there, so it answers None
+exactly where `decide` answers YES.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .composition import (
 )
 from .digraph import Digraph, coreach_mask, reach_mask, strong_components
 from .errors import InvalidInput
-from .semicomplete import greedy_good_pair, trivial_pair
+from .semicomplete import greedy_good_pair, searched_good_pair, trivial_pair
 from .verdicts import DEGREE, ROOT_COMPONENT, YES, Verdict
 
 CLASSES = ("auto", "semicomplete", "composition", "transitive", "qt")
@@ -75,6 +77,27 @@ def decide(target, u: int, v: int, klass: str = "auto") -> Verdict:
     names.  The verdict always speaks in the target's own vertex
     numbering.
     """
+    flat, ver = _settle(target, u, v, klass)
+    if ver is not None:
+        return ver
+    pair = searched_good_pair(flat, u, v)
+    return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
+
+
+def blocked(target, u: int, v: int) -> Verdict | None:
+    """The NO verdict `decide` gives for these roots, or None where it
+    answers YES, without the complete search: the steps before the
+    search are `decide`'s own, so a greedy miss that the finder does not
+    block is one that `decide` answers YES."""
+    ver = _settle(target, u, v, "auto")[1]
+    return None if ver is None or ver.yes else ver
+
+
+def _settle(target, u: int, v: int, klass: str) -> tuple[Digraph, Verdict | None]:
+    """(flat, verdict): the flat digraph, and the verdict when the steps
+    every route shares, the greedy or the class's finder settle it, else
+    None.  A single-part or flat-route composition is decided as its
+    flattening."""
     if klass not in CLASSES:
         raise InvalidInput(f"unknown class {klass!r}")
     if isinstance(target, Composition) and (
@@ -92,58 +115,51 @@ def decide(target, u: int, v: int, klass: str = "auto") -> Verdict:
     if not (0 <= u < flat.n and 0 <= v < flat.n):
         raise InvalidInput("roots out of range")
     if flat.n == 1:
-        return Verdict(yes=True, u=u, v=v, reason=YES, pair=trivial_pair(u))
-    full = flat.full_mask
-    if reach_mask(flat, 1 << u) != full:
-        return Verdict(yes=False, u=u, v=v, reason=ROOT_COMPONENT, side="out")
-    if coreach_mask(flat, 1 << v) != full:
-        return Verdict(yes=False, u=u, v=v, reason=ROOT_COMPONENT, side="in")
-    # semicomplete inputs skip the degree test: their tail names a starved
-    # degree by its own evidence, a small exception or an obstructing arc
+        return flat, Verdict(yes=True, u=u, v=v, reason=YES, pair=trivial_pair(u))
+    if reach_mask(flat, 1 << u) != flat.full_mask:
+        return flat, Verdict(yes=False, u=u, v=v, reason=ROOT_COMPONENT, side="out")
+    if coreach_mask(flat, 1 << v) != flat.full_mask:
+        return flat, Verdict(yes=False, u=u, v=v, reason=ROOT_COMPONENT, side="in")
+    # semicomplete inputs skip the degree test: their finder names a
+    # starved degree by its own evidence, a small exception or an
+    # obstructing arc
     if klass != "semicomplete" and u != v and (
         flat.out_degree(u) < 2 or flat.in_degree(v) < 2
     ):
-        return Verdict(yes=False, u=u, v=v, reason=DEGREE)
+        return flat, Verdict(yes=False, u=u, v=v, reason=DEGREE)
     pair = greedy_good_pair(flat, u, v)
     if pair is not None:
-        return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
-    return _decide_greedy_miss(target, flat, u, v, klass)
+        return flat, Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
+    return flat, _find_obstruction(target, flat, u, v, klass)
 
 
-def _decide_greedy_miss(
+def _find_obstruction(
     target, flat: Digraph, u: int, v: int, klass: str
-) -> Verdict:
-    """The class's tail past a greedy miss on `flat`, target's flat
-    digraph.  Quasi-transitive inputs and compositions over a non-strong
-    semicomplete quotient are decided over a renumbered composition and
-    their verdict mapped back."""
+) -> Verdict | None:
+    """The class's obstruction finder on `flat`, target's flat digraph,
+    past the shared steps: a NO verdict in the input's own numbering, or
+    None.  Only a strong quasi-transitive input is decided over a
+    renumbered composition, and its verdict mapped back."""
     from .composition_engine import decide_composition
     from .semicomplete import decide_semicomplete
-    from .transitive_engine import (
-        condensed_transitive,
-        decide_transitive_composition,
-        translate_verdict,
-    )
+    from .transitive_engine import decide_transitive_composition, translate_verdict
     if klass == "semicomplete":
         return decide_semicomplete(flat, u, v)
     if isinstance(target, Composition):
-        if klass == "transitive":
-            return decide_transitive_composition(flat, u, v)
-        if strong_components(target.quotient).is_strong:
+        if klass == "composition" and strong_components(target.quotient).is_strong:
             return decide_composition(target, flat, u, v)
-        comp, order = condensed_transitive(target)
-        strong = False
-    else:
-        dec = qt_decompose(flat, recognized=True)
-        comp, order, strong = dec.composition, dec.order, dec.kind == "strong"
+        return decide_transitive_composition(flat, u, v)
+    if not strong_components(flat).is_strong:
+        return decide_transitive_composition(flat, u, v)
+    dec = qt_decompose(flat, recognized=True)
     inv = [0] * flat.n
-    for new, old in enumerate(order):
+    for new, old in enumerate(dec.order):
         inv[old] = new
-    if strong:
-        inner = decide_composition(comp, comp.flatten(), inv[u], inv[v])
-    else:
-        inner = decide_transitive_composition(comp.flatten(), inv[u], inv[v])
-    return translate_verdict(flat, comp, order, inner, u, v)
+    comp = dec.composition
+    inner = decide_composition(comp, comp.flatten(), inv[u], inv[v])
+    if inner is None:
+        return None
+    return translate_verdict(comp, dec.order, inner, u, v)
 
 
 def _check_forced_class(target, klass: str) -> None:

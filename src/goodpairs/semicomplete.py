@@ -3,14 +3,14 @@
 A good (u,v)-pair exists unless one of four obstructions is present: a
 root that does not span, one of six small exceptional digraphs with the
 roots in fixed position, a single arc whose removal starves both roots,
-or a layered kind-A witness with at least five levels.  `dispatch.decide`
-tests the roots and tries the greedy pair of `greedy_good_pair` for
-every class; a pair that verifies is a whole YES certificate.  Only a
-greedy miss enters `decide_semicomplete`, which runs the other three
-obstruction tests, and a miss that none of them blocks is built by the
-complete `branchings.search_good_pair` in `searched_good_pair`.  The
-other classes' tails end in the same search, so `construct_good_pair`,
-the greedy else the search, is the pair every class answers YES with.
+or a layered kind-A witness with at least five levels.  `dispatch`
+tests the roots for every class, and `decide_semicomplete` is this
+class's finder for the other three: a NO with its evidence, or None.
+The pairs live here too, for every class: `dispatch.decide` answers YES
+with the verified greedy pair of `greedy_good_pair` and, past a greedy
+miss that no finder blocks, with `searched_good_pair`, the complete
+`branchings.search_good_pair`.  `construct_good_pair` is those two in
+one call.
 
 The arc-obstruction scan, the witness enumeration and the greedy's
 guarded growth rest on two BFS-tree facts.  An arc off a BFS tree cannot
@@ -49,7 +49,6 @@ from .verdicts import (
     ARC_OBSTRUCTION,
     LAYERED_A,
     SMALL_EXCEPTION,
-    YES,
     Verdict,
 )
 
@@ -225,8 +224,8 @@ def greedy_good_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
 
 
 def searched_good_pair(g: Digraph, u: int, v: int) -> BranchingPair:
-    """The complete search's pair once the greedy missed and the decision
-    promised one.
+    """The complete search's pair once the greedy missed and no finder
+    blocked the roots, so the decision promised one.
 
     The pair is verified, so callers need not check again.  No pair at
     all, or one that fails verification, contradicts the promise and
@@ -247,9 +246,9 @@ def construct_good_pair(g: Digraph, u: int, v: int) -> BranchingPair:
     """A good (u,v)-pair the caller's decision promised; never a silent miss.
 
     The verified greedy pair when there is one, else `searched_good_pair`:
-    the pair every class answers YES with.  `dispatch.decide` and the
-    class tails call the two halves apart, with the obstruction tests
-    between them, so the greedy runs once per decision.
+    the pair every class answers YES with.  `dispatch.decide` calls the
+    two halves apart, with the class's obstruction finder between them,
+    so the greedy runs once per decision.
     """
     pair = greedy_good_pair(g, u, v)
     if pair is None:
@@ -286,11 +285,10 @@ def _obstruction_arc(g: Digraph, u: int, v: int) -> Arc | None:
     return None
 
 
-def decide_semicomplete(g: Digraph, u: int, v: int) -> Verdict:
-    """The semicomplete tail of `dispatch.decide`, past the root tests
-    and a greedy miss on g: the small exceptions, the single-arc scan
-    and the kind-A witnesses, each a NO with its evidence, and a miss
-    that none of them blocks is built by the complete search.
+def decide_semicomplete(g: Digraph, u: int, v: int) -> Verdict | None:
+    """The semicomplete obstruction finder, past the root tests of
+    `dispatch`: the small exceptions, the single-arc scan and the
+    kind-A witnesses, each a NO with its evidence, else None.
     """
     from .witnesses import iter_type_a
     hit = match_small_exception(g, u, v)
@@ -310,8 +308,7 @@ def decide_semicomplete(g: Digraph, u: int, v: int) -> Verdict:
     for w in iter_type_a(g, u, v):
         if w.alpha >= 2:
             return Verdict(yes=False, u=u, v=v, reason=LAYERED_A, witness=w)
-    pair = searched_good_pair(g, u, v)
-    return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
+    return None
 
 
 def almost_good_pair(

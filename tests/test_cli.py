@@ -112,6 +112,22 @@ def test_verify_accepts_decide_output():
         assert "pair rejected" in rejected.output
 
 
+def test_piped_decide_and_oracle_keep_escapes_in_vertex_names():
+    # click strips ANSI escapes from output that is not a terminal, as
+    # CliRunner's is; a name that lost its escape no longer verifies
+    doc = DIGON_PAIR.replace("b", "x\x1b[1mb") + "roots a x\x1b[1mb\n"
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("g.txt", "w") as fh:
+            fh.write(doc)
+        for command in ("decide", "oracle"):
+            out = runner.invoke(main, [command, "g.txt"])
+            assert out.exit_code == 0 and "x\x1b[1mb" in out.output
+            verified = runner.invoke(main, ["verify", "g.txt", "-"], input=out.output)
+            assert verified.exit_code == 0, verified.output
+            assert verified.output == "pair accepted\n"
+
+
 def test_verify_refuses_stdin_for_both_the_document_and_the_pair():
     # stdin holds one stream: reading the document from it would leave
     # the pair empty, so the command refuses before reading either

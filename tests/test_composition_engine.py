@@ -148,7 +148,7 @@ def test_verified_greedy_pair_answers_before_any_blocked_shape(monkeypatch):
     [(21, 0, 2, False), (74, 1, 0, True)],
 )
 def test_greedy_miss_is_built_by_the_search(seed, u, v, two_arc_strong, monkeypatch):
-    # a greedy miss on either YES tail: past the 2-arc-strong test, or
+    # a greedy miss on either YES path: past the 2-arc-strong test, or
     # past the layered and forcing tests
     comp = random_composition(seed)
     flat = comp.flatten()

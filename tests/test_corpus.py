@@ -12,16 +12,18 @@ errors even when a constructor is meant to pick other pairs.
 Regenerate with `python tests/test_corpus.py` only when a verdict is
 meant to change.  The same pass also checks that no NO verdict has a
 greedy pair that verifies, since `decide` answers YES from such a pair
-before any class looks for an obstruction.
+before any class looks for an obstruction; counts the YES verdicts whose
+greedy misses, the decisions that reach `decide`'s one call of the
+complete search; and digests the lines `dispatch.blocked` must give.
 """
 
 import copy
 import functools
 import hashlib
+from typing import NamedTuple
 
 import pytest
 
-from goodpairs.branchings import verify_good_pair
 from goodpairs.composition import Composition, singleton, transitive_tournament
 from goodpairs.dispatch import decide
 from goodpairs.errors import InternalInconsistency, InvalidInput, ResourceExceeded
@@ -37,7 +39,7 @@ from goodpairs.families import (
     random_quasi_transitive,
 )
 from goodpairs.forcing import force_trace, replay
-from goodpairs.semicomplete import try_construct_pair
+from goodpairs.semicomplete import greedy_good_pair
 
 # random_composition seeds 908 and 943 are the only ones below 1200 whose
 # decisions end in an arc-forcing verdict
@@ -142,23 +144,52 @@ def decision_lines(outcome) -> tuple[str, str]:
     return repr(outcome), repr(without_pair(outcome))
 
 
-@functools.lru_cache(maxsize=None)
-def corpus_pass(group) -> tuple[int, str, str, tuple]:
-    """(decisions, full digest, pair-free digest, NO decisions) of one
-    group, from one decision pass that the tests below share.
+def blocked_line(outcome) -> str:
+    """The line of `dispatch.blocked`'s outcome for one decision, or of
+    the one `decide`'s outcome asks of it: None for a YES, the NO's
+    repr, or the exception."""
+    if isinstance(outcome, Exception):
+        return decision_lines(outcome)[0]
+    return "None" if outcome is None or outcome.yes else repr(outcome)
 
-    The NO decisions are (target, u, v, reason); only digests of the
-    lines are kept, so the cache stays small.
-    """
-    full, bare, no = [], [], []
+
+class CorpusPass(NamedTuple):
+    decisions: int
+    full: str  # digest of the full lines
+    pair_free: str  # digest of the pair-free lines
+    blocked: str  # digest of the lines `blocked` must give
+    false_no: tuple  # (target, u, v, reason) of NOs with a verified greedy pair
+    searched: int  # YES decisions whose greedy misses
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_pass(group) -> CorpusPass:
+    """The digests and counts of one group, from one decision pass that
+    the tests share; only digests of the lines are kept, so the cache
+    stays small."""
+    full, bare, blocked, false_no, searched = [], [], [], [], 0
     for target, u, v in corpus(group):
         outcome = decision(target, u, v)
         line, free = decision_lines(outcome)
         full.append(line)
         bare.append(free)
-        if not isinstance(outcome, Exception) and not outcome.yes:
-            no.append((target, u, v, outcome.reason))
-    return len(full), digest(full), digest(bare), tuple(no)
+        blocked.append(blocked_line(outcome))
+        if isinstance(outcome, Exception):
+            continue
+        flat = target.flatten() if isinstance(target, Composition) else target
+        hit = greedy_good_pair(flat, u, v) is not None
+        if outcome.yes:
+            searched += not hit
+        elif hit:
+            false_no.append((target, u, v, outcome.reason))
+    return CorpusPass(
+        len(full),
+        digest(full),
+        digest(bare),
+        digest(blocked),
+        tuple(false_no),
+        searched,
+    )
 
 
 def forcing_lines():
@@ -176,7 +207,7 @@ VERDICT_DIGESTS = {
     "semicomplete-n4": (11920, "3a365dfe15b43831f94f7ac82d40ce5aba8e42004b6d0e9148bd97f20261cbce"),
     "families": (154, "07fe736381258edeacd24e26f21b66ff7ce7e45e92f3c18dd5fead1c53a52528"),
     "random-composition": (1354, "4d7c91459310a2aa00a2c1e6695b080e97235a7bd6cf00813309b6bb8fea2fc9"),
-    "random-qt": (2940, "4f68625a24e6268342b82c8711cd4cc88a9dc1f4ea10c8b742dd8df582e28200"),
+    "random-qt": (2940, "2765c1474b49c13ff73913f630a6777847b9f90300c4ffd253cc802bf20e272d"),
     "all-qt-4": (17424, "aee0ab75885ee88c5f0596169ef7c3148078157552f9c8b0fb3718b5000cce5e"),
     "kind-ab": (685, "e286cc9bfa3629decf6d7b77fa6ccd86a04ce2a3029c454d7229da96885ff550"),
     "transitive-3-parts": (2048, "f562e9b8ec20f92186d292d1c6a5100ea2f6a9a7ea048c35b5424e141a193941"),
@@ -197,12 +228,25 @@ PAIR_FREE_DIGESTS = {
     "digraphs-3": "8afd3c08cdbc2f0626a9526b583d38916a6064410680f43c1fde6d50ed5450d2",
 }
 
+# group: YES decisions whose greedy misses, so that decide builds their
+# pair with the complete search
+SEARCHED = {
+    "semicomplete-n4": 912,
+    "families": 0,
+    "random-composition": 61,
+    "random-qt": 26,
+    "all-qt-4": 900,
+    "kind-ab": 9,
+    "transitive-3-parts": 31,
+    "digraphs-3": 24,
+}
+
 FORCING_DIGEST = (1354, "d83b7d742e4ee20c288458546b65f1507b08bb50e54d253234fbf916a99a62df")
 
 
 @pytest.mark.parametrize("group", GROUPS)
 def test_verdict_bytes_are_pinned(group):
-    count, full, pair_free, _ = corpus_pass(group)
+    count, full, pair_free = corpus_pass(group)[:3]
     # the pair-free digest pins answers, reasons, NO evidence and errors
     # on their own, so a change that only picks other YES pairs shows
     # here as a full-digest mismatch alone
@@ -215,13 +259,13 @@ def test_no_verdict_has_a_verified_greedy_pair(group):
     # decide answers YES from a greedy pair that verifies before any
     # class looks for an obstruction, so a NO here with such a pair would
     # be a NO the engine should never have reached: a false NO
-    false_no = []
-    for target, u, v, reason in corpus_pass(group)[3]:
-        flat = target.flatten() if isinstance(target, Composition) else target
-        pair = try_construct_pair(flat, u, v)
-        if pair is not None and verify_good_pair(flat, u, v, pair):
-            false_no.append((target, u, v, reason))
-    assert false_no == []
+    assert corpus_pass(group).false_no == ()
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_search_reach_is_pinned(group):
+    # a YES whose greedy misses is built by decide's one search call
+    assert corpus_pass(group).searched == SEARCHED[group]
 
 
 def test_forcing_traces_and_replays_are_pinned():
@@ -231,9 +275,9 @@ def test_forcing_traces_and_replays_are_pinned():
 
 if __name__ == "__main__":
     for name in GROUPS:
-        count, full, _, _ = corpus_pass(name)
+        count, full = corpus_pass(name)[:2]
         print(f'    "{name}": ({count}, "{full}"),')
     for name in GROUPS:
-        print(f'    "{name}": "{corpus_pass(name)[2]}",')
+        print(f'    "{name}": "{corpus_pass(name).pair_free}",')
     found = forcing_lines()
     print(f'FORCING_DIGEST = ({len(found)}, "{digest(found)}")')

@@ -4,8 +4,9 @@ and `decide` runs the steps every class shares once."""
 import sys
 
 import pytest
-from test_corpus import GROUPS, targets
+from test_corpus import GROUPS, blocked_line, corpus, corpus_pass, digest, targets
 
+from goodpairs.branchings import search_good_pair
 from goodpairs.composition import (
     Composition,
     is_quasi_transitive,
@@ -15,8 +16,8 @@ from goodpairs.composition import (
     transitive_tournament,
 )
 from goodpairs.digraph import Digraph
-from goodpairs.dispatch import decide, recognize
-from goodpairs.errors import InvalidInput
+from goodpairs.dispatch import blocked, decide, recognize
+from goodpairs.errors import InternalInconsistency, InvalidInput, ResourceExceeded
 from goodpairs.families import all_digraphs, family_c, random_composition
 from goodpairs.semicomplete import greedy_good_pair
 from goodpairs.verdicts import validate_verdict
@@ -71,10 +72,39 @@ def record_calls(monkeypatch, fn) -> list:
     return calls
 
 
+def forbid_everywhere(monkeypatch, fn) -> None:
+    """Make fn fail the test if called, under each name a goodpairs
+    module looks it up by."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{fn.__name__} ran")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("goodpairs") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, unreachable)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_blocked_is_decides_no_without_a_pair(group, monkeypatch):
+    # blocked runs decide's steps up to the search: it gives None where
+    # decide answers YES, decide's very NO elsewhere and decide's error,
+    # and it never runs the complete search
+    want = corpus_pass(group).blocked
+    forbid_everywhere(monkeypatch, search_good_pair)
+    lines = []
+    for target, u, v in corpus(group):
+        try:
+            outcome = blocked(target, u, v)
+        except (InvalidInput, ResourceExceeded, InternalInconsistency) as exc:
+            outcome = exc
+        lines.append(blocked_line(outcome))
+    assert digest(lines) == want
+
+
 def test_root_starved_quasi_transitive_input_checks_its_class_once(monkeypatch):
     # 0 -> 1, 0 -> 2 is quasi-transitive but not semicomplete, and the
     # in-root 1 is reached from 0 only: the root test answers before
-    # any class tail runs
+    # any obstruction finder runs
     calls = record_calls(monkeypatch, is_quasi_transitive)
     g = Digraph(3, [(0, 1), (0, 2)])
     ver = decide(g, 0, 1)
@@ -144,7 +174,7 @@ ROUTES = (
 @pytest.mark.parametrize("route", ROUTES)
 def test_front_door_runs_each_step_once(route, monkeypatch):
     # decide checks the class once, and runs the greedy once on the flat
-    # digraph at the roots: a tail past a miss never runs it again, and a
+    # digraph at the roots: a finder past a miss never runs it again, and a
     # degree NO runs none
     predicate, cases = front_door_cases(route)
     greedy = record_calls(monkeypatch, greedy_good_pair)
@@ -164,3 +194,5 @@ def test_front_door_runs_each_step_once(route, monkeypatch):
             assert len(greedy) == 1 and greedy[0][0] is flat
             assert greedy[0][1:] == (u, v)
         assert ver.reason == reason and validate_verdict(target, ver) is None
+        auto = decide(target, u, v)
+        assert blocked(target, u, v) == (None if auto.yes else auto)

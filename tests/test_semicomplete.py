@@ -18,7 +18,7 @@ from goodpairs.digraph import (
     reach_mask,
     strong_components,
 )
-from goodpairs.dispatch import decide
+from goodpairs.dispatch import blocked, decide
 from goodpairs.errors import InternalInconsistency, InvalidInput, ResourceExceeded
 from goodpairs.families import (
     all_semicomplete,
@@ -217,11 +217,40 @@ def test_verified_greedy_pair_answers_before_any_obstruction_test(monkeypatch):
             "search_good_pair",
         ),
     )
-    # the tail imports iter_type_a when it runs, from its own module
+    # the finder imports iter_type_a when it runs, from its own module
     forbid(monkeypatch, witnesses, ("iter_type_a",))
     for (u, v), pair in want.items():
         ver = decide(g, u, v, "semicomplete")
         assert ver.yes and ver.pair == pair
+
+
+# Out-rows of a 9-vertex tournament on which the complete search backs
+# out of 140 include branches at roots (8, 0); no other measured search
+# backs out of more than 3.
+BACKTRACKING_TOURNAMENT = (
+    (3, 4, 5, 6),
+    (0, 2, 3, 4, 5, 6, 8),
+    (0, 3, 4, 5, 6, 7, 8),
+    (4, 5),
+    (6, 7),
+    (4, 8),
+    (3, 5, 8),
+    (0, 1, 3, 5, 6, 8),
+    (0, 3, 4),
+)
+
+
+def test_backtracking_tournament_is_a_greedy_miss_that_the_search_builds():
+    rows = BACKTRACKING_TOURNAMENT
+    g = Digraph(len(rows), [(a, b) for a, heads in enumerate(rows) for b in heads])
+    pairs = combinations(range(g.n), 2)
+    assert all(g.has_arc(a, b) != g.has_arc(b, a) for a, b in pairs)  # a tournament
+    u, v = 8, 0
+    assert semicomplete.greedy_good_pair(g, u, v) is None
+    assert blocked(g, u, v) is None
+    ver = decide(g, u, v)
+    assert ver.yes and verify_good_pair(g, u, v, ver.pair)
+    assert oracle_good_pair(g, u, v) is not None
 
 
 def test_greedy_miss_runs_the_obstructions_then_the_search_once(monkeypatch):

@@ -5,7 +5,12 @@ import random
 import pytest
 
 from goodpairs import composition_engine, dispatch, transitive_engine
-from goodpairs.branchings import search_good_pair, verify_good_pair
+from goodpairs.branchings import (
+    Branching,
+    BranchingPair,
+    search_good_pair,
+    verify_good_pair,
+)
 from goodpairs.composition import (
     Composition,
     independent,
@@ -28,11 +33,8 @@ from goodpairs.semicomplete import (
     greedy_good_pair,
     try_construct_pair,
 )
-from goodpairs.transitive_engine import (
-    condensed_transitive,
-    translate_verdict,
-)
-from goodpairs.verdicts import Verdict, validate_verdict
+from goodpairs.transitive_engine import translate_verdict
+from goodpairs.verdicts import YES, Verdict, validate_verdict
 from test_corpus import without_pair
 from test_semicomplete import count_greedy_calls, forbid, greedy_hits
 
@@ -262,11 +264,15 @@ def test_condensed_route_for_non_strong_semicomplete_quotient():
     q = Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
     comp = Composition(q, (singleton(),) * 4)
     assert recognize(comp) == "composition"
-    tcomp, order = condensed_transitive(comp)
-    assert tcomp.s == 2 and sorted(order) == list(range(4))
     ver = decide(comp, 0, 3)
     assert ver.yes and validate_verdict(comp, ver) is None
     assert oracle_good_pair(comp.flatten(), 0, 3) is not None
+    # the transitive shapes are predicates on the flat digraph, so the
+    # route is the non-strong quasi-transitive one on the same rows
+    flat = comp.flatten()
+    for u in range(4):
+        for v in range(4):
+            assert decide(comp, u, v) == decide(flat, u, v, "qt")
 
 
 def test_dispatch_recognize_and_overrides():
@@ -288,14 +294,25 @@ def test_dispatch_recognize_and_overrides():
 
 def decide_by_decomposition(g, dec, u, v):
     """The verdict of the decomposition route: qt_decompose, then the
-    route its kind names, then translate_verdict.  The front door's
-    greedy runs on g's own rows instead, so a YES pair may differ."""
+    route its kind names, with a NO mapped back by translate_verdict and
+    a YES pair relabelled.  decide builds a YES pair on g's own rows
+    instead, so the pair may differ."""
+    order = dec.order
     inv = [0] * g.n
-    for new, old in enumerate(dec.order):
+    for new, old in enumerate(order):
         inv[old] = new
     klass = "composition" if dec.kind == "strong" else "transitive"
     inner = decide(dec.composition, inv[u], inv[v], klass)
-    return translate_verdict(g, dec.composition, dec.order, inner, u, v)
+    if not inner.yes:
+        return translate_verdict(dec.composition, order, inner, u, v)
+
+    def relabel(b):
+        arcs = tuple((order[x], order[y]) for x, y in b.arcs)
+        return Branching(order[b.root], arcs, b.kind)
+
+    out, inn = inner.pair.out_branching, inner.pair.in_branching
+    pair = BranchingPair(relabel(out), relabel(inn))
+    return Verdict(yes=True, u=u, v=v, reason=YES, pair=pair)
 
 
 def _root_check_samples():
@@ -445,7 +462,7 @@ def test_front_door_degree_no_runs_no_greedy(case, kind, monkeypatch):
 
 def test_front_door_greedy_hit_builds_no_composition(monkeypatch):
     # a greedy hit answers from the input's rows alone: no
-    # decomposition, class tail or verdict translation runs
+    # decomposition, obstruction finder or verdict translation runs
     hits = []
     for g in _front_door_samples():
         if 20 <= g.n <= 23:
@@ -456,7 +473,7 @@ def test_front_door_greedy_hit_builds_no_composition(monkeypatch):
                     if pair is not None:
                         hits.append((g, kind, u, v, pair))
     forbid(monkeypatch, dispatch, ("qt_decompose",))
-    # dispatch imports the tails when a miss runs them, from their modules
+    # dispatch imports the finders when a miss runs them, from their modules
     forbid(
         monkeypatch,
         transitive_engine,
