@@ -1,5 +1,4 @@
-"""Branchings, good-pair verification and search, and the search for an
-out-branching plus an arc-disjoint path (`out_branching_avoiding_path`).
+"""Branchings, good-pair verification and the complete good-pair search.
 
 A good (u,v)-pair is an out-branching rooted at u and an in-branching
 rooted at v sharing no arc.  Everything here returns explicit arc sets so
@@ -17,9 +16,8 @@ from .digraph import (
     bits,
     coreach_mask,
     reach_mask,
-    unit_flow,
 )
-from .errors import InternalInconsistency, InvalidInput, ResourceExceeded
+from .errors import InvalidInput, ResourceExceeded
 
 
 @dataclass(frozen=True)
@@ -259,91 +257,29 @@ def find_branching(
     return Branching(root=root, arcs=tuple(_tree_arcs(parent, kind)), kind=kind)
 
 
-def out_branching_avoiding_path(
-    g: Digraph, u: int, w: int, v: int, budget: int = 200_000
-):
-    """Out-branching rooted u plus a w->v path, arc-disjoint.
-
-    Returns (Branching, path) or None.  The path start is unrelated to the
-    branching root, which puts this outside the clean packing theory, so
-    after necessary cut checks we search over candidate paths whose removal
-    keeps u spanning; the budget bounds that search and overrunning it is a
-    loud error, never a silent no.  The same walk covers w == u, where
-    the path starts at the root, and v == u, where it ends there; the
-    two-path cut check into v runs only when v is neither u nor w.
-    """
-    if reach_mask(g, 1 << u) != g.full_mask:
-        return None
-    if v not in (u, w):
-        value, _ = unit_flow(g, 1 << u | 1 << w, v, cap=2)
-        if value < 2:
-            return None
-
-    # u spans g, so only an arc of its BFS tree can cut it off
-    _, tree_arcs = reach_tree(g, u)
-    critical = {
-        arc
-        for arc in tree_arcs
-        if reach_mask(g, 1 << u, banned={arc}) != g.full_mask
-    }
-
-    nodes = 0
-
-    def walk(prefix: list[int], banned: set[Arc]):
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise ResourceExceeded(
-                f"path search budget of {budget} nodes exhausted at n={g.n}"
-            )
-        here = prefix[-1]
-        if here == v:
-            tree = find_branching(g, u, "out", banned=banned)
-            if tree is None:
-                raise InternalInconsistency("prefix pruning admitted a bad path")
-            return tree, list(prefix)
-        for nxt in bits(g.out_masks[here]):
-            if nxt in prefix or (here, nxt) in critical:
-                continue
-            arc = (here, nxt)
-            banned.add(arc)
-            if reach_mask(g, 1 << u, banned=banned) == g.full_mask:
-                found = walk(prefix + [nxt], banned)
-                if found is not None:
-                    return found
-            banned.remove(arc)
-        return None
-
-    return walk([w], set())
-
-
 # Node budget of search_good_pair: the bound of the oracle's own search.
 SEARCH_BUDGET = 4_000_000
 
 
-def search_good_pair(
-    g: Digraph, u: int, v: int, shared: frozenset[Arc] = frozenset()
-) -> BranchingPair | None:
-    """First pair rooted (u, v) sharing exactly `shared`, or None.
+def search_good_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
+    """First good (u,v)-pair, or None: the pair of `oracle.oracle_good_pair`.
 
     A complete include/exclude search over out-branching arcs at u.
     Each node branches on its first unbanned arc (x, y) with x in the
     tree and y outside it, x then y increasing, "include" first.  A
     spanning tree T is answered with the BFS in-branching at v that
-    avoids T - shared, and the pair is accepted when it shares exactly
-    `shared`.  With `shared` empty this is the search of
-    `oracle.oracle_good_pair`, and the pair returned is the same.
+    avoids T.  This is the search of `oracle.oracle_good_pair`, and the
+    pair returned is the same.
 
     Pruning only ever bans arcs that no accepted tree below the node
     can use, so it cuts the search without reordering it.  The
     in-branching must avoid F, the tree arcs plus the only unbanned
-    entry of each vertex outside the tree, less `shared`: every vertex
-    must reach v without F, and a vertex w != v with a single exit e
-    outside F leaves by e, which the out-tree then cannot use unless e
-    is shared.  Bans repeat until none is new, and the tree must still
-    reach every vertex past them.  Good pairs are NP-complete to decide
-    in general digraphs, so the search counts its nodes and raises
-    ResourceExceeded past SEARCH_BUDGET.
+    entry of each vertex outside the tree: every vertex must reach v
+    without F, and a vertex w != v with a single exit e outside F leaves
+    by e, which the out-tree then cannot use.  Bans repeat until none is
+    new, and the tree must still reach every vertex past them.  Good
+    pairs are NP-complete to decide in general digraphs, so the search
+    counts its nodes and raises ResourceExceeded past SEARCH_BUDGET.
     """
     full = g.full_mask
     banned: set[Arc] = set()
@@ -357,13 +293,12 @@ def search_good_pair(
                 entries = [(x, y) for x in bits(g.in_masks[y]) if (x, y) not in banned]
                 if len(entries) == 1:
                     forced.add(entries[0])
-            forced -= shared
             if coreach_mask(g, 1 << v, banned=forced) != full:
                 return False
             new = set()
             for w in range(g.n):
                 exits = [(w, z) for z in bits(g.out_masks[w]) if (w, z) not in forced]
-                if w != v and len(exits) == 1 and exits[0] not in shared:
+                if w != v and len(exits) == 1:
                     new.add(exits[0])
             new -= banned
             if not new:
@@ -389,11 +324,8 @@ def search_good_pair(
                     return None
                 if tree_mask == full:
                     tree = Branching(u, tree_arcs, "out")
-                    inn = find_branching(g, v, "in", banned=tree.arc_set - shared)
-                    if inn is None:
-                        return None
-                    pair = BranchingPair(tree, inn)
-                    return pair if pair.shared_arcs == shared else None
+                    inn = find_branching(g, v, "in", banned=tree.arc_set)
+                    return None if inn is None else BranchingPair(tree, inn)
                 arc = next(
                     (x, y)
                     for x in bits(tree_mask)

@@ -329,6 +329,8 @@ def crosscheck_cmd(
 
     def report(label, instances, pairs, issues):
         nonlocal ran, bad
+        if not pairs:
+            _die(f"nothing to check: the {label} sweep has no root pair")
         ran = True
         bad += len(issues)
         click.echo(

@@ -27,8 +27,6 @@ check either.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .branchings import (
     Branching,
     BranchingPair,
@@ -44,16 +42,13 @@ from .digraph import (
     coreach_mask,
     reach_mask,
 )
-from .errors import InternalInconsistency, InvalidInput
+from .errors import InternalInconsistency
 from .verdicts import (
     ARC_OBSTRUCTION,
     LAYERED_A,
     SMALL_EXCEPTION,
     Verdict,
 )
-
-if TYPE_CHECKING:
-    from .witnesses import TypeABWitness
 
 # The six root-pinned digraphs that block a good pair despite passing the
 # reachability and single-arc tests.  Two non-strong shapes on the roots
@@ -310,30 +305,3 @@ def decide_semicomplete(g: Digraph, u: int, v: int) -> Verdict | None:
             return Verdict(yes=False, u=u, v=v, reason=LAYERED_A, witness=w)
     return None
 
-
-def almost_good_pair(
-    g: Digraph, w: TypeABWitness, shared_index: int = 0
-) -> BranchingPair:
-    """Best possible pair rooted (a, b) for a witness-bearing digraph.
-
-    For a kind-A witness the result shares exactly the designated arc
-    selected by shared_index; for kind B it shares exactly the whole
-    designated arc set.  The pair is the first one `search_good_pair`
-    finds with that shared set.
-    """
-    from .witnesses import validate_witness
-    err = validate_witness(g, w)
-    if err is not None:
-        raise InvalidInput(f"witness does not fit the digraph: {err}")
-    if w.kind == "A":
-        if not 0 <= shared_index < len(w.backward_arcs):
-            raise InvalidInput("shared_index out of range")
-        want = frozenset({w.backward_arcs[shared_index]})
-    else:
-        want = frozenset(w.backward_arcs)
-    pair = search_good_pair(g, w.a, w.b, shared=want)
-    if pair is None:
-        raise InternalInconsistency(
-            "no branching pair with the promised sharing pattern exists"
-        )
-    return pair

@@ -12,12 +12,8 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
-from goodpairs.branchings import (
-    find_branching,
-    out_branching_avoiding_path,
-    verify_good_pair,
-)
-from goodpairs.digraph import bits, is_k_arc_strong, strong_components
+from goodpairs.branchings import find_branching, verify_good_pair
+from goodpairs.digraph import bits, is_k_arc_strong, reach_mask, strong_components
 from goodpairs.dispatch import decide
 from goodpairs.families import (
     all_quasi_transitive,
@@ -33,9 +29,9 @@ from goodpairs.families import (
     random_wide_composition,
 )
 from goodpairs.oracle import enumerate_out_branchings, oracle_good_pair
-from goodpairs.semicomplete import almost_good_pair
 from goodpairs.verdicts import validate_verdict
 from goodpairs.witnesses import iter_type_a, iter_type_b, validate_witness
+from test_branchings import enumerated_pair
 
 BUDGET_SMALL_SWEEP = 60.0
 BUDGET_FAMILY_SWEEP = 120.0
@@ -219,8 +215,10 @@ def test_07_almost_good_pairs_share_exactly_the_backward_arcs():
         assert validate_witness(g, w) is None
         back = set(w.backward_arcs)
         idx = seed % len(back)
-        pair = almost_good_pair(g, w, idx)
-        assert pair.shared_arcs == {w.backward_arcs[idx]}
+        # an almost good pair shares exactly the designated arc picked
+        shared = frozenset({w.backward_arcs[idx]})
+        pair = enumerated_pair(g, w.a, w.b, shared)
+        assert pair is not None and pair.shared_arcs == shared
         # every out/in branching pair shares at least one backward arc:
         # equivalently no split S of the backward set lets an out-branching
         # avoid back-S while an in-branching avoids S
@@ -241,8 +239,28 @@ def test_07_almost_good_pairs_share_exactly_the_backward_arcs():
     for seed in range(100):
         g, w = kind_b_instance(seed)
         assert validate_witness(g, w) is None
-        pair = almost_good_pair(g, w)
-        assert pair.shared_arcs == set(w.backward_arcs)
+        shared = frozenset(w.backward_arcs)
+        pair = enumerated_pair(g, w.a, w.b, shared)
+        assert pair is not None and pair.shared_arcs == shared
+
+
+def _tree_beside_path(g, u, w, v):
+    """Whether g has an out-branching at u and a w->v path sharing no
+    arc: a walk over simple w->v paths that drops every step after which
+    u no longer spans g without the path's arcs."""
+    full = g.full_mask
+
+    def walk(path, used):
+        if reach_mask(g, 1 << u, banned=used) != full:
+            return False
+        here = path[-1]
+        return here == v or any(
+            walk(path + [z], used | {(here, z)})
+            for z in bits(g.out_masks[here])
+            if z not in path
+        )
+
+    return walk([w], frozenset())
 
 
 def test_08_path_conditions_do_not_characterize():
@@ -256,9 +274,9 @@ def test_08_path_conditions_do_not_characterize():
         flat = comp.flatten()
         conv = flat.converse()
         for w in range(flat.n):
-            assert out_branching_avoiding_path(flat, u, w, v) is not None
+            assert _tree_beside_path(flat, u, w, v)
         for z in range(flat.n):
-            assert out_branching_avoiding_path(conv, v, z, u) is not None
+            assert _tree_beside_path(conv, v, z, u)
         count += 1
     assert count == 20
 

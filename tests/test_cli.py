@@ -373,6 +373,24 @@ def test_crosscheck_file_and_sweep():
         assert r.exit_code == 2, (n, r.output)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--compositions", "-2"),
+        ("--compositions", "0"),
+        ("--qt-samples", "-3"),
+        ("--qt-exhaustive", "-2"),
+        ("--exhaustive-semicomplete", "-1"),
+    ],
+)
+def test_crosscheck_sweep_with_no_root_pair_is_an_error(flags):
+    # a sweep that checked nothing must not pass as "0 mismatches"
+    r = run("crosscheck", *flags)
+    assert r.exit_code == 2, r.output
+    assert "nothing to check" in r.output
+    assert "mismatches" not in r.output
+
+
 def _live_text_wrappers():
     gc.collect()
     return sum(isinstance(o, io.TextIOWrapper) for o in gc.get_objects())

@@ -34,14 +34,13 @@ from goodpairs.oracle import oracle_all_pairs, oracle_good_pair
 from goodpairs.semicomplete import (
     EXCEPTION_PATTERNS,
     _obstruction_arc,
-    almost_good_pair,
     construct_good_pair,
     match_small_exception,
     try_construct_pair,
 )
 from goodpairs.verdicts import validate_verdict
-from goodpairs.witnesses import iter_type_a, iter_type_b, validate_witness
-from test_branchings import _two_arc_strong_inputs, reference_bfs
+from goodpairs.witnesses import iter_type_a, iter_type_b
+from test_branchings import _two_arc_strong_inputs, enumerated_pair, reference_bfs
 from test_large_inputs import fixture_a
 from test_witnesses import level_test_inputs
 
@@ -277,8 +276,9 @@ def test_almost_good_pair_kind_a_each_shared_arc():
     assert wit
     for w in wit[:1]:
         for r in range(len(w.backward_arcs)):
-            pair = almost_good_pair(g, w, shared_index=r)
-            assert pair.shared_arcs == {w.backward_arcs[r]}
+            shared = frozenset({w.backward_arcs[r]})
+            pair = enumerated_pair(g, w.a, w.b, shared)
+            assert pair is not None and pair.shared_arcs == shared
             assert branching_violation(g, pair.out_branching) is None
             assert branching_violation(g, pair.in_branching) is None
 
@@ -286,23 +286,11 @@ def test_almost_good_pair_kind_a_each_shared_arc():
 def test_almost_good_pair_kind_b_shares_backward_set():
     g = Digraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 0)])
     for w in iter_type_b(g, 3, 0):
-        pair = almost_good_pair(g, w)
-        assert pair.shared_arcs == set(w.backward_arcs)
+        shared = frozenset(w.backward_arcs)
+        pair = enumerated_pair(g, w.a, w.b, shared)
+        assert pair is not None and pair.shared_arcs == shared
         assert branching_violation(g, pair.out_branching) is None
         assert branching_violation(g, pair.in_branching) is None
-
-
-def test_almost_good_pair_rejects_a_bad_witness_or_index():
-    g = five_level_chain()
-    w = next(w for w in iter_type_a(g, 3, 1) if w.alpha == 2)
-    # without its first designated arc the digraph no longer fits w
-    h = g.without_arcs({w.backward_arcs[0]})
-    assert validate_witness(h, w) is not None
-    with pytest.raises(InvalidInput, match="witness does not fit"):
-        almost_good_pair(h, w)
-    for r in (-1, len(w.backward_arcs)):
-        with pytest.raises(InvalidInput, match="shared_index out of range"):
-            almost_good_pair(g, w, shared_index=r)
 
 
 def _first_obstruction_arcs(g):

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from goodpairs.branchings import out_branching_avoiding_path, reach_tree
+from goodpairs.branchings import reach_tree
 from goodpairs.composition import Composition, directed_cycle, independent, singleton
 from goodpairs.digraph import Digraph, local_arc_connectivity, mask_of
 from goodpairs.errors import ResourceExceeded
@@ -177,16 +177,6 @@ def test_enumeration_budget():
         match=r"^witness enumeration budget of 2 nodes exhausted at n=4$",
     ):
         list(iter_type_a(g, 1, 2, budget=2))
-
-
-def test_path_search_budget_names_budget_and_size():
-    # u = 0 spans the complete digraph on 4 vertices, and a 1 -> 3 path
-    # plus an out-branching at 0 exist, so the walk runs into its budget
-    with pytest.raises(
-        ResourceExceeded,
-        match=r"^path search budget of 0 nodes exhausted at n=4$",
-    ):
-        out_branching_avoiding_path(complete_digraph(4), 0, 1, 3, budget=0)
 
 
 # Unfiltered copies of iter_type_a and iter_type_b: they call
