@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .digraph import Digraph, bits, strong_components
-from .errors import InternalInconsistency, InvalidInput
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -146,13 +146,35 @@ def is_quasi_transitive(g: Digraph) -> bool:
     return _two_steps_closed(g, either_way=True)
 
 
+def quotient_of(g: Digraph, masks: list[int]) -> Digraph | None:
+    """The quotient of g over the part masks `masks` (a partition of
+    g's vertices): vertex i for masks[i], and an arc ij when part i
+    sends every arc to part j.  None when some part pair is not
+    uniformly joined, which holds exactly when the vertices of each
+    part share one row outside it and that row holds every other part
+    whole or not at all."""
+    s = len(masks)
+    out_masks = [0] * s
+    in_masks = [0] * s
+    for i, mi in enumerate(masks):
+        row = g.out_masks[(mi & -mi).bit_length() - 1] & ~mi
+        if any(g.out_masks[a] & ~mi != row for a in bits(mi)):
+            return None
+        for j, mj in enumerate(masks):
+            joined = row & mj
+            if joined == mj:
+                out_masks[i] |= 1 << j
+                in_masks[j] |= 1 << i
+            elif joined:
+                return None
+    return Digraph.from_rows(out_masks, in_masks)
+
+
 def composition_from_partition(g: Digraph, part_masks: list[int]):
     """Rebuild g as a composition over the given vertex partition.
 
     Returns (Composition, order) with order[flat index] = g vertex, or
-    None when some part pair is not uniformly joined.  The pairs are
-    uniform exactly when the vertices of each part share one row outside
-    it and that row holds every other part whole or not at all.
+    None when some part pair is not uniformly joined.
     """
     cover = 0
     for m in part_masks:
@@ -161,31 +183,31 @@ def composition_from_partition(g: Digraph, part_masks: list[int]):
         cover |= m
     if cover != g.full_mask:
         raise InvalidInput("part masks must partition the vertex set")
-    quotient_arcs = []
-    for i, mi in enumerate(part_masks):
-        row = g.out_masks[(mi & -mi).bit_length() - 1] & ~mi
-        if any(g.out_masks[a] & ~mi != row for a in bits(mi)):
-            return None
-        for j, mj in enumerate(part_masks):
-            joined = row & mj
-            if joined == mj:
-                quotient_arcs.append((i, j))
-            elif joined:
-                return None
+    quotient = quotient_of(g, part_masks)
+    if quotient is None:
+        return None
     parts = []
     order: list[int] = []
     for m in part_masks:
         sub, old = g.induced(m)
         parts.append(sub)
         order.extend(old)
-    comp = Composition(Digraph(len(part_masks), quotient_arcs), tuple(parts))
-    return comp, order
+    return Composition(quotient, tuple(parts)), order
 
 
-def complement_components(g: Digraph) -> list[int]:
-    """Components of the non-adjacency graph, ordered by smallest vertex."""
-    full = g.full_mask
-    unseen = full
+def cells_of(masks: list[int], n: int) -> tuple[int, ...]:
+    """cells[x] = the index of the mask that holds vertex x."""
+    cells = [0] * n
+    for i, m in enumerate(masks):
+        for x in bits(m):
+            cells[x] = i
+    return tuple(cells)
+
+
+def complement_components(g: Digraph, within: int) -> list[int]:
+    """Components of the non-adjacency graph of g on the vertices of
+    `within`, ordered by smallest vertex."""
+    unseen = within
     comps = []
     while unseen:
         start = unseen & -unseen
@@ -194,7 +216,7 @@ def complement_components(g: Digraph) -> list[int]:
         while frontier:
             new = 0
             for v in bits(frontier):
-                non_adj = full & ~(g.out_masks[v] | g.in_masks[v] | 1 << v)
+                non_adj = within & ~(g.out_masks[v] | g.in_masks[v] | 1 << v)
                 new |= non_adj & ~comp
             comp |= new
             frontier = new
@@ -203,16 +225,15 @@ def complement_components(g: Digraph) -> list[int]:
     return comps
 
 
-def _finest_cells(g: Digraph) -> list[int]:
-    """Smallest cell partition of g whose cell pairs are uniformly joined.
+def _finest_cells(g: Digraph, part: int) -> list[int]:
+    """Smallest cell partition of the vertices of `part` whose cell
+    pairs are uniformly joined in g.
 
     Cells start as non-adjacency components and merge while some pair
-    carries a partial join, so the cells of any uniform partition of g
-    are unions of the returned cells.
+    carries a partial join, so the cells of any uniform partition of
+    the part are unions of the returned cells.
     """
-    if g.n <= 1:
-        return [g.full_mask] if g.n else []
-    cells = complement_components(g)
+    cells = complement_components(g, part)
     changed = True
     while changed and len(cells) > 1:
         changed = False
@@ -233,31 +254,18 @@ def _finest_cells(g: Digraph) -> list[int]:
     return cells
 
 
-def finest_refinement(comp: Composition):
-    """Split parts into the smallest cells keeping the quotient semicomplete.
+def finest_refinement(g: Digraph, masks: list[int]) -> list[int]:
+    """Split the parts `masks` of g into the smallest cells keeping the
+    quotient semicomplete, part by part, each part's cells ordered by
+    smallest vertex.
 
     Cell pairs inside an old part are adjacent and uniformly joined by
     construction; cell pairs from different old parts inherit the old
     quotient arcs, so the refined quotient is semicomplete whenever the
-    original one is.  Returns (refined, order) with order[new flat
-    vertex] = old flat vertex; the input composition itself is returned
-    with the identity order when no part splits.
+    original one is.  No part splits exactly when the result is as long
+    as `masks`.
     """
-    masks: list[int] = []
-    split = False
-    for idx, part in enumerate(comp.parts):
-        cells = _finest_cells(part)
-        if len(cells) > 1:
-            split = True
-        off = comp.offsets[idx]
-        masks.extend(m << off for m in cells)
-    if not split:
-        return comp, tuple(range(comp.n))
-    built = composition_from_partition(comp.flatten(), masks)
-    if built is None:
-        raise InternalInconsistency("refinement cells are not uniformly joined")
-    refined, order = built
-    return refined, tuple(order)
+    return [cell for m in masks for cell in _finest_cells(g, m)]
 
 
 @dataclass(frozen=True)
@@ -267,42 +275,40 @@ class QtDecomposition:
     order: tuple[int, ...]  # flat composition vertex -> original vertex
 
 
-def qt_parts(g: Digraph) -> tuple[str, list[int]]:
-    """The kind and the part masks of g's quasi-transitive decomposition:
-    the non-adjacency components of a strong g, ordered by smallest
-    vertex, else its strong components in acyclic order."""
-    scc = strong_components(g)
-    if scc.is_strong:
-        return "strong", complement_components(g)
-    return "non-strong", scc.components
+def strong_qt_parts(g: Digraph) -> list[int]:
+    """The part masks of a strong quasi-transitive g: its non-adjacency
+    components, ordered by smallest vertex.  Raise InvalidInput when they
+    do not form a composition over a semicomplete quotient, as they
+    always do for a strong quasi-transitive digraph."""
+    masks = complement_components(g, g.full_mask)
+    if len(masks) < 2:
+        raise InvalidInput("strong input with connected non-adjacency graph")
+    quotient = quotient_of(g, masks)
+    if quotient is None:
+        raise InvalidInput("non-uniform join between non-adjacency components")
+    if not is_semicomplete(quotient):
+        raise InvalidInput("quotient of strong input is not semicomplete")
+    return masks
 
 
-def qt_decompose(g: Digraph, recognized: bool = False) -> QtDecomposition:
+def qt_decompose(g: Digraph) -> QtDecomposition:
     """Canonical decomposition of a quasi-transitive digraph.
 
     Strong inputs split along non-adjacency components with a strong
-    semicomplete quotient; non-strong inputs split into their strong
-    components under a transitive oriented quotient.  Inputs that fail
-    the uniformity this structure promises are rejected.  `recognized`
-    says the caller has already found g quasi-transitive, so the class
-    check is not run again.
+    semicomplete quotient (`strong_qt_parts`); non-strong inputs split
+    into their strong components under a transitive oriented quotient.
+    Inputs that fail the uniformity this structure promises are
+    rejected.
     """
     if g.n < 2:
         raise InvalidInput("decomposition needs at least two vertices")
-    if not recognized and not is_quasi_transitive(g):
+    if not is_quasi_transitive(g):
         raise InvalidInput("input digraph is not quasi-transitive")
-    kind, masks = qt_parts(g)
-    if kind == "strong":
-        if len(masks) < 2:
-            raise InvalidInput("strong input with connected non-adjacency graph")
-        built = composition_from_partition(g, masks)
-        if built is None:
-            raise InvalidInput("non-uniform join between non-adjacency components")
-        comp, order = built
-        if not is_semicomplete(comp.quotient):
-            raise InvalidInput("quotient of strong input is not semicomplete")
+    scc = strong_components(g)
+    if scc.is_strong:
+        comp, order = composition_from_partition(g, strong_qt_parts(g))
         return QtDecomposition("strong", comp, tuple(order))
-    built = composition_from_partition(g, masks)
+    built = composition_from_partition(g, scc.components)
     if built is None:
         raise InvalidInput("non-uniform join between strong components")
     comp, order = built

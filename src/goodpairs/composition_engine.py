@@ -7,9 +7,13 @@ arcs, one of seven named small families, or a layered quotient witness
 whose designated arcs all keep their blocking power once part sizes
 are taken into account.  `dispatch` runs the root and degree tests for
 every class; `decide_composition` checks the other blocked shapes
-exactly and returns a NO with its evidence, or None.  The quotient only
-enters the decision: `dispatch.decide` builds a YES pair on the flat
-digraph, with the greedy and the search every class shares.
+exactly and returns a NO with its evidence, or None.  It reads the
+input's own flat rows, with the parts given as vertex masks of them (a
+composition's parts, or the non-adjacency components of a strong
+quasi-transitive digraph), so nothing is renumbered; the quotient of
+those masks, `composition.quotient_of`, enters only the layered test.
+`dispatch.decide` builds a YES pair on the flat digraph, with the greedy
+and the search every class shares.
 
 Each family is a predicate on the flat digraph's bitset rows: five say
 which arcs every row must hold and which it may add, and the other two
@@ -22,9 +26,9 @@ from __future__ import annotations
 
 from . import semicomplete
 from .branchings import BranchingPair, is_two_arc_strong
-from .composition import Composition, finest_refinement
+from .composition import cells_of, finest_refinement, quotient_of
 from .digraph import Digraph, bits, coreach_mask, reach_mask
-from .errors import ResourceExceeded
+from .errors import InternalInconsistency, ResourceExceeded
 from .forcing import force_trace
 from .verdicts import (
     ARC_FORCING,
@@ -163,7 +167,7 @@ _FLAT_MATCHERS = (
 )
 
 
-def match_known_family(comp: Composition, u: int, v: int):
+def match_known_family(flat: Digraph, u: int, v: int):
     """(family id, reversed flag) when the flat digraph is a blocked shape.
 
     The families a, c and d and the ring e/f are matched row by row
@@ -176,7 +180,6 @@ def match_known_family(comp: Composition, u: int, v: int):
     """
     if u == v:
         return None
-    flat = comp.flatten()
     for reversed_ in (False, True):
         g, a, b = (flat, u, v) if not reversed_ else (flat.converse(), v, u)
         for family, matcher in _FLAT_MATCHERS:
@@ -208,11 +211,11 @@ def construct_composition_pair(flat: Digraph, u: int, v: int) -> BranchingPair:
 
 
 def decide_composition(
-    comp: Composition, flat: Digraph, u: int, v: int
+    flat: Digraph, u: int, v: int, parts: list[int]
 ) -> Verdict | None:
     """The obstruction finder for a composition over a strong
-    semicomplete quotient, past the shared steps of `dispatch`; `flat`
-    is comp's flat digraph.
+    semicomplete quotient, past the shared steps of `dispatch`: `flat`
+    is the flat digraph and `parts` its part masks, in quotient order.
 
     A NO carries checkable evidence: the matched family, a quotient
     witness with the per-arc blocking conditions, or a forcing trace.
@@ -220,7 +223,7 @@ def decide_composition(
     is outside them all.  When a witness enumeration ran out of budget
     and forcing does not block, its ResourceExceeded is raised instead.
     """
-    hit = match_known_family(comp, u, v)
+    hit = match_known_family(flat, u, v)
     if hit is not None:
         family, reversed_ = hit
         return Verdict(
@@ -236,19 +239,15 @@ def decide_composition(
     # A layered witness on any uniform repartition blocks the flat
     # digraph, and coarse parts can hide one, so the finest partition
     # is checked first and the given one kept as a second chance.
-    refined, order = finest_refinement(comp)
-    attempts: list[tuple[Composition, int, int, tuple[int, ...] | None]] = []
-    if refined is not comp:
-        inv = [0] * flat.n
-        for new, old in enumerate(order):
-            inv[old] = new
-        cells = tuple(refined.part_of(inv[w]) for w in range(flat.n))
-        attempts.append((refined, inv[u], inv[v], cells))
-    attempts.append((comp, u, v, None))
+    refined = finest_refinement(flat, parts)
+    attempts: list[tuple[list[int], tuple[int, ...] | None]] = []
+    if len(refined) > len(parts):
+        attempts.append((refined, cells_of(refined, flat.n)))
+    attempts.append((parts, None))
     deferred: ResourceExceeded | None = None
-    for target, cu, cv, cells in attempts:
+    for masks, cells in attempts:
         try:
-            verdict = _layered_no(target, cu, cv, u, v, cells)
+            verdict = _layered_no(flat, u, v, masks, cells)
         except ResourceExceeded as exc:
             deferred = exc
             continue
@@ -263,36 +262,39 @@ def decide_composition(
 
 
 def _layered_no(
-    comp: Composition,
+    flat: Digraph,
     u: int,
     v: int,
-    report_u: int,
-    report_v: int,
+    masks: list[int],
     cells: tuple[int, ...] | None,
 ) -> Verdict | None:
-    """Blocking layered verdict over this part partition, if any."""
-    flat = comp.flatten()
-    pu, pv = comp.part_of(u), comp.part_of(v)
-    for w in iter_type_a(comp.quotient, pu, pv):
-        conds = tuple(arc_condition(comp, arc, flat) for arc in w.backward_arcs)
+    """Blocking layered verdict over the part partition `masks` of
+    flat, if any; `cells` is the refinement it reports."""
+    quotient = quotient_of(flat, masks)
+    if quotient is None:
+        raise InternalInconsistency("parts are not uniformly joined")
+    pu = next(i for i, m in enumerate(masks) if m >> u & 1)
+    pv = next(i for i, m in enumerate(masks) if m >> v & 1)
+    for w in iter_type_a(quotient, pu, pv):
+        conds = tuple(arc_condition(flat, masks, arc) for arc in w.backward_arcs)
         if all(conds):
             return Verdict(
                 yes=False,
-                u=report_u,
-                v=report_v,
+                u=u,
+                v=v,
                 reason=LAYERED_A,
                 witness=w,
                 conditions=conds,
                 refinement=cells,
             )
     if pu != pv:
-        for w in iter_type_b(comp.quotient, pu, pv):
-            conds = tuple(arc_condition(comp, arc, flat) for arc in w.backward_arcs)
+        for w in iter_type_b(quotient, pu, pv):
+            conds = tuple(arc_condition(flat, masks, arc) for arc in w.backward_arcs)
             if any(conds):
                 return Verdict(
                     yes=False,
-                    u=report_u,
-                    v=report_v,
+                    u=u,
+                    v=v,
                     reason=LAYERED_B,
                     witness=w,
                     conditions=conds,

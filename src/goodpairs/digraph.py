@@ -36,6 +36,8 @@ class Digraph:
     __slots__ = ("n", "out_masks", "in_masks")
 
     def __init__(self, n: int, arcs=()):
+        if n < 0:
+            raise InvalidInput(f"negative vertex count {n}")
         self.n = n
         out_masks = [0] * n
         in_masks = [0] * n

@@ -12,9 +12,10 @@ a NO verdict with its evidence or None:
 - composition over any other quotient, and non-strong quasi-transitive
   digraphs: `transitive_engine.decide_transitive_composition`, whose
   shapes are predicates on the flat digraph alone;
-- strong quasi-transitive digraphs: `qt_decompose`, then the
-  composition finder on the renumbered composition, its NO mapped back
-  by `translate_verdict`.
+- strong quasi-transitive digraphs: the composition finder too, on the
+  input's own rows with its non-adjacency components as the parts
+  (`composition.strong_qt_parts`); a layered NO names those parts in
+  its refinement.
 
 Before its finder, each route tries the greedy of
 `semicomplete.greedy_good_pair` on the flat digraph in the input's own
@@ -28,17 +29,20 @@ exactly where `decide` answers YES.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .composition import (
     Composition,
+    cells_of,
     is_quasi_transitive,
     is_semicomplete,
     is_transitive,
-    qt_decompose,
+    strong_qt_parts,
 )
 from .digraph import Digraph, coreach_mask, reach_mask, strong_components
 from .errors import InvalidInput
 from .semicomplete import greedy_good_pair, searched_good_pair, trivial_pair
-from .verdicts import DEGREE, ROOT_COMPONENT, YES, Verdict
+from .verdicts import DEGREE, LAYERED_A, LAYERED_B, ROOT_COMPONENT, YES, Verdict
 
 CLASSES = ("auto", "semicomplete", "composition", "transitive", "qt")
 
@@ -138,28 +142,26 @@ def _find_obstruction(
 ) -> Verdict | None:
     """The class's obstruction finder on `flat`, target's flat digraph,
     past the shared steps: a NO verdict in the input's own numbering, or
-    None.  Only a strong quasi-transitive input is decided over a
-    renumbered composition, and its verdict mapped back."""
+    None.  A strong quasi-transitive input is decided as the composition
+    over its non-adjacency components that it is, on its own rows."""
     from .composition_engine import decide_composition
     from .semicomplete import decide_semicomplete
-    from .transitive_engine import decide_transitive_composition, translate_verdict
+    from .transitive_engine import decide_transitive_composition
     if klass == "semicomplete":
         return decide_semicomplete(flat, u, v)
     if isinstance(target, Composition):
         if klass == "composition" and strong_components(target.quotient).is_strong:
-            return decide_composition(target, flat, u, v)
+            parts = [target.part_mask(i) for i in range(target.s)]
+            return decide_composition(flat, u, v, parts)
         return decide_transitive_composition(flat, u, v)
     if not strong_components(flat).is_strong:
         return decide_transitive_composition(flat, u, v)
-    dec = qt_decompose(flat, recognized=True)
-    inv = [0] * flat.n
-    for new, old in enumerate(dec.order):
-        inv[old] = new
-    comp = dec.composition
-    inner = decide_composition(comp, comp.flatten(), inv[u], inv[v])
-    if inner is None:
-        return None
-    return translate_verdict(comp, dec.order, inner, u, v)
+    parts = strong_qt_parts(flat)
+    verdict = decide_composition(flat, u, v, parts)
+    if verdict is not None and verdict.reason in (LAYERED_A, LAYERED_B):
+        # a flat input has no parts of its own: the layering names them
+        verdict = replace(verdict, refinement=cells_of(parts, flat.n))
+    return verdict
 
 
 def _check_forced_class(target, klass: str) -> None:

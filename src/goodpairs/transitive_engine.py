@@ -13,9 +13,11 @@ the input's own rows for a non-strong quasi-transitive digraph and for
 a composition over a non-strong semicomplete quotient, each of which
 is a transitive composition once renumbered.
 
-A strong quasi-transitive digraph is decided over the renumbered
-composition of `qt_decompose`, and `translate_verdict` maps a NO's
-evidence back to the input's own vertices.
+A strong quasi-transitive digraph goes to the composition finder on
+its own rows.  `translate_verdict` maps a NO found on the renumbered
+composition of `qt_decompose` back to the input's vertices; no engine
+calls it, and the tests keep it for the reference route that `decide`
+must agree with.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .branchings import Branching, BranchingPair, good_pair_violation
-from .composition import Composition, composition_from_partition, is_semicomplete
+from .composition import Composition, is_semicomplete, quotient_of
 from .digraph import Arc, Digraph, bits, coreach_mask, mask_of, reach_mask
 from .errors import InvalidInput
 
@@ -63,7 +63,6 @@ class Verdict:
     forcing: tuple | None = None
     family: str | None = None
     family_reversed: bool = False
-    note: str | None = None
 
     def __post_init__(self):
         if self.yes != (self.reason == YES):
@@ -146,8 +145,9 @@ def _check_arc_obstruction(flat, comp, verdict: Verdict) -> str | None:
     return None
 
 
-def _refined_composition(flat: Digraph, refinement) -> tuple | str:
-    """Rebuild the cell partition a layered verdict names, or say why not.
+def _refined_parts(flat: Digraph, refinement) -> tuple[Digraph, list[int]] | str:
+    """(quotient, part masks) of the cell partition a layered verdict
+    names, or why it is not one.
 
     Any uniform partition of the flat digraph with a strong semicomplete
     quotient supports the forced-sharing argument, so the check accepts
@@ -162,22 +162,15 @@ def _refined_composition(flat: Digraph, refinement) -> tuple | str:
     masks = [0] * len(ids)
     for vertex, cell in enumerate(cells):
         masks[cell] |= 1 << vertex
-    built = composition_from_partition(flat, masks)
-    if built is None:
+    quotient = quotient_of(flat, masks)
+    if quotient is None:
         return "refinement cells are not uniformly joined"
-    comp_r, order = built
-    if not is_semicomplete(comp_r.quotient):
+    if not is_semicomplete(quotient):
         return "refined quotient is not semicomplete"
-    full = comp_r.quotient.full_mask
-    if (
-        reach_mask(comp_r.quotient, 1) != full
-        or coreach_mask(comp_r.quotient, 1) != full
-    ):
+    full = quotient.full_mask
+    if reach_mask(quotient, 1) != full or coreach_mask(quotient, 1) != full:
         return "refined quotient is not strong"
-    inv = [0] * flat.n
-    for new, old in enumerate(order):
-        inv[old] = new
-    return comp_r, inv
+    return quotient, masks
 
 
 def _check_layered(flat, comp, verdict: Verdict) -> str | None:
@@ -198,25 +191,23 @@ def _check_layered(flat, comp, verdict: Verdict) -> str | None:
             return "witness roots disagree with query roots"
         return None
     if verdict.refinement is not None:
-        rebuilt = _refined_composition(flat, verdict.refinement)
+        rebuilt = _refined_parts(flat, verdict.refinement)
         if isinstance(rebuilt, str):
             return rebuilt
-        comp, inv = rebuilt
-        flat = comp.flatten()
-        ru, rv = inv[verdict.u], inv[verdict.v]
+        quotient, masks = rebuilt
+        pu, pv = verdict.refinement[verdict.u], verdict.refinement[verdict.v]
     else:
-        ru, rv = verdict.u, verdict.v
-    if not (comp.quotient.is_vertex(w.a) and comp.quotient.is_vertex(w.b)):
+        quotient = comp.quotient
+        masks = [comp.part_mask(i) for i in range(comp.s)]
+        pu, pv = comp.part_of(verdict.u), comp.part_of(verdict.v)
+    if not (quotient.is_vertex(w.a) and quotient.is_vertex(w.b)):
         return "witness roots are not vertices of the quotient"
-    reason = validate_witness(comp.quotient, w)
+    reason = validate_witness(quotient, w)
     if reason:
         return reason
-    pu, pv = comp.part_of(ru), comp.part_of(rv)
     if w.a != pu or w.b != pv:
         return "witness roots disagree with the root parts"
-    conds = tuple(
-        arc_condition(comp, arc, flat) for arc in w.backward_arcs
-    )
+    conds = tuple(arc_condition(flat, masks, arc) for arc in w.backward_arcs)
     if verdict.conditions is not None and tuple(verdict.conditions) != conds:
         return "claimed per-arc conditions disagree with the input"
     if verdict.reason == LAYERED_A and not all(conds):
@@ -229,22 +220,7 @@ def _check_layered(flat, comp, verdict: Verdict) -> str | None:
 def _check_known_family(flat, comp, verdict: Verdict) -> str | None:
     from .composition_engine import match_known_family
 
-    u, v = verdict.u, verdict.v
-    if comp is None:
-        # Flat inputs reach this reason only through the quasi-transitive
-        # route, so the decomposition can be rebuilt here.
-        from .composition import qt_decompose
-
-        try:
-            dec = qt_decompose(flat)
-        except InvalidInput:
-            return "input does not decompose, so no family can match"
-        if dec.kind != "strong":
-            return "family matches need a strong decomposition"
-        comp = dec.composition
-        inv = {old: new for new, old in enumerate(dec.order)}
-        u, v = inv[u], inv[v]
-    hit = match_known_family(comp, u, v)
+    hit = match_known_family(flat, verdict.u, verdict.v)
     if hit is None:
         return "input does not match any known family"
     family, reversed_ = hit
@@ -385,8 +361,6 @@ def verdict_to_dict(verdict: Verdict) -> dict:
     if verdict.family is not None:
         out["family"] = verdict.family
         out["family_reversed"] = verdict.family_reversed
-    if verdict.note is not None:
-        out["note"] = verdict.note
     return out
 
 
@@ -458,7 +432,6 @@ def verdict_from_dict(d: dict) -> Verdict:
             forcing=_forcing(d["forcing"]) if "forcing" in d else None,
             family=d.get("family"),
             family_reversed=d.get("family_reversed", False),
-            note=d.get("note"),
         )
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed verdict document: {exc}") from exc

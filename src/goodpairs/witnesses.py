@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .branchings import _ban_rows, _bfs, _may_cut
-from .composition import Composition, is_semicomplete
+from .composition import is_semicomplete
 from .digraph import (
     Arc,
     Digraph,
@@ -189,29 +189,20 @@ def validate_witness(g: Digraph, w: TypeABWitness) -> str | None:
     return validate_type_a(g, w) if w.kind == "A" else validate_type_b(g, w)
 
 
-def arc_condition(comp: Composition, arc: Arc, flat: Digraph | None = None) -> bool:
+def arc_condition(flat: Digraph, masks: list[int], arc: Arc) -> bool:
     """Does a designated quotient arc stay blocking after substitution?
 
-    A backward arc x -> y keeps its blocking power when both end parts are
-    trivial, or when every vertex of a non-trivial tail part has a unique
-    out-arc in the flat digraph and every vertex of a non-trivial head part
-    a unique in-arc.
+    `masks` are the part masks of the flat digraph, in quotient order.
+    A backward arc x -> y keeps its blocking power when every vertex of
+    a non-trivial tail part has a unique out-arc in the flat digraph and
+    every vertex of a non-trivial head part a unique in-arc; so always
+    when both end parts are trivial.
     """
-    x, y = arc
-    hx = comp.parts[x].n
-    hy = comp.parts[y].n
-    if hx == 1 and hy == 1:
-        return True
-    if flat is None:
-        flat = comp.flatten()
-    if hx >= 2:
-        for w in bits(comp.part_mask(x)):
-            if flat.out_degree(w) != 1:
-                return False
-    if hy >= 2:
-        for w in bits(comp.part_mask(y)):
-            if flat.in_degree(w) != 1:
-                return False
+    tail, head = masks[arc[0]], masks[arc[1]]
+    if tail.bit_count() >= 2 and any(flat.out_degree(w) != 1 for w in bits(tail)):
+        return False
+    if head.bit_count() >= 2 and any(flat.in_degree(w) != 1 for w in bits(head)):
+        return False
     return True
 
 

@@ -15,6 +15,7 @@ from goodpairs.composition import (
     is_semicomplete,
     is_transitive,
     qt_decompose,
+    quotient_of,
     ring_tournament,
     singleton,
     transitive_tournament,
@@ -84,7 +85,11 @@ def test_ring_tournament_shape():
 def test_complement_components():
     comp = Composition(directed_cycle(3), (independent(2), singleton(), singleton()))
     g = comp.flatten()
-    assert complement_components(g) == [mask_of([0, 1]), 1 << 2, 1 << 3]
+    assert complement_components(g, g.full_mask) == [mask_of([0, 1]), 1 << 2, 1 << 3]
+    # within a vertex set, a path through an outside vertex joins nothing
+    two = Digraph(3, [(0, 1), (1, 0)])
+    assert complement_components(two, two.full_mask) == [two.full_mask]
+    assert complement_components(two, mask_of([0, 1])) == [1 << 0, 1 << 1]
 
 
 def test_composition_from_partition_uniform():
@@ -145,8 +150,11 @@ def test_composition_from_partition_matches_per_arc_uniformity(case):
     expected = uniform_quotient_arcs(g, masks)
     built = composition_from_partition(g, masks)
     if expected is None:
-        assert built is None
+        assert built is None and quotient_of(g, masks) is None
         return
+    # both rows of the quotient, read off g's own rows
+    quotient, want = quotient_of(g, masks), Digraph(len(masks), expected)
+    assert (quotient.out_masks, quotient.in_masks) == (want.out_masks, want.in_masks)
     comp, order = built
     assert comp.quotient.arcs() == expected
     assert order == [x for m in masks for x in bits(m)]

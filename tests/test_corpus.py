@@ -202,30 +202,33 @@ def forcing_lines():
     return lines
 
 
-# group: (decisions, sha256 of the joined lines)
+# group: (decisions, sha256 of the joined lines); re-pinned when the
+# unused `note` field left `Verdict`, as the earlier digests of the same
+# lines with ", note=None" stripped from each
 VERDICT_DIGESTS = {
-    "semicomplete-n4": (11920, "3a365dfe15b43831f94f7ac82d40ce5aba8e42004b6d0e9148bd97f20261cbce"),
-    "families": (154, "07fe736381258edeacd24e26f21b66ff7ce7e45e92f3c18dd5fead1c53a52528"),
-    "random-composition": (1354, "4d7c91459310a2aa00a2c1e6695b080e97235a7bd6cf00813309b6bb8fea2fc9"),
-    "random-qt": (2940, "2765c1474b49c13ff73913f630a6777847b9f90300c4ffd253cc802bf20e272d"),
-    "all-qt-4": (17424, "aee0ab75885ee88c5f0596169ef7c3148078157552f9c8b0fb3718b5000cce5e"),
-    "kind-ab": (685, "e286cc9bfa3629decf6d7b77fa6ccd86a04ce2a3029c454d7229da96885ff550"),
-    "transitive-3-parts": (2048, "f562e9b8ec20f92186d292d1c6a5100ea2f6a9a7ea048c35b5424e141a193941"),
-    "digraphs-3": (1152, "b2007849b2cb4976ca211b5481aaeb4758a09ecd343dcd82c9656f2ec8284df0"),
+    "semicomplete-n4": (11920, "05f5341ae9f5ca5c2ec8b1afa2f729c8fc0b9e80bcd1e2c0bad66d38ec85387b"),
+    "families": (154, "e65bdcdccd1eaeb06aa60acef571e49fcc793bfb3ad9575fac723b1374f9c625"),
+    "random-composition": (1354, "01a2b92856a7de538a7a70d7cef54e3f8ef419e90a3041e3e0e632d90065dd49"),
+    "random-qt": (2940, "d838c8c925cca334ed47e28fa6e311c96301ea91c4d0dd2ae3f6a079cc1df5e2"),
+    "all-qt-4": (17424, "81f27f86b8df9f24877acee58cddb54f8510a784977f892290ddd4ca2f2464db"),
+    "kind-ab": (685, "f1bb5143f0c1195e0ff6d43cf45985a31179a34fbfeae5e852645656c7487106"),
+    "transitive-3-parts": (2048, "6ed5b4b472000d374674ddd26afd093b91a9b2cd72513564c0f737b42a793822"),
+    "digraphs-3": (1152, "1b94a12ce4fa18576513f14cddaa7a133b30e514564e5591b29941aaac498fe3"),
 }
 
 # group: sha256 of the joined pair-free lines (the pair of a YES verdict
 # cleared, error lines as they are); recorded before the composition
-# constructor was reduced to greedy plus search
+# constructor was reduced to greedy plus search, and re-pinned like the
+# full digests when `note` went
 PAIR_FREE_DIGESTS = {
-    "semicomplete-n4": "f06d14d91b4826823206519c3f8d543a0590525668dcf0e672735718c18429ee",
-    "families": "07fe736381258edeacd24e26f21b66ff7ce7e45e92f3c18dd5fead1c53a52528",
-    "random-composition": "93f1ae38e6624037a3ee983d56bd221f9712544dc3ccf4843b5da567d55ae87f",
-    "random-qt": "84d0c61e94f304e1bfcac14eede63412ff24bc6389e51eb39cafeaddbefd7f48",
-    "all-qt-4": "771cbe60a25ea06e7e6da1a129164dc32f5bad397a70c2ce9dd388b4217a4c81",
-    "kind-ab": "5a7d0678636037422dae1266f2e6c95fd3cda0105ea757aae57ed24b54fcc0f8",
-    "transitive-3-parts": "e7c5467b7335c214f1ea0ceb5a3a4c9027210d17524cb2df26f47bd2e8c9d84b",
-    "digraphs-3": "8afd3c08cdbc2f0626a9526b583d38916a6064410680f43c1fde6d50ed5450d2",
+    "semicomplete-n4": "776738787675c988216bb0d315073bd6ec746ac46fa60a4c9d869cbfb941e51a",
+    "families": "e65bdcdccd1eaeb06aa60acef571e49fcc793bfb3ad9575fac723b1374f9c625",
+    "random-composition": "5d8585595b760216c077a604ca1c390fa6a5ca8f8534343292cba92758e999f8",
+    "random-qt": "df9423013bc2f9eeed5b847f2925af2549968bfd4a77c5189daf0c8214b89322",
+    "all-qt-4": "266f8d00cc70563ef36ea7510231edd5de9729a52d975827f93e6f478c091ade",
+    "kind-ab": "e8c9630051bc6780c1957ca0c036edeccf8477dd93aba1d7f98663eac8856979",
+    "transitive-3-parts": "bc5cb455799dfb34217caee2bcfd05644aa930e4fcf8c229e24a86652866ca33",
+    "digraphs-3": "4df3649f932212d175a86c23a30cd0ddccb9fbb09f94e42d932f0bfe475472b4",
 }
 
 # group: YES decisions whose greedy misses, so that decide builds their

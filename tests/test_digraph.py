@@ -53,6 +53,13 @@ def test_rejects_loops_and_out_of_range():
         Digraph(2, [(0, 2)])
 
 
+def test_rejects_a_negative_vertex_count():
+    # before its first row query, not as a bare ValueError from a shift
+    with pytest.raises(InvalidInput, match="negative vertex count -1"):
+        Digraph(-1, [])
+    assert Digraph(0, []).full_mask == 0
+
+
 def test_bits_and_mask_roundtrip():
     assert list(bits(mask_of([0, 3, 5]))) == [0, 3, 5]
     assert list(bits(0)) == []

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from goodpairs import composition_engine, dispatch, transitive_engine
+from goodpairs import composition, composition_engine, dispatch, transitive_engine
 from goodpairs.branchings import (
     Branching,
     BranchingPair,
@@ -18,7 +18,7 @@ from goodpairs.composition import (
     singleton,
     transitive_tournament,
 )
-from goodpairs.digraph import Digraph, coreach_mask, reach_mask
+from goodpairs.digraph import Digraph, coreach_mask, reach_mask, strong_components
 from goodpairs.dispatch import decide, recognize
 from goodpairs.errors import InvalidInput
 from goodpairs.families import (
@@ -454,7 +454,7 @@ def test_front_door_degree_no_runs_no_greedy(case, kind, monkeypatch):
     assert dec.kind == kind
     want = decide_by_decomposition(g, dec, u, v)
     calls = count_greedy_calls(monkeypatch)
-    forbid(monkeypatch, dispatch, ("qt_decompose",))
+    forbid(monkeypatch, dispatch, ("strong_qt_parts",))
     ver = decide(g, u, v, "qt")
     assert calls == [] and ver == want and ver.reason == "degree"
     assert validate_verdict(g, ver) is None
@@ -472,7 +472,7 @@ def test_front_door_greedy_hit_builds_no_composition(monkeypatch):
                     pair = greedy_good_pair(g, u, v)
                     if pair is not None:
                         hits.append((g, kind, u, v, pair))
-    forbid(monkeypatch, dispatch, ("qt_decompose",))
+    forbid(monkeypatch, dispatch, ("strong_qt_parts",))
     # dispatch imports the finders when a miss runs them, from their modules
     forbid(
         monkeypatch,
@@ -486,3 +486,67 @@ def test_front_door_greedy_hit_builds_no_composition(monkeypatch):
         assert ver.yes and ver.pair == pair, (g, u, v)
         kinds[kind] += 1
     assert kinds["strong"] > 100 and kinds["non-strong"] > 20
+
+
+def _strong_samples():
+    """The strong members of `all_quasi_transitive(4)`, then seeded
+    strong quasi-transitive digraphs with n 6-9, six at each n."""
+    for g in all_quasi_transitive(4):
+        if strong_components(g).is_strong:
+            yield g
+    rng = random.Random("qt-strong")
+    for n in range(6, 10):
+        for _ in range(6):
+            yield _composed_quasi_transitive(rng, n, True)
+
+
+def test_strong_verdicts_survive_relabelling():
+    # the decomposition does not depend on the numbering, so neither may
+    # the answer, its reason or its family; the evidence may move
+    rng = random.Random("qt-strong/relabel")
+    reasons = set()
+    for g in _strong_samples():
+        want = {(u, v): decide(g, u, v) for u in range(g.n) for v in range(g.n)}
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = Digraph(g.n, [(perm[a], perm[b]) for a, b in g.arcs()])
+            for (u, v), ver in want.items():
+                got = decide(h, perm[u], perm[v])
+                assert (got.reason, got.family) == (ver.reason, ver.family), (g, perm, u, v)
+                assert validate_verdict(h, got) is None
+                reasons.add(got.reason)
+    assert {"known-family", "layered-a", "good-pair"} <= reasons
+
+
+def _reaches_the_finder(g, u, v):
+    full = g.full_mask
+    return (
+        reach_mask(g, 1 << u) == full
+        and coreach_mask(g, 1 << v) == full
+        and (u == v or (g.out_degree(u) >= 2 and g.in_degree(v) >= 2))
+        and greedy_good_pair(g, u, v) is None
+    )
+
+
+def test_strong_greedy_miss_builds_no_renumbered_composition(monkeypatch):
+    # a strong miss is decided on the input's own rows: nothing rebuilds
+    # it as a composition or maps a verdict back, and the verdict is the
+    # one the decomposition route gives
+    misses = []
+    for g in _strong_samples():
+        if recognize(g) != "qt":
+            continue  # semicomplete: the semicomplete route
+        dec = qt_decompose(g)
+        for u in range(g.n):
+            for v in range(g.n):
+                if _reaches_the_finder(g, u, v):
+                    misses.append((g, u, v, decide_by_decomposition(g, dec, u, v)))
+    forbid(monkeypatch, composition, ("qt_decompose", "composition_from_partition"))
+    forbid(monkeypatch, transitive_engine, ("translate_verdict",))
+    reasons = set()
+    for g, u, v, want in misses:
+        ver = decide(g, u, v)
+        assert without_pair(ver) == without_pair(want), (g, u, v)
+        reasons.add(ver.reason)
+    assert {"known-family", "layered-a", "good-pair"} <= reasons

@@ -344,16 +344,22 @@ def test_arc_condition():
     comp = Composition(
         directed_cycle(3), (independent(2), singleton(), singleton())
     )
-    assert arc_condition(comp, (1, 2))
-    assert arc_condition(comp, (2, 0))
-    assert arc_condition(comp, (0, 1))
+    flat, masks = comp.flatten(), [comp.part_mask(i) for i in range(comp.s)]
+    assert arc_condition(flat, masks, (1, 2))
+    assert arc_condition(flat, masks, (2, 0))
+    assert arc_condition(flat, masks, (0, 1))
     thick = Composition(
         directed_cycle(3), (Digraph(2, [(0, 1)]), singleton(), singleton())
     )
     # vertex 0 now has two out-arcs, so a backward arc leaving part 0
     # loses its blocking power
-    assert not arc_condition(thick, (0, 1))
-    assert arc_condition(thick, (1, 2))
+    assert not arc_condition(thick.flatten(), masks, (0, 1))
+    assert arc_condition(thick.flatten(), masks, (1, 2))
+    # the masks need not be runs: the same parts, numbered apart
+    scattered = Digraph(4, [(2, 0), (2, 1), (0, 3), (1, 3), (3, 2)])
+    split = [mask_of([2]), mask_of([0, 1]), mask_of([3])]
+    assert arc_condition(scattered, split, (1, 2))
+    assert arc_condition(scattered, split, (0, 1))
 
 
 # The enumerators before the level test, kept as the reference for it:
