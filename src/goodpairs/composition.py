@@ -7,6 +7,7 @@ copy to the j-th.  Flat vertices are numbered part by part, in order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .digraph import Digraph, bits, strong_components
@@ -43,15 +44,16 @@ class Composition:
         return self.offsets[-1] + self.parts[-1].n
 
     def part_of(self, flat: int) -> int:
-        for i in range(self.s - 1, -1, -1):
-            if flat >= self.offsets[i]:
-                return i
-        raise InvalidInput(f"flat vertex {flat} out of range")
+        if not 0 <= flat < self.n:
+            raise InvalidInput(f"flat vertex {flat} out of range")
+        return bisect_right(self.offsets, flat) - 1
 
     def local(self, flat: int) -> int:
         return flat - self.offsets[self.part_of(flat)]
 
     def flat_index(self, part: int, local: int) -> int:
+        if not (0 <= part < self.s and 0 <= local < self.parts[part].n):
+            raise InvalidInput(f"local vertex {local} outside part {part}")
         return self.offsets[part] + local
 
     def part_mask(self, part: int) -> int:

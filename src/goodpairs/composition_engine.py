@@ -12,6 +12,9 @@ input's own flat rows, with the parts given as vertex masks of them (a
 composition's parts, or the non-adjacency components of a strong
 quasi-transitive digraph), so nothing is renumbered; the quotient of
 those masks, `composition.quotient_of`, enters only the layered test.
+That test runs once, on the finest uniform repartition of the given
+parts, and its NO names that partition in `refinement`, so the verdict
+checks against the flat rows alone.
 `dispatch.decide` builds a YES pair on the flat digraph, with the greedy
 and the search every class shares.
 
@@ -236,21 +239,15 @@ def decide_composition(
         )
     if is_two_arc_strong(flat):
         return None
-    # A layered witness on any uniform repartition blocks the flat
-    # digraph, and coarse parts can hide one, so the finest partition
-    # is checked first and the given one kept as a second chance.
-    refined = finest_refinement(flat, parts)
-    attempts: list[tuple[list[int], tuple[int, ...] | None]] = []
-    if len(refined) > len(parts):
-        attempts.append((refined, cells_of(refined, flat.n)))
-    attempts.append((parts, None))
+    # A layered witness on the given parts lifts to their finest uniform
+    # repartition, and coarse parts can hide one, so only the finest
+    # partition is tried.
     deferred: ResourceExceeded | None = None
-    for masks, cells in attempts:
-        try:
-            verdict = _layered_no(flat, u, v, masks, cells)
-        except ResourceExceeded as exc:
-            deferred = exc
-            continue
+    try:
+        verdict = _layered_no(flat, u, v, finest_refinement(flat, parts))
+    except ResourceExceeded as exc:
+        deferred = exc
+    else:
         if verdict is not None:
             return verdict
     status, trace = force_trace(flat, u, v)
@@ -261,43 +258,33 @@ def decide_composition(
     return None
 
 
-def _layered_no(
-    flat: Digraph,
-    u: int,
-    v: int,
-    masks: list[int],
-    cells: tuple[int, ...] | None,
-) -> Verdict | None:
+def _layered_no(flat: Digraph, u: int, v: int, masks: list[int]) -> Verdict | None:
     """Blocking layered verdict over the part partition `masks` of
-    flat, if any; `cells` is the refinement it reports."""
+    flat, if any; its refinement names those parts as cells."""
     quotient = quotient_of(flat, masks)
     if quotient is None:
         raise InternalInconsistency("parts are not uniformly joined")
     pu = next(i for i, m in enumerate(masks) if m >> u & 1)
     pv = next(i for i, m in enumerate(masks) if m >> v & 1)
+
+    def no(reason: str, w, conds: tuple[bool, ...]) -> Verdict:
+        return Verdict(
+            yes=False,
+            u=u,
+            v=v,
+            reason=reason,
+            witness=w,
+            conditions=conds,
+            refinement=cells_of(masks, flat.n),
+        )
+
     for w in iter_type_a(quotient, pu, pv):
         conds = tuple(arc_condition(flat, masks, arc) for arc in w.backward_arcs)
         if all(conds):
-            return Verdict(
-                yes=False,
-                u=u,
-                v=v,
-                reason=LAYERED_A,
-                witness=w,
-                conditions=conds,
-                refinement=cells,
-            )
+            return no(LAYERED_A, w, conds)
     if pu != pv:
         for w in iter_type_b(quotient, pu, pv):
             conds = tuple(arc_condition(flat, masks, arc) for arc in w.backward_arcs)
             if any(conds):
-                return Verdict(
-                    yes=False,
-                    u=u,
-                    v=v,
-                    reason=LAYERED_B,
-                    witness=w,
-                    conditions=conds,
-                    refinement=cells,
-                )
+                return no(LAYERED_B, w, conds)
     return None

@@ -14,8 +14,10 @@ a NO verdict with its evidence or None:
   shapes are predicates on the flat digraph alone;
 - strong quasi-transitive digraphs: the composition finder too, on the
   input's own rows with its non-adjacency components as the parts
-  (`composition.strong_qt_parts`); a layered NO names those parts in
-  its refinement.
+  (`composition.strong_qt_parts`).
+
+Every layered NO of the composition finder names its cells in
+`refinement`, so each verdict checks against the flat digraph alone.
 
 Before its finder, each route tries the greedy of
 `semicomplete.greedy_good_pair` on the flat digraph in the input's own
@@ -29,11 +31,8 @@ exactly where `decide` answers YES.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .composition import (
     Composition,
-    cells_of,
     is_quasi_transitive,
     is_semicomplete,
     is_transitive,
@@ -42,7 +41,7 @@ from .composition import (
 from .digraph import Digraph, coreach_mask, reach_mask, strong_components
 from .errors import InvalidInput
 from .semicomplete import greedy_good_pair, searched_good_pair, trivial_pair
-from .verdicts import DEGREE, LAYERED_A, LAYERED_B, ROOT_COMPONENT, YES, Verdict
+from .verdicts import DEGREE, ROOT_COMPONENT, YES, Verdict
 
 CLASSES = ("auto", "semicomplete", "composition", "transitive", "qt")
 
@@ -156,12 +155,7 @@ def _find_obstruction(
         return decide_transitive_composition(flat, u, v)
     if not strong_components(flat).is_strong:
         return decide_transitive_composition(flat, u, v)
-    parts = strong_qt_parts(flat)
-    verdict = decide_composition(flat, u, v, parts)
-    if verdict is not None and verdict.reason in (LAYERED_A, LAYERED_B):
-        # a flat input has no parts of its own: the layering names them
-        verdict = replace(verdict, refinement=cells_of(parts, flat.n))
-    return verdict
+    return decide_composition(flat, u, v, strong_qt_parts(flat))
 
 
 def _check_forced_class(target, klass: str) -> None:

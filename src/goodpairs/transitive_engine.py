@@ -25,12 +25,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .branchings import BranchingPair
-from .composition import Composition
 from .digraph import Digraph
 from .semicomplete import searched_good_pair
 from .verdicts import (
-    LAYERED_A,
-    LAYERED_B,
     MIDDLE_BLOCKED,
     TREE_SIDE,
     Verdict,
@@ -61,20 +58,17 @@ def construct_transitive_pair(flat: Digraph, u: int, v: int) -> BranchingPair:
     return searched_good_pair(flat, u, v)
 
 
-def translate_verdict(
-    comp: Composition, order, verdict: Verdict, u: int, v: int
-) -> Verdict:
-    """A NO of the composition finder on comp, relabelled through
-    order[inner vertex] = flat vertex and rooted at (u, v).
+def translate_verdict(order, verdict: Verdict, u: int, v: int) -> Verdict:
+    """A NO of the composition finder on a renumbered composition,
+    relabelled through order[inner vertex] = flat vertex and rooted at
+    (u, v).
 
-    Its positional evidence is the layered cells and the forcing trace;
-    a family, and a witness, which lives on the quotient, stay as they
-    are.
+    Its positional evidence is the layered cells, which every layered NO
+    of that finder names, and the forcing trace; a family, and a
+    witness, which lives on the quotient, stay as they are.
     """
     refinement = verdict.refinement
-    if verdict.reason in (LAYERED_A, LAYERED_B):
-        if refinement is None:
-            refinement = tuple(comp.part_of(i) for i in range(comp.n))
+    if refinement is not None:
         cells = [0] * len(order)
         for i, cell in enumerate(refinement):
             cells[order[i]] = cell

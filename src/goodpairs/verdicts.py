@@ -57,8 +57,10 @@ class Verdict:
     arc: Arc | None = None
     witness: TypeABWitness | None = None
     conditions: tuple[bool, ...] | None = None
-    # layered witnesses may live on a finer part partition of the same
-    # flat digraph; refinement[flat vertex] = cell index in that partition
+    # the uniform partition of the flat digraph whose quotient a layered
+    # witness lives on: refinement[flat vertex] = cell index.  Every
+    # layered NO of a composition or quasi-transitive input sets it; the
+    # semicomplete finder's witness, on the flat digraph, leaves it None
     refinement: tuple[int, ...] | None = None
     forcing: tuple | None = None
     family: str | None = None
@@ -73,20 +75,16 @@ class Verdict:
             raise InvalidInput(f"unknown NO reason {self.reason!r}")
 
 
-def _flat_and_comp(target) -> tuple[Digraph, Composition | None]:
-    if isinstance(target, Composition):
-        return target.flatten(), target
-    return target, None
-
-
 def validate_verdict(target, verdict: Verdict) -> str | None:
     """None if the verdict's evidence holds against target, else a reason.
 
     For NO verdicts this confirms the claimed obstruction is really
     present; completeness (that the obstruction rules out every pair) is
     the engine's theory and is covered by the oracle cross-checks.
+    Every check reads the flat digraph alone: a composition's parts
+    add nothing a verdict needs.
     """
-    flat, comp = _flat_and_comp(target)
+    flat = target.flatten() if isinstance(target, Composition) else target
     u, v = verdict.u, verdict.v
     if not (flat.is_vertex(u) and flat.is_vertex(v)):
         return "roots out of range"
@@ -95,10 +93,10 @@ def validate_verdict(target, verdict: Verdict) -> str | None:
     handler = _NO_CHECKS.get(verdict.reason)
     if handler is None:
         return f"unknown reason {verdict.reason!r}"
-    return handler(flat, comp, verdict)
+    return handler(flat, verdict)
 
 
-def _check_small_exception(flat, comp, verdict: Verdict) -> str | None:
+def _check_small_exception(flat, verdict: Verdict) -> str | None:
     from .semicomplete import EXCEPTION_PATTERNS
 
     if verdict.exception_id not in EXCEPTION_PATTERNS:
@@ -121,7 +119,7 @@ def _check_small_exception(flat, comp, verdict: Verdict) -> str | None:
     return None
 
 
-def _check_root_component(flat, comp, verdict: Verdict) -> str | None:
+def _check_root_component(flat, verdict: Verdict) -> str | None:
     if verdict.side == "out":
         if reach_mask(flat, 1 << verdict.u) == flat.full_mask:
             return "out-root reaches every vertex after all"
@@ -133,7 +131,7 @@ def _check_root_component(flat, comp, verdict: Verdict) -> str | None:
     return f"bad side {verdict.side!r}"
 
 
-def _check_arc_obstruction(flat, comp, verdict: Verdict) -> str | None:
+def _check_arc_obstruction(flat, verdict: Verdict) -> str | None:
     arc = verdict.arc
     if arc is None or not flat.is_arc(arc):
         return "claimed arc missing from the input"
@@ -173,7 +171,7 @@ def _refined_parts(flat: Digraph, refinement) -> tuple[Digraph, list[int]] | str
     return quotient, masks
 
 
-def _check_layered(flat, comp, verdict: Verdict) -> str | None:
+def _check_layered(flat, verdict: Verdict) -> str | None:
     from .witnesses import arc_condition, validate_witness
     w = verdict.witness
     if w is None:
@@ -181,7 +179,8 @@ def _check_layered(flat, comp, verdict: Verdict) -> str | None:
     expected_kind = "A" if verdict.reason == LAYERED_A else "B"
     if w.kind != expected_kind:
         return "witness kind disagrees with reason"
-    if comp is None and verdict.refinement is None:
+    if verdict.refinement is None:
+        # the semicomplete finder's witness lives on the flat digraph
         if not (flat.is_vertex(w.a) and flat.is_vertex(w.b)):
             return "witness roots are not vertices of the digraph"
         reason = validate_witness(flat, w)
@@ -190,16 +189,11 @@ def _check_layered(flat, comp, verdict: Verdict) -> str | None:
         if w.a != verdict.u or w.b != verdict.v:
             return "witness roots disagree with query roots"
         return None
-    if verdict.refinement is not None:
-        rebuilt = _refined_parts(flat, verdict.refinement)
-        if isinstance(rebuilt, str):
-            return rebuilt
-        quotient, masks = rebuilt
-        pu, pv = verdict.refinement[verdict.u], verdict.refinement[verdict.v]
-    else:
-        quotient = comp.quotient
-        masks = [comp.part_mask(i) for i in range(comp.s)]
-        pu, pv = comp.part_of(verdict.u), comp.part_of(verdict.v)
+    rebuilt = _refined_parts(flat, verdict.refinement)
+    if isinstance(rebuilt, str):
+        return rebuilt
+    quotient, masks = rebuilt
+    pu, pv = verdict.refinement[verdict.u], verdict.refinement[verdict.v]
     if not (quotient.is_vertex(w.a) and quotient.is_vertex(w.b)):
         return "witness roots are not vertices of the quotient"
     reason = validate_witness(quotient, w)
@@ -217,7 +211,7 @@ def _check_layered(flat, comp, verdict: Verdict) -> str | None:
     return None
 
 
-def _check_known_family(flat, comp, verdict: Verdict) -> str | None:
+def _check_known_family(flat, verdict: Verdict) -> str | None:
     from .composition_engine import match_known_family
 
     hit = match_known_family(flat, verdict.u, verdict.v)
@@ -232,7 +226,7 @@ def _check_known_family(flat, comp, verdict: Verdict) -> str | None:
     return None
 
 
-def _check_degree(flat, comp, verdict: Verdict) -> str | None:
+def _check_degree(flat, verdict: Verdict) -> str | None:
     if verdict.u == verdict.v:
         return "degree obstruction needs distinct roots"
     if flat.out_degree(verdict.u) >= 2 and flat.in_degree(verdict.v) >= 2:
@@ -240,7 +234,7 @@ def _check_degree(flat, comp, verdict: Verdict) -> str | None:
     return None
 
 
-def _check_forcing(flat, comp, verdict: Verdict) -> str | None:
+def _check_forcing(flat, verdict: Verdict) -> str | None:
     from .forcing import replay
     if verdict.forcing is None:
         return "no forcing trace attached"
@@ -308,8 +302,8 @@ _NO_CHECKS = {
     LAYERED_B: _check_layered,
     KNOWN_FAMILY: _check_known_family,
     DEGREE: _check_degree,
-    MIDDLE_BLOCKED: lambda flat, comp, w: middle_blocked_violation(flat, w.u, w.v),
-    TREE_SIDE: lambda flat, comp, w: tree_side_violation(flat, w.u, w.v, w.side),
+    MIDDLE_BLOCKED: lambda flat, w: middle_blocked_violation(flat, w.u, w.v),
+    TREE_SIDE: lambda flat, w: tree_side_violation(flat, w.u, w.v, w.side),
     ARC_FORCING: _check_forcing,
 }
 

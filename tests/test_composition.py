@@ -50,6 +50,19 @@ def test_indexing_helpers():
     assert comp.local(4) == 1
     assert comp.flat_index(2, 1) == 4
     assert comp.part_mask(0) == mask_of([0, 1])
+    # a flat vertex past the last part, or a local vertex outside its
+    # part, is no vertex of the composition
+    for flat in (-1, 6, 7):
+        with pytest.raises(InvalidInput):
+            comp.part_of(flat)
+        with pytest.raises(InvalidInput):
+            comp.local(flat)
+    for part, local in ((0, 2), (1, 1), (2, 3), (0, -1), (3, 0), (-1, 0)):
+        with pytest.raises(InvalidInput):
+            comp.flat_index(part, local)
+    assert [comp.flat_index(comp.part_of(x), comp.local(x)) for x in range(6)] == [
+        *range(6)
+    ]
 
 
 def test_size_validation():

@@ -6,10 +6,16 @@ from collections import Counter
 import pytest
 
 from goodpairs import composition_engine, semicomplete
-from goodpairs.composition import Composition, independent, singleton
+from goodpairs.composition import (
+    Composition,
+    finest_refinement,
+    independent,
+    singleton,
+)
 from goodpairs.composition_engine import (
     _FLAT_MATCHERS,
     _is_strong,
+    _layered_no,
     _match_ring,
     match_known_family,
     two_arc_strong_pair,
@@ -160,6 +166,26 @@ def test_greedy_miss_is_built_by_the_search(seed, u, v, two_arc_strong, monkeypa
     assert ver.yes and ver.pair == search_good_pair(flat, u, v)
     assert validate_verdict(comp, ver) is None
     assert oracle_good_pair(flat, u, v) is not None
+
+
+def test_finest_refinement_blocks_wherever_the_given_parts_block():
+    # decide_composition runs the layered test on the finest uniform
+    # repartition alone, so a layered witness on a composition's own
+    # parts must have one on the refinement too
+    blocked = 0
+    for seed in range(600):
+        comp = random_composition(seed)
+        flat = comp.flatten()
+        parts = [comp.part_mask(i) for i in range(comp.s)]
+        refined = finest_refinement(flat, parts)
+        if len(refined) == len(parts):
+            continue
+        for u in range(flat.n):
+            for v in range(flat.n):
+                if _layered_no(flat, u, v, parts) is not None:
+                    blocked += 1
+                    assert _layered_no(flat, u, v, refined), (seed, u, v)
+    assert blocked > 500
 
 
 def test_random_sweep_matches_oracle():

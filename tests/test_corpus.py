@@ -204,11 +204,14 @@ def forcing_lines():
 
 # group: (decisions, sha256 of the joined lines); re-pinned when the
 # unused `note` field left `Verdict`, as the earlier digests of the same
-# lines with ", note=None" stripped from each
+# lines with ", note=None" stripped from each; "families" and
+# "random-composition" re-pinned again when every layered NO of a
+# composition came to name its cells, 20 lines each whose
+# "refinement=None" became the composition's part cells
 VERDICT_DIGESTS = {
     "semicomplete-n4": (11920, "05f5341ae9f5ca5c2ec8b1afa2f729c8fc0b9e80bcd1e2c0bad66d38ec85387b"),
-    "families": (154, "e65bdcdccd1eaeb06aa60acef571e49fcc793bfb3ad9575fac723b1374f9c625"),
-    "random-composition": (1354, "01a2b92856a7de538a7a70d7cef54e3f8ef419e90a3041e3e0e632d90065dd49"),
+    "families": (154, "9afca548dfa12d462435f538ee3d73373a0e28e7af8aabfa8199fc0da406d74d"),
+    "random-composition": (1354, "4b57ffd1393f3e1b976c2d3740c01f5c7894c5faa0f5fe598a516375ae81eb18"),
     "random-qt": (2940, "d838c8c925cca334ed47e28fa6e311c96301ea91c4d0dd2ae3f6a079cc1df5e2"),
     "all-qt-4": (17424, "81f27f86b8df9f24877acee58cddb54f8510a784977f892290ddd4ca2f2464db"),
     "kind-ab": (685, "f1bb5143f0c1195e0ff6d43cf45985a31179a34fbfeae5e852645656c7487106"),
@@ -219,11 +222,11 @@ VERDICT_DIGESTS = {
 # group: sha256 of the joined pair-free lines (the pair of a YES verdict
 # cleared, error lines as they are); recorded before the composition
 # constructor was reduced to greedy plus search, and re-pinned like the
-# full digests when `note` went
+# full digests when `note` went and when layered NOs named their cells
 PAIR_FREE_DIGESTS = {
     "semicomplete-n4": "776738787675c988216bb0d315073bd6ec746ac46fa60a4c9d869cbfb941e51a",
-    "families": "e65bdcdccd1eaeb06aa60acef571e49fcc793bfb3ad9575fac723b1374f9c625",
-    "random-composition": "5d8585595b760216c077a604ca1c390fa6a5ca8f8534343292cba92758e999f8",
+    "families": "9afca548dfa12d462435f538ee3d73373a0e28e7af8aabfa8199fc0da406d74d",
+    "random-composition": "13c50e96dae1dea51bba5c9b5679447076b1e332f37d3e0946a534e0da773c61",
     "random-qt": "df9423013bc2f9eeed5b847f2925af2549968bfd4a77c5189daf0c8214b89322",
     "all-qt-4": "266f8d00cc70563ef36ea7510231edd5de9729a52d975827f93e6f478c091ade",
     "kind-ab": "e8c9630051bc6780c1957ca0c036edeccf8477dd93aba1d7f98663eac8856979",

@@ -304,7 +304,7 @@ def decide_by_decomposition(g, dec, u, v):
     klass = "composition" if dec.kind == "strong" else "transitive"
     inner = decide(dec.composition, inv[u], inv[v], klass)
     if not inner.yes:
-        return translate_verdict(dec.composition, order, inner, u, v)
+        return translate_verdict(order, inner, u, v)
 
     def relabel(b):
         arcs = tuple((order[x], order[y]) for x, y in b.arcs)

@@ -164,18 +164,24 @@ def test_dict_round_trip():
             back = verdict_from_dict(json.loads(json.dumps(verdict_to_dict(ver))))
             assert back == ver, (group, u, v)
             assert validate_verdict(target, back) is None, (group, u, v)
+            # the evidence needs no parts: the flat rows alone check it
+            flat = target.flatten() if isinstance(target, Composition) else target
+            assert validate_verdict(flat, back) is None, (group, u, v)
             reasons.add(ver.reason)
     assert reasons == {YES, *NO_REASONS}
 
 
 def test_forged_refinement_and_forcing_from_json_are_rejected():
-    # this witness lives on a finer partition than the composition's own
-    comp = random_composition(5)
-    d = verdict_to_dict(decide(comp, 0, 0))
-    assert d["reason"] == LAYERED_A and "refinement" in d
+    # this witness lives on a finer partition than the composition's
+    # own, with the two-vertex cell 3, so the flat digraph is not
+    # semicomplete and the witness without its cells checks nothing
+    comp = random_composition(263)
+    d = verdict_to_dict(decide(comp, 2, 1))
+    assert d["reason"] == LAYERED_A
+    assert d["refinement"] == [0, 1, 2, 3, 3, 4]
     assert validate_verdict(comp, verdict_from_dict(d)) is None
-    coarse = {k: x for k, x in d.items() if k != "refinement"}
-    assert validate_verdict(comp, verdict_from_dict(coarse)) is not None
+    stripped = {k: x for k, x in d.items() if k != "refinement"}
+    assert validate_verdict(comp, verdict_from_dict(stripped)) is not None
     cells = d["refinement"]
     for bad in (
         [True, *cells[1:]],
