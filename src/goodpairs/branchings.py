@@ -222,7 +222,8 @@ def is_two_arc_strong(g: Digraph) -> bool:
     bridge is a tree arc that passes the level test and whose removal
     shrinks what its tree covers (the strong-bridge view of Italiano,
     Laura and Santaroni), which `first_cut` finds.
-    `digraph.is_k_arc_strong` is the flow-based general test.
+    `digraph.is_k_arc_strong`, which counts paths with `unit_flow` up to
+    k, is the general test and the reference for this one.
     """
     if g.n < 2:
         raise InvalidInput("is_two_arc_strong needs n >= 2")
@@ -231,18 +232,6 @@ def is_two_arc_strong(g: Digraph) -> bool:
         if span(g, 1) != full or first_cut(g, 0, kind) is not None:
             return False
     return True
-
-
-def reach_tree(
-    g: Digraph, root: int, kind: str = "out", banned=None
-) -> tuple[int, set[Arc]]:
-    """BFS tree at root: (mask of the vertices it covers, its arcs).
-
-    An arc off this tree cannot cut the root from any covered vertex:
-    the tree still reaches it once that arc is gone.
-    """
-    seen, parent, _ = _bfs(g, root, kind, _ban_rows(g, kind, banned))
-    return seen, set(_tree_arcs(parent, kind))
 
 
 def find_branching(

@@ -307,7 +307,7 @@ def qt_decompose(g: Digraph) -> QtDecomposition:
     if not is_quasi_transitive(g):
         raise InvalidInput("input digraph is not quasi-transitive")
     scc = strong_components(g)
-    if scc.is_strong:
+    if scc.t == 1:
         comp, order = composition_from_partition(g, strong_qt_parts(g))
         return QtDecomposition("strong", comp, tuple(order))
     built = composition_from_partition(g, scc.components)

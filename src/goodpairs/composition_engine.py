@@ -8,13 +8,13 @@ whose designated arcs all keep their blocking power once part sizes
 are taken into account.  `dispatch` runs the root and degree tests for
 every class; `decide_composition` checks the other blocked shapes
 exactly and returns a NO with its evidence, or None.  It reads the
-input's own flat rows, with the parts given as vertex masks of them (a
-composition's parts, or the non-adjacency components of a strong
-quasi-transitive digraph), so nothing is renumbered; the quotient of
-those masks, `composition.quotient_of`, enters only the layered test.
-That test runs once, on the finest uniform repartition of the given
-parts, and its NO names that partition in `refinement`, so the verdict
-checks against the flat rows alone.
+input's own flat rows, with the parts given as vertex masks of them:
+the finest uniform partition (`composition.finest_refinement`), which
+`dispatch` takes of a composition's parts and which the non-adjacency
+components of a strong quasi-transitive digraph already are.  Nothing
+is renumbered; the quotient of those masks, `composition.quotient_of`,
+enters only the layered test, and its NO names the partition in
+`refinement`, so the verdict checks against the flat rows alone.
 `dispatch.decide` builds a YES pair on the flat digraph, with the greedy
 and the search every class shares.
 
@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from . import semicomplete
 from .branchings import BranchingPair, is_two_arc_strong
-from .composition import cells_of, finest_refinement, quotient_of
-from .digraph import Digraph, bits, coreach_mask, reach_mask
+from .composition import cells_of, quotient_of
+from .digraph import Digraph, bits, is_strong
 from .errors import InternalInconsistency, ResourceExceeded
 from .forcing import force_trace
 from .verdicts import (
@@ -42,11 +42,6 @@ from .verdicts import (
     middle_blocked_violation,
 )
 from .witnesses import arc_condition, iter_type_a, iter_type_b
-
-
-def _is_strong(g: Digraph) -> bool:
-    full = g.full_mask
-    return reach_mask(g, 1) == full and coreach_mask(g, 1) == full
 
 
 # --- the seven blocked family shapes, recognized on the flat digraph ---
@@ -157,7 +152,7 @@ def _match_ring(g: Digraph, u: int, v: int) -> str | None:
             want[h], extra[h] = 0, head | hub
         extra[k] = head
         joined = g.in_masks[k] | g.out_masks[k]
-        if _fits(g, want, extra) and not head & ~joined and _is_strong(g):
+        if _fits(g, want, extra) and not head & ~joined and is_strong(g):
             return "f"
     return None
 
@@ -218,7 +213,7 @@ def decide_composition(
 ) -> Verdict | None:
     """The obstruction finder for a composition over a strong
     semicomplete quotient, past the shared steps of `dispatch`: `flat`
-    is the flat digraph and `parts` its part masks, in quotient order.
+    is the flat digraph and `parts` its finest uniform part masks.
 
     A NO carries checkable evidence: the matched family, a quotient
     witness with the per-arc blocking conditions, or a forcing trace.
@@ -239,12 +234,12 @@ def decide_composition(
         )
     if is_two_arc_strong(flat):
         return None
-    # A layered witness on the given parts lifts to their finest uniform
-    # repartition, and coarse parts can hide one, so only the finest
+    # A layered witness on coarser parts lifts to the finest uniform
+    # partition, and coarse parts can hide one, so only the finest
     # partition is tried.
     deferred: ResourceExceeded | None = None
     try:
-        verdict = _layered_no(flat, u, v, finest_refinement(flat, parts))
+        verdict = _layered_no(flat, u, v, parts)
     except ResourceExceeded as exc:
         deferred = exc
     else:

@@ -1,4 +1,4 @@
-"""Dense digraph primitives: bitset adjacency, strong components, arc cuts.
+"""Dense digraph primitives: bitset adjacency, strong components, path counts.
 
 Vertices are the integers 0..n-1.  Vertex sets are Python-int bitmasks
 throughout; the graphs this package cares about are dense and tiny, so
@@ -207,9 +207,16 @@ class SccDecomposition:
     def t(self) -> int:
         return len(self.components)
 
-    @property
-    def is_strong(self) -> bool:
-        return self.t == 1
+
+def is_strong(g: Digraph) -> bool:
+    """Whether g is strong: n >= 1, and vertex 0 reaches every vertex
+    and is reached by every vertex."""
+    full = g.full_mask
+    return (
+        g.n >= 1
+        and _spread(g.out_masks, 1, full) == full
+        and _spread(g.in_masks, 1, full) == full
+    )
 
 
 def strong_components(g: Digraph, within: int | None = None) -> SccDecomposition:
@@ -293,50 +300,28 @@ def strong_components(g: Digraph, within: int | None = None) -> SccDecomposition
     return SccDecomposition(components, comp_of, initial, terminal)
 
 
-@dataclass
-class CutWitness:
-    """A violated arc cut: the arcs crossing `side` in `direction`."""
+def unit_flow(
+    g: Digraph,
+    source_mask: int,
+    sink: int,
+    within: int | None = None,
+    cap: int | None = None,
+) -> int:
+    """Max number of arc-disjoint paths from the source set to sink, up
+    to cap paths.  Arcs inside the source set are ignored and vertices
+    outside `within` are unusable.
 
-    side: int  # vertex mask
-    direction: str  # "out" or "in"
-    crossing: list[Arc]
-
-    def validate(self, g: Digraph) -> bool:
-        want = []
-        for a, b in g.arcs():
-            inside_a = bool(self.side >> a & 1)
-            inside_b = bool(self.side >> b & 1)
-            if self.direction == "out" and inside_a and not inside_b:
-                want.append((a, b))
-            if self.direction == "in" and inside_b and not inside_a:
-                want.append((a, b))
-        return sorted(want) == sorted(self.crossing)
-
-
-def _augmenting_flow(
-    g: Digraph, source_mask: int, sink: int, banned, allowed: int, cap: int | None
-) -> tuple[int, int, list[int]]:
-    """Augment unit flow from the source set to sink, up to cap paths.
-
-    Returns (value, side, used): used[v] is the mask of heads of v's arcs
-    carrying flow, side everything the source set reaches in the final
-    residual graph when value < cap (or cap is None) and 0 once the cap
-    is met.
-
-    Flow and bans live in bitset rows: used[v] and used_in[v] hold the
-    heads and tails of v's arcs carrying flow, ban_out[v] the heads of
-    its banned arcs (banned arcs outside 0..n-1 are ignored), so each
-    BFS step takes its residual arcs as whole-row masks.  The BFS visits
-    forward arcs before backward ones, each in increasing vertex order.
+    Flow lives in bitset rows: used[v] and used_in[v] hold the heads and
+    tails of v's arcs carrying flow, so each BFS step of the augmenting
+    loop takes its residual arcs as whole-row masks.
     """
+    allowed = g.full_mask if within is None else within
+    if source_mask >> sink & 1:
+        raise InvalidInput("sink inside the source set")
     n = g.n
     out_masks = g.out_masks
     used = [0] * n
     used_in = [0] * n
-    ban_out = [0] * n
-    for a, b in banned:
-        if 0 <= a < n and 0 <= b < n:
-            ban_out[a] |= 1 << b
     sink_bit = 1 << sink
     value = 0
     while cap is None or value < cap:
@@ -349,7 +334,7 @@ def _augmenting_flow(
         while frontier and not found:
             nxt = []
             for v in frontier:
-                fwd = out_masks[v] & allowed & ~seen & ~used[v] & ~ban_out[v]
+                fwd = out_masks[v] & allowed & ~seen & ~used[v]
                 if fwd & sink_bit:
                     parent[sink] = v
                     found = True
@@ -369,7 +354,7 @@ def _augmenting_flow(
                 seen |= bwd
             frontier = nxt
         if not found:
-            return value, seen, used
+            return value
         # Augment along the path.
         v = sink
         while not (source_mask >> v & 1):
@@ -383,64 +368,19 @@ def _augmenting_flow(
                 used_in[p] &= ~(1 << v)
             v = p
         value += 1
-    return value, 0, used
+    return value
 
 
-def unit_flow(
-    g: Digraph,
-    source_mask: int,
-    sink: int,
-    banned=None,
-    within: int | None = None,
-    cap: int | None = None,
-) -> tuple[int, int]:
-    """Max number of arc-disjoint paths from the source set to sink.
-
-    Returns (value, reachable_side) where reachable_side is the residual
-    source side giving a minimum cut when value < cap (or always when cap
-    is None).  Arcs inside the source set are ignored; banned arcs and
-    vertices outside `within` are unusable.
-    """
-    allowed = g.full_mask if within is None else within
-    if source_mask >> sink & 1:
-        raise InvalidInput("sink inside the source set")
-    value, side, _ = _augmenting_flow(g, source_mask, sink, banned or (), allowed, cap)
-    return value, side
-
-
-def _cut_from_side(g: Digraph, side: int, within: int) -> CutWitness:
-    crossing = [
-        (a, b)
-        for a, b in g.arcs()
-        if side >> a & 1 and not side >> b & 1 and within >> b & 1
-    ]
-    return CutWitness(side=side, direction="out", crossing=crossing)
-
-
-def local_arc_connectivity(
-    g: Digraph, x: int, y: int, within: int | None = None, cap: int | None = None
-) -> tuple[int, CutWitness | None]:
-    """Maximum number of arc-disjoint (x,y)-paths, up to cap, and a
-    minimum cut; the cut is None once the cap is met."""
-    if x == y:
-        raise InvalidInput("local_arc_connectivity needs x != y")
-    allowed = g.full_mask if within is None else within
-    k, side = unit_flow(g, 1 << x, y, within=allowed, cap=cap)
-    if cap is not None and k >= cap:
-        return k, None
-    return k, _cut_from_side(g, side, allowed)
-
-
-def is_k_arc_strong(g: Digraph, k: int) -> tuple[bool, CutWitness | None]:
-    """True iff every local arc connectivity is at least k."""
+def is_k_arc_strong(g: Digraph, k: int) -> bool:
+    """True iff every local arc connectivity is at least k: vertex 0
+    sends and receives k arc-disjoint paths to and from every vertex."""
     if g.n < 2:
         raise InvalidInput("is_k_arc_strong needs n >= 2")
-    for y in range(1, g.n):
-        for x, t in ((0, y), (y, 0)):
-            value, cut = local_arc_connectivity(g, x, t, cap=k)
-            if value < k:
-                return False, cut
-    return True, None
+    return all(
+        unit_flow(g, 1 << x, t, cap=k) >= k
+        for y in range(1, g.n)
+        for x, t in ((0, y), (y, 0))
+    )
 
 
 def small_digraph_match(

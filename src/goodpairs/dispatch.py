@@ -33,12 +33,13 @@ from __future__ import annotations
 
 from .composition import (
     Composition,
+    finest_refinement,
     is_quasi_transitive,
     is_semicomplete,
     is_transitive,
     strong_qt_parts,
 )
-from .digraph import Digraph, coreach_mask, reach_mask, strong_components
+from .digraph import Digraph, coreach_mask, is_strong, reach_mask
 from .errors import InvalidInput
 from .semicomplete import greedy_good_pair, searched_good_pair, trivial_pair
 from .verdicts import DEGREE, ROOT_COMPONENT, YES, Verdict
@@ -54,7 +55,7 @@ def recognize(target) -> str:
             return recognize(target.flatten())
         q = target.quotient
         semicomplete = is_semicomplete(q)
-        if semicomplete and strong_components(q).is_strong:
+        if semicomplete and is_strong(q):
             return "composition"
         if is_transitive(q):
             return "transitive"
@@ -141,19 +142,21 @@ def _find_obstruction(
 ) -> Verdict | None:
     """The class's obstruction finder on `flat`, target's flat digraph,
     past the shared steps: a NO verdict in the input's own numbering, or
-    None.  A strong quasi-transitive input is decided as the composition
-    over its non-adjacency components that it is, on its own rows."""
+    None.  The composition finder takes the finest uniform parts: a
+    composition's parts are refined here, and a strong quasi-transitive
+    input is decided on its own rows over its non-adjacency components,
+    each of which is already one finest cell."""
     from .composition_engine import decide_composition
     from .semicomplete import decide_semicomplete
     from .transitive_engine import decide_transitive_composition
     if klass == "semicomplete":
         return decide_semicomplete(flat, u, v)
     if isinstance(target, Composition):
-        if klass == "composition" and strong_components(target.quotient).is_strong:
+        if klass == "composition" and is_strong(target.quotient):
             parts = [target.part_mask(i) for i in range(target.s)]
-            return decide_composition(flat, u, v, parts)
+            return decide_composition(flat, u, v, finest_refinement(flat, parts))
         return decide_transitive_composition(flat, u, v)
-    if not strong_components(flat).is_strong:
+    if not is_strong(flat):
         return decide_transitive_composition(flat, u, v)
     return decide_composition(flat, u, v, strong_qt_parts(flat))
 

@@ -22,7 +22,7 @@ from .composition import (
     singleton,
     transitive_tournament,
 )
-from .digraph import Arc, Digraph, strong_components
+from .digraph import Arc, Digraph, is_strong
 from .errors import InvalidInput
 from .witnesses import TypeABWitness, validate_witness
 
@@ -123,7 +123,7 @@ def family_f(
         arcs.extend([(z, h), (hu_q, h), (v_q, h)])
     arcs.extend([(hu_q, k), (v_q, k), (v_q, z)])
     quotient = Digraph(hs + 4, arcs)
-    if not strong_components(quotient).is_strong:
+    if not is_strong(quotient):
         raise InvalidInput("re-orientation broke strong connectivity")
     parts = tuple(
         [singleton()] * (hs + 2) + [_star_into(hu, ku)] + [singleton()]
@@ -415,7 +415,7 @@ def random_strong_semicomplete(rng: random.Random, n: int, two_cycle: float = 0.
         raise ValueError("no strong semicomplete digraph on 2 vertices without 2-cycles")
     while True:
         g = random_semicomplete(rng, n, two_cycle)
-        if strong_components(g).is_strong:
+        if is_strong(g):
             return g
 
 

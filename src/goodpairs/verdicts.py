@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 from .branchings import Branching, BranchingPair, good_pair_violation
 from .composition import Composition, is_semicomplete, quotient_of
-from .digraph import Arc, Digraph, bits, coreach_mask, mask_of, reach_mask
+from .digraph import Arc, Digraph, bits, coreach_mask, is_strong, mask_of, reach_mask
 from .errors import InvalidInput
 
 if TYPE_CHECKING:
@@ -165,8 +165,7 @@ def _refined_parts(flat: Digraph, refinement) -> tuple[Digraph, list[int]] | str
         return "refinement cells are not uniformly joined"
     if not is_semicomplete(quotient):
         return "refined quotient is not semicomplete"
-    full = quotient.full_mask
-    if reach_mask(quotient, 1) != full or coreach_mask(quotient, 1) != full:
+    if not is_strong(quotient):
         return "refined quotient is not strong"
     return quotient, masks
 

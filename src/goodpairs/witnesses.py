@@ -176,7 +176,7 @@ def validate_type_b(g: Digraph, w: TypeABWitness) -> str | None:
         level = w.sets[w.source_level(j)]
         if prev_y == x:
             continue
-        k = unit_flow(g, 1 << prev_y, x, within=level, cap=2)[0]
+        k = unit_flow(g, 1 << prev_y, x, within=level, cap=2)
         if k < 2:
             return (
                 f"only {k} arc-disjoint paths from y_{j} = {prev_y} "
@@ -422,7 +422,7 @@ def iter_type_b(
             ):
                 new_level = w_mask & ~prefix
                 if yf != pending:
-                    k = unit_flow(g, 1 << yf, pending, within=new_level, cap=2)[0]
+                    k = unit_flow(g, 1 << yf, pending, within=new_level, cap=2)
                     if k < 2:
                         continue
                 yield from grow(w_mask, sets + [new_level], intro + [f])

@@ -5,23 +5,23 @@ from collections import Counter
 
 import pytest
 
-from goodpairs import composition_engine, semicomplete
+from goodpairs import composition_engine, dispatch, semicomplete
 from goodpairs.composition import (
     Composition,
     finest_refinement,
     independent,
     singleton,
+    strong_qt_parts,
 )
 from goodpairs.composition_engine import (
     _FLAT_MATCHERS,
-    _is_strong,
     _layered_no,
     _match_ring,
     match_known_family,
     two_arc_strong_pair,
 )
 from goodpairs.dispatch import decide
-from goodpairs.digraph import Digraph, is_k_arc_strong, small_digraph_match
+from goodpairs.digraph import Digraph, is_k_arc_strong, is_strong, small_digraph_match
 from goodpairs.errors import InvalidInput
 from goodpairs.families import (
     all_digraphs,
@@ -115,7 +115,7 @@ def test_forced_arc_cascade():
 def test_two_arc_strong_always_yes():
     for seed in range(6):
         g = random_two_arc_strong_semicomplete(seed, 6)
-        ok, _ = is_k_arc_strong(g, 2)
+        ok = is_k_arc_strong(g, 2)
         assert ok
         for u, v in ((0, 0), (0, 5), (3, 2)):
             pair = two_arc_strong_pair(g, u, v)
@@ -134,7 +134,6 @@ def test_verified_greedy_pair_answers_before_any_blocked_shape(monkeypatch):
         (
             "match_known_family",
             "is_two_arc_strong",
-            "finest_refinement",
             "_layered_no",
             "iter_type_a",
             "iter_type_b",
@@ -143,6 +142,7 @@ def test_verified_greedy_pair_answers_before_any_blocked_shape(monkeypatch):
             "construct_composition_pair",
         ),
     )
+    forbid(monkeypatch, dispatch, ("finest_refinement",))
     forbid(monkeypatch, semicomplete, ("searched_good_pair",))
     for (u, v), pair in want.items():
         ver = decide(comp, u, v, "composition")
@@ -169,9 +169,9 @@ def test_greedy_miss_is_built_by_the_search(seed, u, v, two_arc_strong, monkeypa
 
 
 def test_finest_refinement_blocks_wherever_the_given_parts_block():
-    # decide_composition runs the layered test on the finest uniform
-    # repartition alone, so a layered witness on a composition's own
-    # parts must have one on the refinement too
+    # dispatch hands decide_composition the finest uniform repartition,
+    # the only one its layered test runs on, so a layered witness on a
+    # composition's own parts must have one on the refinement too
     blocked = 0
     for seed in range(600):
         comp = random_composition(seed)
@@ -186,6 +186,21 @@ def test_finest_refinement_blocks_wherever_the_given_parts_block():
                     blocked += 1
                     assert _layered_no(flat, u, v, refined), (seed, u, v)
     assert blocked > 500
+
+
+def test_strong_qt_parts_are_already_finest():
+    # dispatch hands strong_qt_parts to decide_composition unrefined: each
+    # part is one non-adjacency component of the whole digraph, so
+    # finest_refinement keeps it whole
+    strong = 0
+    for n in (8, 20):
+        for seed in range(300):
+            g = random_quasi_transitive(seed, n)
+            if is_strong(g):
+                strong += 1
+                parts = strong_qt_parts(g)
+                assert finest_refinement(g, parts) == parts, (seed, n)
+    assert strong == 69
 
 
 def test_random_sweep_matches_oracle():
@@ -342,7 +357,7 @@ def _ref_ring(g, u, v):
             joined = {x for x, y in cross if y == k1} | {
                 y for x, y in cross if x == k1
             }
-            if shapes_ok and joined == head and _is_strong(g):
+            if shapes_ok and joined == head and is_strong(g):
                 return "f"
     return None
 

@@ -15,8 +15,8 @@ from goodpairs.digraph import (
     Digraph,
     bits,
     coreach_mask,
+    is_strong,
     reach_mask,
-    strong_components,
 )
 from goodpairs.dispatch import blocked, decide
 from goodpairs.errors import InternalInconsistency, InvalidInput, ResourceExceeded
@@ -329,7 +329,7 @@ def test_tree_scan_finds_the_full_scans_first_arc_exhaustively():
     obstructed = 0
     for n in range(2, 6):
         for g in all_semicomplete(n):
-            if strong_components(g).is_strong:
+            if is_strong(g):
                 graphs += 1
                 obstructed += _assert_tree_scan_matches_full_scan(g)
     assert graphs > 50000 and obstructed > 0
@@ -342,7 +342,7 @@ def _near_transitive_tournament(rng, n):
     while True:
         flipped = set(rng.sample(pairs, rng.randint(n // 4, n)))
         g = Digraph(n, [(b, a) if (a, b) in flipped else (a, b) for a, b in pairs])
-        if strong_components(g).is_strong:
+        if is_strong(g):
             return g
 
 
@@ -511,13 +511,14 @@ def _try_construct_pair_by_sets(g, u, v):
     arcs = []
     chosen = set()
     while tree != full:
-        spanned, in_tree = branchings.reach_tree(g, v, "in", banned=chosen)
-        if spanned != full:
+        in_tree = branchings.find_branching(g, v, "in", banned=chosen)
+        if in_tree is None:
             return None, True
+        in_arcs = in_tree.arc_set
         picked = None
         for x in bits(tree):
             for y in bits(g.out_masks[x] & ~tree):
-                if (x, y) not in in_tree or coreach_mask(
+                if (x, y) not in in_arcs or coreach_mask(
                     g, 1 << v, banned=chosen | {(x, y)}
                 ) == full:
                     picked = (x, y)

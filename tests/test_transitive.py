@@ -18,7 +18,7 @@ from goodpairs.composition import (
     singleton,
     transitive_tournament,
 )
-from goodpairs.digraph import Digraph, coreach_mask, reach_mask, strong_components
+from goodpairs.digraph import Digraph, coreach_mask, is_strong, reach_mask
 from goodpairs.dispatch import decide, recognize
 from goodpairs.errors import InvalidInput
 from goodpairs.families import (
@@ -492,7 +492,7 @@ def _strong_samples():
     """The strong members of `all_quasi_transitive(4)`, then seeded
     strong quasi-transitive digraphs with n 6-9, six at each n."""
     for g in all_quasi_transitive(4):
-        if strong_components(g).is_strong:
+        if is_strong(g):
             yield g
     rng = random.Random("qt-strong")
     for n in range(6, 10):

@@ -4,9 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from goodpairs.branchings import reach_tree
+from goodpairs.branchings import _ban_rows, _bfs
 from goodpairs.composition import Composition, directed_cycle, independent, singleton
-from goodpairs.digraph import Digraph, local_arc_connectivity, mask_of
+from goodpairs.digraph import Digraph, mask_of, unit_flow
 from goodpairs.errors import ResourceExceeded
 from goodpairs.families import (
     all_semicomplete,
@@ -274,9 +274,7 @@ def reference_type_b(g, u, v, counter):
             ):
                 new_level = w_mask & ~prefix
                 if yf != pending:
-                    k, _ = local_arc_connectivity(
-                        g, yf, pending, within=new_level, cap=2
-                    )
+                    k = unit_flow(g, 1 << yf, pending, within=new_level, cap=2)
                     if k < 2:
                         continue
                 yield from grow(w_mask, sets + [new_level], intro + [f])
@@ -368,8 +366,10 @@ def test_arc_condition():
 
 
 def _tree_opens(tree, f):
-    reached, tree_arcs = tree
-    return f in tree_arcs or not reached >> f[1] & 1
+    """Whether f is an arc of the tree, `_bfs`'s (covered mask, parent
+    row), or has its head off the tree."""
+    reached, parent = tree
+    return parent[f[1]] == f[0] or not reached >> f[1] & 1
 
 
 def tree_filtered_type_a(g, u, v, counter, budget):
@@ -408,7 +408,7 @@ def tree_filtered_type_a(g, u, v, counter, budget):
         landing = intro[level - 3][0] if level >= 3 else None
         crossing = intro[level - 2]
         if crossing not in trees:
-            trees[crossing] = reach_tree(g, u, banned={crossing})
+            trees[crossing] = _bfs(g, u, "out", _ban_rows(g, "out", {crossing}))[:2]
         tree = trees[crossing]
         for f in g.arcs():
             if f in intro or not _tree_opens(tree, f):
@@ -432,7 +432,7 @@ def tree_filtered_type_a(g, u, v, counter, budget):
                     continue
                 yield from grow(w_mask, level + 1, sets + [new_level], intro + [f])
 
-    tree = reach_tree(g, u)
+    tree = _bfs(g, u)[:2]
     for e in g.arcs():
         xe, ye = e
         if ye in (u, v) or not _tree_opens(tree, e):
@@ -447,7 +447,7 @@ def tree_filtered_type_b(g, u, v, counter, budget):
     if u == v:
         return
     full = g.full_mask
-    tree = reach_tree(g, u)
+    tree = _bfs(g, u)[:2]
 
     def grow(prefix, sets, intro):
         top = full & ~prefix
@@ -467,9 +467,7 @@ def tree_filtered_type_b(g, u, v, counter, budget):
             ):
                 new_level = w_mask & ~prefix
                 if yf != pending:
-                    k, _ = local_arc_connectivity(
-                        g, yf, pending, within=new_level, cap=2
-                    )
+                    k = unit_flow(g, 1 << yf, pending, within=new_level, cap=2)
                     if k < 2:
                         continue
                 yield from grow(w_mask, sets + [new_level], intro + [f])
