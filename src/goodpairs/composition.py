@@ -277,11 +277,12 @@ class QtDecomposition:
     order: tuple[int, ...]  # flat composition vertex -> original vertex
 
 
-def strong_qt_parts(g: Digraph) -> list[int]:
-    """The part masks of a strong quasi-transitive g: its non-adjacency
-    components, ordered by smallest vertex.  Raise InvalidInput when they
-    do not form a composition over a semicomplete quotient, as they
-    always do for a strong quasi-transitive digraph."""
+def strong_qt_parts(g: Digraph) -> tuple[list[int], Digraph]:
+    """(part masks, quotient) of a strong quasi-transitive g: its
+    non-adjacency components, ordered by smallest vertex, and the
+    quotient built to check them.  Raise InvalidInput when they do not
+    form a composition over a semicomplete quotient, as they always do
+    for a strong quasi-transitive digraph."""
     masks = complement_components(g, g.full_mask)
     if len(masks) < 2:
         raise InvalidInput("strong input with connected non-adjacency graph")
@@ -290,7 +291,7 @@ def strong_qt_parts(g: Digraph) -> list[int]:
         raise InvalidInput("non-uniform join between non-adjacency components")
     if not is_semicomplete(quotient):
         raise InvalidInput("quotient of strong input is not semicomplete")
-    return masks
+    return masks, quotient
 
 
 def qt_decompose(g: Digraph) -> QtDecomposition:
@@ -308,7 +309,7 @@ def qt_decompose(g: Digraph) -> QtDecomposition:
         raise InvalidInput("input digraph is not quasi-transitive")
     scc = strong_components(g)
     if scc.t == 1:
-        comp, order = composition_from_partition(g, strong_qt_parts(g))
+        comp, order = composition_from_partition(g, strong_qt_parts(g)[0])
         return QtDecomposition("strong", comp, tuple(order))
     built = composition_from_partition(g, scc.components)
     if built is None:

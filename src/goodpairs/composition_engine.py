@@ -8,15 +8,14 @@ whose designated arcs all keep their blocking power once part sizes
 are taken into account.  `dispatch` runs the root and degree tests for
 every class; `decide_composition` checks the other blocked shapes
 exactly and returns a NO with its evidence, or None.  It reads the
-input's own flat rows, with the parts given as vertex masks of them:
-the finest uniform partition (`composition.finest_refinement`), which
-`dispatch` takes of a composition's parts and which the non-adjacency
-components of a strong quasi-transitive digraph already are.  Nothing
-is renumbered; the quotient of those masks, `composition.quotient_of`,
-enters only the layered test, and its NO names the partition in
+input's own flat rows, with the parts as vertex masks of them and their
+quotient: a composition's own, or a strong quasi-transitive digraph's
+non-adjacency components (`composition.strong_qt_parts`).  Only the
+layered test refines the parts (`composition.finest_refinement`), and it
+builds a new quotient only when a part splits; its NO names the cells in
 `refinement`, so the verdict checks against the flat rows alone.
-`dispatch.decide` builds a YES pair on the flat digraph, with the greedy
-and the search every class shares.
+`dispatch.decide` builds a YES pair with the greedy and the search
+every class shares.
 
 Each family is a predicate on the flat digraph's bitset rows: five say
 which arcs every row must hold and which it may add, and the other two
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 from . import semicomplete
 from .branchings import BranchingPair, is_two_arc_strong
-from .composition import cells_of, quotient_of
+from .composition import cells_of, finest_refinement, quotient_of
 from .digraph import Digraph, bits, is_strong
 from .errors import InternalInconsistency, ResourceExceeded
 from .forcing import force_trace
@@ -209,11 +208,12 @@ def construct_composition_pair(flat: Digraph, u: int, v: int) -> BranchingPair:
 
 
 def decide_composition(
-    flat: Digraph, u: int, v: int, parts: list[int]
+    flat: Digraph, u: int, v: int, parts: list[int], quotient: Digraph
 ) -> Verdict | None:
     """The obstruction finder for a composition over a strong
     semicomplete quotient, past the shared steps of `dispatch`: `flat`
-    is the flat digraph and `parts` its finest uniform part masks.
+    is the flat digraph, `parts` its part masks and `quotient` their
+    quotient.
 
     A NO carries checkable evidence: the matched family, a quotient
     witness with the per-arc blocking conditions, or a forcing trace.
@@ -237,9 +237,14 @@ def decide_composition(
     # A layered witness on coarser parts lifts to the finest uniform
     # partition, and coarse parts can hide one, so only the finest
     # partition is tried.
+    refined = finest_refinement(flat, parts)
+    if len(refined) != len(parts):
+        quotient = quotient_of(flat, refined)
+        if quotient is None:
+            raise InternalInconsistency("parts are not uniformly joined")
     deferred: ResourceExceeded | None = None
     try:
-        verdict = _layered_no(flat, u, v, parts)
+        verdict = _layered_no(flat, u, v, refined, quotient)
     except ResourceExceeded as exc:
         deferred = exc
     else:
@@ -253,12 +258,12 @@ def decide_composition(
     return None
 
 
-def _layered_no(flat: Digraph, u: int, v: int, masks: list[int]) -> Verdict | None:
-    """Blocking layered verdict over the part partition `masks` of
-    flat, if any; its refinement names those parts as cells."""
-    quotient = quotient_of(flat, masks)
-    if quotient is None:
-        raise InternalInconsistency("parts are not uniformly joined")
+def _layered_no(
+    flat: Digraph, u: int, v: int, masks: list[int], quotient: Digraph
+) -> Verdict | None:
+    """Blocking layered verdict over the part partition `masks` of flat,
+    whose quotient is `quotient`, if any; its refinement names those
+    parts as cells."""
     pu = next(i for i, m in enumerate(masks) if m >> u & 1)
     pv = next(i for i, m in enumerate(masks) if m >> v & 1)
 

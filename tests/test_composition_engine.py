@@ -5,11 +5,12 @@ from collections import Counter
 
 import pytest
 
-from goodpairs import composition_engine, dispatch, semicomplete
+from goodpairs import composition_engine, semicomplete
 from goodpairs.composition import (
     Composition,
     finest_refinement,
     independent,
+    quotient_of,
     singleton,
     strong_qt_parts,
 )
@@ -140,9 +141,9 @@ def test_verified_greedy_pair_answers_before_any_blocked_shape(monkeypatch):
             "force_trace",
             "two_arc_strong_pair",
             "construct_composition_pair",
+            "finest_refinement",
         ),
     )
-    forbid(monkeypatch, dispatch, ("finest_refinement",))
     forbid(monkeypatch, semicomplete, ("searched_good_pair",))
     for (u, v), pair in want.items():
         ver = decide(comp, u, v, "composition")
@@ -169,9 +170,10 @@ def test_greedy_miss_is_built_by_the_search(seed, u, v, two_arc_strong, monkeypa
 
 
 def test_finest_refinement_blocks_wherever_the_given_parts_block():
-    # dispatch hands decide_composition the finest uniform repartition,
-    # the only one its layered test runs on, so a layered witness on a
-    # composition's own parts must have one on the refinement too
+    # decide_composition runs its layered test on the finest uniform
+    # repartition of the parts it is given, and on no other, so a layered
+    # witness on a composition's own parts must have one on the
+    # refinement too
     blocked = 0
     for seed in range(600):
         comp = random_composition(seed)
@@ -180,26 +182,29 @@ def test_finest_refinement_blocks_wherever_the_given_parts_block():
         refined = finest_refinement(flat, parts)
         if len(refined) == len(parts):
             continue
+        quotient = quotient_of(flat, refined)
         for u in range(flat.n):
             for v in range(flat.n):
-                if _layered_no(flat, u, v, parts) is not None:
+                if _layered_no(flat, u, v, parts, comp.quotient) is not None:
                     blocked += 1
-                    assert _layered_no(flat, u, v, refined), (seed, u, v)
+                    assert _layered_no(flat, u, v, refined, quotient), (seed, u, v)
     assert blocked > 500
 
 
 def test_strong_qt_parts_are_already_finest():
-    # dispatch hands strong_qt_parts to decide_composition unrefined: each
-    # part is one non-adjacency component of the whole digraph, so
-    # finest_refinement keeps it whole
+    # dispatch hands strong_qt_parts and their quotient to
+    # decide_composition: each part is one non-adjacency component of the
+    # whole digraph, so finest_refinement keeps it whole and the layered
+    # test reuses that quotient
     strong = 0
     for n in (8, 20):
         for seed in range(300):
             g = random_quasi_transitive(seed, n)
             if is_strong(g):
                 strong += 1
-                parts = strong_qt_parts(g)
+                parts, quotient = strong_qt_parts(g)
                 assert finest_refinement(g, parts) == parts, (seed, n)
+                assert quotient == quotient_of(g, parts), (seed, n)
     assert strong == 69
 
 

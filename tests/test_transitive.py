@@ -263,7 +263,7 @@ def test_condensed_route_for_non_strong_semicomplete_quotient():
     # semicomplete but not strong, so parts merge along its components
     q = Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
     comp = Composition(q, (singleton(),) * 4)
-    assert recognize(comp) == "composition"
+    assert recognize(comp).route == "composition"
     ver = decide(comp, 0, 3)
     assert ver.yes and validate_verdict(comp, ver) is None
     assert oracle_good_pair(comp.flatten(), 0, 3) is not None
@@ -277,11 +277,11 @@ def test_condensed_route_for_non_strong_semicomplete_quotient():
 
 def test_dispatch_recognize_and_overrides():
     semi = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-    assert recognize(semi) == "semicomplete"
+    assert recognize(semi).route == "semicomplete"
     qt = family_b(2, back_arc=False)[0].flatten()
-    assert recognize(qt) == "qt"
+    assert recognize(qt).route == "qt"
     comp, u, v = tt3_middle(2)
-    assert recognize(comp) == "transitive"
+    assert recognize(comp).route == "transitive"
     with pytest.raises(InvalidInput):
         recognize(Digraph(4, [(0, 1), (1, 2), (2, 3)]))
     with pytest.raises(InvalidInput):
@@ -535,7 +535,7 @@ def test_strong_greedy_miss_builds_no_renumbered_composition(monkeypatch):
     # one the decomposition route gives
     misses = []
     for g in _strong_samples():
-        if recognize(g) != "qt":
+        if recognize(g).route != "qt":
             continue  # semicomplete: the semicomplete route
         dec = qt_decompose(g)
         for u in range(g.n):
