@@ -2,7 +2,8 @@
 
 A good (u,v)-pair is an out-branching rooted at u and an in-branching
 rooted at v sharing no arc.  Everything here returns explicit arc sets so
-callers and tests can re-verify results independently.
+callers and tests can re-verify results independently; inside, the
+complete search keeps residual rows (g less its bans) as the greedy does.
 """
 
 from __future__ import annotations
@@ -162,17 +163,6 @@ def _tree_arcs(parent: list[int], kind: str = "out") -> list[Arc]:
     return [(y, x) for y, x in enumerate(parent) if x >= 0]
 
 
-def _ban_rows(g: Digraph, kind: str, banned) -> list[int] | None:
-    """`_bfs` ban masks that keep a set of arcs of g out of its search."""
-    if not banned:
-        return None
-    ban = [0] * g.n
-    for a, b in banned:
-        x, y = (a, b) if kind == "out" else (b, a)
-        ban[x] |= 1 << y
-    return ban
-
-
 def _may_cut(g: Digraph, kind: str, upto: list[int], arc: Arc) -> bool:
     """Level test: can removing `arc`, an arc of a BFS tree of g (its
     `upto` masks from `_bfs`), shrink the set the tree's root covers?
@@ -234,13 +224,11 @@ def is_two_arc_strong(g: Digraph) -> bool:
     return True
 
 
-def find_branching(
-    g: Digraph, root: int, kind: str = "out", banned=None
-) -> Branching | None:
-    """BFS spanning branching avoiding the `banned` arcs, or None when
-    the root does not span g without them.  Its arcs are those of
-    `_bfs`'s parent row, built only once the tree spans."""
-    seen, parent, _ = _bfs(g, root, kind, _ban_rows(g, kind, banned))
+def find_branching(g: Digraph, root: int, kind: str = "out") -> Branching | None:
+    """BFS spanning branching of g at root, or None when the root does
+    not span g.  Its arcs are those of `_bfs`'s parent row, built only
+    once the tree spans."""
+    seen, parent, _ = _bfs(g, root, kind)
     if seen != g.full_mask:
         return None
     return Branching(root=root, arcs=tuple(_tree_arcs(parent, kind)), kind=kind)
@@ -257,8 +245,7 @@ def search_good_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
     Each node branches on its first unbanned arc (x, y) with x in the
     tree and y outside it, x then y increasing, "include" first.  A
     spanning tree T is answered with the BFS in-branching at v that
-    avoids T.  This is the search of `oracle.oracle_good_pair`, and the
-    pair returned is the same.
+    avoids T.  This is the oracle's search, and it returns the same pair.
 
     Pruning only ever bans arcs that no accepted tree below the node
     can use, so it cuts the search without reordering it.  The
@@ -269,34 +256,42 @@ def search_good_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
     new, and the tree must still reach every vertex past them.  Good
     pairs are NP-complete to decide in general digraphs, so the search
     counts its nodes and raises ResourceExceeded past SEARCH_BUDGET.
+    Like the greedy, it keeps residual rows: g less the bans, edited in
+    place and undone per node, and the tree's rows by tail and by head.
     """
-    full = g.full_mask
-    banned: set[Arc] = set()
+    if not (g.is_vertex(u) and g.is_vertex(v)):
+        raise InvalidInput("roots out of range")
+    n, full, out_masks, in_masks = g.n, g.full_mask, g.out_masks, g.in_masks
+    live, live_in = out_masks[:], in_masks[:]
+    tree_out, tree_in = [0] * n, [0] * n
     nodes = 0
 
-    def alive(tree_mask: int, tree_arcs: tuple[Arc, ...], added: list[Arc]) -> bool:
+    def alive(tree_mask: int, added: list[Arc]) -> bool:
         """Ban what the node rules out (logged in `added`); False if it is dead."""
-        while reach_mask(g, tree_mask, banned=banned) == full:
-            forced = set(tree_arcs)
+        while _spread(live, tree_mask, full) == full:
+            # F by tail and by head; each vertex off the tree has an entry
+            forced_out, forced_in = tree_out[:], tree_in[:]
             for y in bits(full & ~tree_mask):
-                entries = [(x, y) for x in bits(g.in_masks[y]) if (x, y) not in banned]
-                if len(entries) == 1:
-                    forced.add(entries[0])
-            if coreach_mask(g, 1 << v, banned=forced) != full:
+                entry = live_in[y]
+                if not entry & (entry - 1):
+                    forced_in[y] = entry
+                    forced_out[entry.bit_length() - 1] |= 1 << y
+            rest_in = [r & ~f for r, f in zip(in_masks, forced_in)]
+            if _spread(rest_in, 1 << v, full) != full:
                 return False
-            new = set()
-            for w in range(g.n):
-                exits = [(w, z) for z in bits(g.out_masks[w]) if (w, z) not in forced]
-                if w != v and len(exits) == 1:
-                    new.add(exits[0])
-            new -= banned
-            if not new:
+            banned = len(added)
+            for w in range(n):
+                exit_ = out_masks[w] & ~forced_out[w]
+                if w != v and not exit_ & (exit_ - 1) and live[w] & exit_:
+                    z = exit_.bit_length() - 1
+                    live[w] ^= exit_
+                    live_in[z] ^= 1 << w
+                    added.append((w, z))
+            if len(added) == banned:
                 return True
-            banned.update(new)
-            added.extend(new)
         return False
 
-    def grow(tree_mask: int, tree_arcs: tuple[Arc, ...]) -> BranchingPair | None:
+    def grow(tree_mask: int) -> BranchingPair | None:
         # the exclude branch of a node is the same node with one more ban,
         # so recursion only goes as deep as the tree
         nonlocal nodes
@@ -307,26 +302,33 @@ def search_good_pair(g: Digraph, u: int, v: int) -> BranchingPair | None:
                 if nodes > SEARCH_BUDGET:
                     raise ResourceExceeded(
                         f"good-pair search budget of {SEARCH_BUDGET} nodes "
-                        f"exhausted at n={g.n}"
+                        f"exhausted at n={n}"
                     )
-                if not alive(tree_mask, tree_arcs, added):
+                if not alive(tree_mask, added):
                     return None
                 if tree_mask == full:
-                    tree = Branching(u, tree_arcs, "out")
-                    inn = find_branching(g, v, "in", banned=tree.arc_set)
-                    return None if inn is None else BranchingPair(tree, inn)
-                arc = next(
-                    (x, y)
-                    for x in bits(tree_mask)
-                    for y in bits(g.out_masks[x] & ~tree_mask)
-                    if (x, y) not in banned
-                )
-                found = grow(tree_mask | 1 << arc[1], tree_arcs + (arc,))
+                    spanned, parent, _ = _bfs(g, v, "in", ban=tree_in)
+                    if spanned != full:
+                        return None
+                    out = [(t.bit_length() - 1, y) for y, t in enumerate(tree_in) if t]
+                    inn = Branching(v, _tree_arcs(parent, "in"), "in")
+                    return BranchingPair(Branching(u, out, "out"), inn)
+                x = next(x for x in bits(tree_mask) if live[x] & ~tree_mask)
+                heads = live[x] & ~tree_mask
+                y = (heads & -heads).bit_length() - 1
+                tree_out[x] ^= 1 << y
+                tree_in[y] = 1 << x
+                found = grow(tree_mask | 1 << y)
+                tree_out[x] ^= 1 << y
+                tree_in[y] = 0
                 if found is not None:
                     return found
-                banned.add(arc)
-                added.append(arc)
+                live[x] ^= 1 << y
+                live_in[y] ^= 1 << x
+                added.append((x, y))
         finally:
-            banned.difference_update(added)
+            for w, z in added:
+                live[w] |= 1 << z
+                live_in[z] |= 1 << w
 
-    return grow(1 << u, ())
+    return grow(1 << u)

@@ -172,26 +172,16 @@ def _spread(rows: list[int], start: int, allowed: int) -> int:
     return seen
 
 
-def reach_mask(g: Digraph, start: int, within: int | None = None, banned=None) -> int:
-    """Vertices reachable from the start set (a mask), along allowed arcs."""
+def reach_mask(g: Digraph, start: int, within: int | None = None) -> int:
+    """Vertices reachable from the start set (a mask) inside `within`."""
     allowed = g.full_mask if within is None else within
-    rows = g.out_masks
-    if banned:
-        rows = rows[:]
-        for a, b in banned:
-            rows[a] &= ~(1 << b)
-    return _spread(rows, start & allowed, allowed)
+    return _spread(g.out_masks, start & allowed, allowed)
 
 
-def coreach_mask(g: Digraph, start: int, within: int | None = None, banned=None) -> int:
-    """Vertices that can reach the start set (a mask), along allowed arcs."""
+def coreach_mask(g: Digraph, start: int, within: int | None = None) -> int:
+    """Vertices that can reach the start set (a mask) inside `within`."""
     allowed = g.full_mask if within is None else within
-    rows = g.in_masks
-    if banned:
-        rows = rows[:]
-        for a, b in banned:
-            rows[b] &= ~(1 << a)
-    return _spread(rows, start & allowed, allowed)
+    return _spread(g.in_masks, start & allowed, allowed)
 
 
 @dataclass

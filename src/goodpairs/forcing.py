@@ -210,7 +210,7 @@ def replay(g: Digraph, u: int, v: int, trace) -> str | None:
             h = state.usable_digraph(g, side)
             if not h.has_arc(x, y):
                 return f"arc {(x, y)} is not usable"
-            if s.span(h, 1 << root, banned={(x, y)}) == g.full_mask:
+            if s.span(h.without_arcs([(x, y)]), 1 << root) == g.full_mask:
                 return f"arc {(x, y)} is not a necessity"
             state.pin(side, (x, y))
         elif rule == STUCK:

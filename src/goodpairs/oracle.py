@@ -28,7 +28,9 @@ def _frontier_arc(g: Digraph, tree_mask: int, banned: set[Arc]) -> Arc | None:
 def enumerate_out_branchings(
     g: Digraph, root: int, budget: int = DEFAULT_BUDGET
 ):
-    """Yield every spanning out-branching rooted at `root` exactly once."""
+    """Every spanning out-branching rooted at `root`, once each, as a generator."""
+    if not g.is_vertex(root):
+        raise InvalidInput("roots out of range")
     full = g.full_mask
     counter = [0]
 
@@ -39,7 +41,7 @@ def enumerate_out_branchings(
         if tree_mask == full:
             yield Branching(root=root, arcs=tree_arcs, kind="out")
             return
-        if reach_mask(g, tree_mask, banned=banned) != full:
+        if reach_mask(g.without_arcs(banned), tree_mask) != full:
             return
         arc = _frontier_arc(g, tree_mask, banned)
         if arc is None:
@@ -49,7 +51,7 @@ def enumerate_out_branchings(
         yield from step(tree_mask, tree_arcs, banned)
         banned.remove(arc)
 
-    yield from step(1 << root, (), set())
+    return step(1 << root, (), set())
 
 
 def oracle_good_pair(
@@ -62,6 +64,8 @@ def oracle_good_pair(
     """Search every out-branching at u for one leaving an in-branching at v."""
     if g.n > max_n:
         raise InvalidInput(f"oracle limited to n <= {max_n}, got {g.n}")
+    if not (g.is_vertex(u) and g.is_vertex(v)):
+        raise InvalidInput("roots out of range")
     full = g.full_mask
     if reach_mask(g, 1 << u) != full or coreach_mask(g, 1 << v) != full:
         return None
@@ -73,15 +77,16 @@ def oracle_good_pair(
             raise ResourceExceeded("good-pair search budget exhausted")
         # the final in-branching avoids all chosen arcs, so every vertex
         # must still reach v without them
-        if coreach_mask(g, 1 << v, banned=set(tree_arcs)) != full:
+        left = g.without_arcs(tree_arcs)
+        if coreach_mask(left, 1 << v) != full:
             return None
         if tree_mask == full:
             tree = Branching(root=u, arcs=tree_arcs, kind="out")
-            rest = find_branching(g, v, "in", banned=set(tree_arcs))
-            if rest is None:
+            inn = find_branching(left, v, "in")
+            if inn is None:
                 return None
-            return BranchingPair(tree, rest)
-        if reach_mask(g, tree_mask, banned=banned) != full:
+            return BranchingPair(tree, inn)
+        if reach_mask(g.without_arcs(banned), tree_mask) != full:
             return None
         arc = _frontier_arc(g, tree_mask, banned)
         if arc is None:

@@ -135,10 +135,10 @@ def _check_arc_obstruction(flat, verdict: Verdict) -> str | None:
     arc = verdict.arc
     if arc is None or not flat.is_arc(arc):
         return "claimed arc missing from the input"
-    banned = {arc}
-    if reach_mask(flat, 1 << verdict.u, banned=banned) == flat.full_mask:
+    rest = flat.without_arcs([arc])
+    if reach_mask(rest, 1 << verdict.u) == flat.full_mask:
         return "out-root still spans without the arc"
-    if coreach_mask(flat, 1 << verdict.v, banned=banned) == flat.full_mask:
+    if coreach_mask(rest, 1 << verdict.v) == flat.full_mask:
         return "in-root still spanned without the arc"
     return None
 

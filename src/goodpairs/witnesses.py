@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .branchings import _ban_rows, _bfs, _may_cut
+from .branchings import _bfs, _may_cut
 from .composition import is_semicomplete
 from .digraph import (
     Arc,
@@ -273,7 +273,8 @@ def _opens(g: Digraph, u: int, crossing: Arc | None = None) -> list[Arc]:
     crossing's head is kept untested, as the test would count the
     crossing's tail as such a neighbour.
     """
-    reached, parent, upto = _bfs(g, u, ban=_ban_rows(g, "out", crossing and [crossing]))
+    ban = crossing and [1 << crossing[1] if x == crossing[0] else 0 for x in range(g.n)]
+    reached, parent, upto = _bfs(g, u, ban=ban)
     missed = g.full_mask & ~reached
     opens = [(x, y) for y in bits(missed) for x in bits(g.in_masks[y])]
     head = crossing[1] if crossing else -1

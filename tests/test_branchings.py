@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from goodpairs.branchings import (
     Branching,
     BranchingPair,
-    _ban_rows,
     _bfs,
     _may_cut,
     _tree_arcs,
@@ -59,10 +58,10 @@ def test_find_branching_with_banned_arcs():
     g = cycle3()
     b = find_branching(g, 1, "out")
     assert b is not None and b.arcs == ((1, 2), (2, 0))
-    assert find_branching(g, 0, "out", banned={(0, 1)}) is None
-    b = find_branching(complete_digraph(3), 0, "out", banned={(0, 1)})
+    assert find_branching(g.without_arcs({(0, 1)}), 0, "out") is None
+    b = find_branching(complete_digraph(3).without_arcs({(0, 1)}), 0, "out")
     assert b is not None and b.arcs == ((0, 2), (2, 1))
-    b = find_branching(complete_digraph(3), 0, "in", banned={(1, 0)})
+    b = find_branching(complete_digraph(3).without_arcs({(1, 0)}), 0, "in")
     assert b is not None and b.arcs == ((1, 2), (2, 0))
 
 
@@ -146,7 +145,7 @@ def enumerated_pair(g, a, b, shared):
     the first out-branching at a, in enumeration order, whose BFS
     in-branching at b avoiding its arcs outside `shared` makes one."""
     for out_b in enumerate_out_branchings(g, a):
-        inn = find_branching(g, b, "in", banned=out_b.arc_set - shared)
+        inn = find_branching(g.without_arcs(out_b.arc_set - shared), b, "in")
         if inn is None:
             continue
         pair = BranchingPair(out_b, inn)
@@ -205,6 +204,16 @@ def test_two_arc_strong_matches_the_flow_test():
     assert answers[True] > 200 and answers[False] > 600 and strong_not_two > 400
 
 
+def ban_rows(g, kind, banned):
+    """`_bfs` ban masks, one per row the search reads, that keep a set
+    of arcs of g out of its search."""
+    ban = [0] * g.n
+    for a, b in banned:
+        x, y = (a, b) if kind == "out" else (b, a)
+        ban[x] |= 1 << y
+    return ban
+
+
 def reference_bfs(g, root, kind="out", banned=None):
     """The arc-set BFS the parent-row `_bfs` replaced: (covered mask,
     tree arcs, `upto` masks), skipping the arcs of the `banned` set."""
@@ -246,13 +255,13 @@ def test_parent_row_bfs_matches_the_arc_set_reference():
                 bans.append(set(rng.sample(arcs, rng.randint(0, g.m // 4))))
                 for banned in bans:
                     want = reference_bfs(g, root, kind, banned)
-                    ban = _ban_rows(g, kind, banned)
+                    ban = ban_rows(g, kind, banned)
                     covered, parent, upto = _bfs(g, root, kind, ban)
                     got = covered, set(_tree_arcs(parent, kind)), upto
                     assert got == want, (g, root, kind, banned)
                     assert parent[root] == -1
                     spans = covered == g.full_mask
-                    b = find_branching(g, root, kind, banned)
+                    b = find_branching(g.without_arcs(banned), root, kind)
                     assert (b is not None) == spans
                     if b is not None:
                         assert b.arc_set == want[1]
@@ -273,14 +282,14 @@ def test_level_test_passes_over_only_arcs_that_cut_nothing():
                 far = 1 if kind == "out" else 0
                 one_arc = [{a} for a in rng.sample(g.arcs(), min(2, g.m))]
                 for banned in [set()] + one_arc:
-                    ban = _ban_rows(g, kind, banned)
+                    ban = ban_rows(g, kind, banned)
                     covered, parent, upto = _bfs(g, root, kind, ban=ban)
-                    assert span(g, 1 << root, banned=banned) == covered
+                    assert span(g.without_arcs(banned), 1 << root) == covered
                     for arc in _tree_arcs(parent, kind):
                         # the test reads g's rows, so where a banned arc
                         # meets the far end the callers do not apply it
                         meets = any(b[far] == arc[far] for b in banned)
-                        after = span(g, 1 << root, banned=banned | {arc})
+                        after = span(g.without_arcs(banned | {arc}), 1 << root)
                         if meets or _may_cut(g, kind, upto, arc):
                             cut += after != covered
                             kept += after == covered

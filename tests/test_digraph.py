@@ -152,7 +152,7 @@ def test_reach_and_coreach():
     assert reach_mask(g, 1 << 0) == mask_of([0, 1, 2])
     assert reach_mask(g, 1 << 2) == mask_of([2])
     assert coreach_mask(g, 1 << 2) == mask_of([0, 1, 2])
-    assert reach_mask(g, 1 << 0, banned={(0, 1)}) == mask_of([0, 2])
+    assert reach_mask(g.without_arcs({(0, 1)}), 1 << 0) == mask_of([0, 2])
     assert reach_mask(g, 1 << 0, within=mask_of([0, 1])) == mask_of([0, 1])
 
 

@@ -210,7 +210,7 @@ def _ref_force_trace(g, u, v):
         for arc in h.arcs():
             if arc in pinned:
                 continue
-            if span(h, start, banned={arc}) != g.full_mask:
+            if span(h.without_arcs({arc}), start) != g.full_mask:
                 pin(state, arc)
                 trace.append((side, rule, *arc))
                 return None
@@ -251,7 +251,7 @@ def _ref_replay(g, u, v, trace):
                 h = _ref_usable(g, state, "out")
                 if not h.has_arc(x, y):
                     return f"arc {(x, y)} is not usable"
-                if reach_mask(h, 1 << u, banned={(x, y)}) == g.full_mask:
+                if reach_mask(h.without_arcs({(x, y)}), 1 << u) == g.full_mask:
                     return f"arc {(x, y)} is not a necessity"
                 _ref_pin_entry(state, (x, y))
             elif rule == "stuck":
@@ -275,7 +275,7 @@ def _ref_replay(g, u, v, trace):
                 h = _ref_usable(g, state, "in")
                 if not h.has_arc(x, y):
                     return f"arc {(x, y)} is not usable"
-                if coreach_mask(h, 1 << v, banned={(x, y)}) == g.full_mask:
+                if coreach_mask(h.without_arcs({(x, y)}), 1 << v) == g.full_mask:
                     return f"arc {(x, y)} is not a necessity"
                 _ref_pin_exit(state, (x, y))
             elif rule == "stuck":
@@ -348,7 +348,7 @@ def _full_cut_scan(h, side, root, pinned):
     h in order, skipping the pinned ones, one span with it banned each."""
     span = reach_mask if side == 0 else coreach_mask
     for arc in h.arcs():
-        if arc not in pinned and span(h, 1 << root, banned={arc}) != h.full_mask:
+        if arc not in pinned and span(h.without_arcs({arc}), 1 << root) != h.full_mask:
             return arc
     return None
 

@@ -1,6 +1,6 @@
 import pytest
 
-from goodpairs.branchings import verify_good_pair
+from goodpairs.branchings import search_good_pair, verify_good_pair
 from goodpairs.digraph import Digraph
 from goodpairs.errors import InvalidInput, ResourceExceeded
 from goodpairs.oracle import (
@@ -28,6 +28,26 @@ def test_enumeration_counts():
     assert sum(1 for _ in enumerate_out_branchings(complete_digraph(4), 0)) == 16
     # [DERIVED] one out-branching per root in a directed cycle
     assert sum(1 for _ in enumerate_out_branchings(cycle3(), 1)) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, r: oracle_good_pair(g, r, 0),
+        lambda g, r: oracle_good_pair(g, 0, r),
+        lambda g, r: search_good_pair(g, r, 0),
+        lambda g, r: search_good_pair(g, 0, r),
+        # raised by the call itself, before any tree is asked for
+        lambda g, r: enumerate_out_branchings(g, r),
+    ],
+    ids=["oracle-u", "oracle-v", "search-u", "search-v", "enumerate"],
+)
+@pytest.mark.parametrize("root", [3, -1, True, 1.0], ids=["n", "-1", "True", "1.0"])
+def test_roots_must_be_vertices(call, root):
+    # a root that is not an int vertex is refused, rather than read as
+    # "no pair", as a negative shift, or as a tree rooted at True
+    with pytest.raises(InvalidInput, match="^roots out of range$"):
+        call(complete_digraph(3), root)
 
 
 def test_enumeration_budget():

@@ -240,8 +240,7 @@ BACKTRACKING_TOURNAMENT = (
 
 
 def test_backtracking_tournament_is_a_greedy_miss_that_the_search_builds():
-    rows = BACKTRACKING_TOURNAMENT
-    g = Digraph(len(rows), [(a, b) for a, heads in enumerate(rows) for b in heads])
+    g = _rows_digraph(BACKTRACKING_TOURNAMENT)
     pairs = combinations(range(g.n), 2)
     assert all(g.has_arc(a, b) != g.has_arc(b, a) for a, b in pairs)  # a tournament
     u, v = 8, 0
@@ -250,6 +249,105 @@ def test_backtracking_tournament_is_a_greedy_miss_that_the_search_builds():
     ver = decide(g, u, v)
     assert ver.yes and verify_good_pair(g, u, v, ver.pair)
     assert oracle_good_pair(g, u, v) is not None
+
+
+# Out-rows of a 9-vertex semicomplete digraph, found by hill-climbing on
+# the search's work, on which the greedy misses at roots (3, 4) and the
+# pruned search takes 9639 nodes to build the oracle's pair.
+HUNTED_SEMICOMPLETE = (
+    (1, 2, 3, 4, 5, 6, 7, 8),
+    (2, 3, 6, 7, 8),
+    (1, 3, 6, 7, 8),
+    (4, 6, 7, 8),
+    (1, 2, 3, 6, 7, 8),
+    (0, 1, 2, 3, 4, 6, 7, 8),
+    (1, 2, 7, 8),
+    (1, 2, 5, 6),
+    (1, 6, 7),
+)
+
+
+def tight_layered_yes(seed):
+    """(g, u, v): the `layered-no` benchmark's construction (a planted
+    five-level kind-A witness in a semicomplete host) with n fixed at 48,
+    then one one-way arc, drawn by the same generator, reversed."""
+    rng = random.Random(seed)
+    n = 48
+    sizes = [1] * 5
+    for _ in range(n - 5):
+        sizes[rng.randrange(5)] += 1
+    levels, base = [], 0
+    for size in sizes:
+        levels.append(list(range(base, base + size)))
+        base += size
+    x_of = {i: levels[5 - i][-1] for i in range(1, 4)}
+    y_of = {i: levels[3 - i][0] for i in range(1, 4)}
+    backward = [(x_of[i], y_of[i]) for i in range(1, 4)]
+    designated = {frozenset(a) for a in backward}
+    arcs = [
+        (a, b)
+        for lo in range(5)
+        for hi in range(lo + 1, 5)
+        for a in levels[lo]
+        for b in levels[hi]
+        if frozenset((a, b)) not in designated
+    ]
+    for x, y in backward:
+        arcs.append((x, y))
+        if rng.random() < 0.3:
+            arcs.append((y, x))
+    for li, ids in enumerate(levels):
+        first, last = y_of.get(3 - li), x_of.get(5 - li)
+        middle = [w for w in ids if w not in (first, last)]
+        rng.shuffle(middle)
+        order = [w for w in (first,) if w is not None] + middle
+        if last is not None and last != first:
+            order.append(last)
+        arcs.extend((a, b) for j, a in enumerate(order) for b in order[j + 1 :])
+    g = Digraph(n, arcs)
+    while True:
+        u, v = rng.choice(levels[3]), rng.choice(levels[1])
+        if g.out_degree(u) >= 2 and g.in_degree(v) >= 2:
+            break
+    a, b = rng.choice([(a, b) for a, b in g.arcs() if not g.has_arc(b, a)])
+    return g.without_arcs([(a, b)]).with_arcs([(b, a)]), u, v
+
+
+def _rows_digraph(rows):
+    return Digraph(len(rows), [(a, b) for a, heads in enumerate(rows) for b in heads])
+
+
+@pytest.mark.parametrize(
+    "rows, u, v, nodes",
+    [(HUNTED_SEMICOMPLETE, 3, 4, 9639), (BACKTRACKING_TOURNAMENT, 8, 0, 289)],
+    ids=["hunted", "backtracking"],
+)
+def test_search_node_count_is_pinned(monkeypatch, rows, u, v, nodes):
+    g = _rows_digraph(rows)
+    assert semicomplete.greedy_good_pair(g, u, v) is None
+    assert blocked(g, u, v) is None
+    monkeypatch.setattr(branchings, "SEARCH_BUDGET", nodes - 1)
+    with pytest.raises(ResourceExceeded, match=f"budget of {nodes - 1} nodes"):
+        search_good_pair(g, u, v)
+    monkeypatch.setattr(branchings, "SEARCH_BUDGET", nodes)
+    pair = search_good_pair(g, u, v)
+    assert pair is not None and pair == oracle_good_pair(g, u, v)
+
+
+def test_search_builds_a_tight_layered_yes_at_n_48_in_50_nodes(monkeypatch):
+    g, u, v = tight_layered_yes(5800)
+    assert (g.n, u, v) == (48, 34, 15)
+    assert all(g.has_arc(a, b) or g.has_arc(b, a) for a, b in combinations(range(48), 2))
+    assert semicomplete.greedy_good_pair(g, u, v) is None
+    assert blocked(g, u, v) is None
+    monkeypatch.setattr(branchings, "SEARCH_BUDGET", 49)
+    with pytest.raises(ResourceExceeded, match="budget of 49 nodes .* n=48$"):
+        search_good_pair(g, u, v)
+    monkeypatch.setattr(branchings, "SEARCH_BUDGET", 50)
+    pair = search_good_pair(g, u, v)
+    assert pair is not None and verify_good_pair(g, u, v, pair)
+    ver = decide(g, u, v)
+    assert ver.yes and ver.pair == pair and validate_verdict(g, ver) is None
 
 
 def test_greedy_miss_runs_the_obstructions_then_the_search_once(monkeypatch):
@@ -366,11 +464,8 @@ def _tree_scan_obstruction_arc(g, u, v):
     tree_arcs = set(branchings.find_branching(g, u, "out").arcs)
     tree_arcs &= set(branchings.find_branching(g, v, "in").arcs)
     for e in sorted(tree_arcs):
-        banned = {e}
-        if (
-            reach_mask(g, 1 << u, banned=banned) != full
-            and coreach_mask(g, 1 << v, banned=banned) != full
-        ):
+        rest = g.without_arcs({e})
+        if reach_mask(rest, 1 << u) != full and coreach_mask(rest, 1 << v) != full:
             return e
     return None
 
@@ -399,12 +494,12 @@ def _one_shot_pair(g, u, v):
     """The greedy's two one-shot BFS attempts, as in `try_construct_pair`."""
     in_first = branchings.find_branching(g, v, "in")
     if in_first is not None:
-        out = branchings.find_branching(g, u, "out", banned=in_first.arc_set)
+        out = branchings.find_branching(g.without_arcs(in_first.arc_set), u, "out")
         if out is not None:
             return BranchingPair(out, in_first)
     out_first = branchings.find_branching(g, u, "out")
     if out_first is not None:
-        inn = branchings.find_branching(g, v, "in", banned=out_first.arc_set)
+        inn = branchings.find_branching(g.without_arcs(out_first.arc_set), v, "in")
         if inn is not None:
             return BranchingPair(out_first, inn)
     return None
@@ -425,7 +520,7 @@ def _try_construct_pair_by_full_coreach(g, u, v):
         for x in bits(tree):
             for y in bits(g.out_masks[x] & ~tree):
                 chosen.add((x, y))
-                ok = coreach_mask(g, 1 << v, banned=chosen) == full
+                ok = coreach_mask(g.without_arcs(chosen), 1 << v) == full
                 chosen.remove((x, y))
                 if ok:
                     picked = (x, y)
@@ -437,7 +532,7 @@ def _try_construct_pair_by_full_coreach(g, u, v):
         chosen.add(picked)
         arcs.append(picked)
         tree |= 1 << picked[1]
-    inn = branchings.find_branching(g, v, "in", banned=chosen)
+    inn = branchings.find_branching(g.without_arcs(chosen), v, "in")
     if inn is None:
         return None, True
     return BranchingPair(Branching(u, tuple(arcs), "out"), inn), True
@@ -511,7 +606,7 @@ def _try_construct_pair_by_sets(g, u, v):
     arcs = []
     chosen = set()
     while tree != full:
-        in_tree = branchings.find_branching(g, v, "in", banned=chosen)
+        in_tree = branchings.find_branching(g.without_arcs(chosen), v, "in")
         if in_tree is None:
             return None, True
         in_arcs = in_tree.arc_set
@@ -519,7 +614,7 @@ def _try_construct_pair_by_sets(g, u, v):
         for x in bits(tree):
             for y in bits(g.out_masks[x] & ~tree):
                 if (x, y) not in in_arcs or coreach_mask(
-                    g, 1 << v, banned=chosen | {(x, y)}
+                    g.without_arcs(chosen | {(x, y)}), 1 << v
                 ) == full:
                     picked = (x, y)
                     break
@@ -530,7 +625,7 @@ def _try_construct_pair_by_sets(g, u, v):
         chosen.add(picked)
         arcs.append(picked)
         tree |= 1 << picked[1]
-    inn = branchings.find_branching(g, v, "in", banned=chosen)
+    inn = branchings.find_branching(g.without_arcs(chosen), v, "in")
     if inn is None:
         return None, True
     return BranchingPair(Branching(u, tuple(arcs), "out"), inn), True

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from goodpairs.branchings import _ban_rows, _bfs
+from goodpairs.branchings import _bfs
 from goodpairs.composition import Composition, directed_cycle, independent, singleton
 from goodpairs.digraph import Digraph, mask_of, unit_flow
 from goodpairs.errors import ResourceExceeded
@@ -26,6 +26,7 @@ from goodpairs.witnesses import (
     validate_type_b,
     validate_witness,
 )
+from test_branchings import ban_rows
 
 
 def complete_digraph(n):
@@ -408,7 +409,7 @@ def tree_filtered_type_a(g, u, v, counter, budget):
         landing = intro[level - 3][0] if level >= 3 else None
         crossing = intro[level - 2]
         if crossing not in trees:
-            trees[crossing] = _bfs(g, u, "out", _ban_rows(g, "out", {crossing}))[:2]
+            trees[crossing] = _bfs(g, u, "out", ban_rows(g, "out", {crossing}))[:2]
         tree = trees[crossing]
         for f in g.arcs():
             if f in intro or not _tree_opens(tree, f):
