@@ -104,6 +104,18 @@ def main():
 )
 def decide_cmd(source, u_name, v_name, klass):
     """Decide a document; print the pair or the obstruction."""
+    text, code = _decision(source, u_name, v_name, klass)
+    # color=True: click strips ANSI escapes, vertex names' included,
+    # whenever stdout is not a terminal
+    click.echo(text, file=sys.stdout, color=True)
+    sys.exit(code)
+
+
+def _decision(source, u_name, v_name, klass) -> tuple[str, int]:
+    """decide's output text and exit code.  The document, the verdict and
+    the payload die with this frame, not with the one that raises
+    SystemExit, whose traceback a caller may keep.
+    """
     doc = _load(source)
     u, v = _roots(doc, u_name, v_name)
     try:
@@ -135,10 +147,7 @@ def decide_cmd(source, u_name, v_name, klass):
     payload = {"names": list(doc.names)}
     payload.update(verdict_to_dict(verdict))
     lines.append("verdict-json " + json.dumps(payload, sort_keys=True))
-    # color=True: click strips ANSI escapes, vertex names' included,
-    # whenever stdout is not a terminal
-    click.echo("\n".join(lines), file=sys.stdout, color=True)
-    sys.exit(0 if verdict.yes else 1)
+    return "\n".join(lines), 0 if verdict.yes else 1
 
 
 @main.command(name="verify")

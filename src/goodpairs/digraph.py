@@ -372,55 +372,3 @@ def is_k_arc_strong(g: Digraph, k: int) -> bool:
         for x, t in ((0, y), (y, 0))
     )
 
-
-def small_digraph_match(
-    g: Digraph, pattern: Digraph, pinned: dict[int, int] | None = None, bound: int = 8
-):
-    """Arc-preserving bijection pattern -> g extending pinned, or None."""
-    if pattern.n > bound:
-        raise InvalidInput(f"pattern size {pattern.n} over the bound {bound}")
-    if g.n != pattern.n:
-        return None
-    pinned = pinned or {}
-    degs_g = {
-        v: (g.out_degree(v), g.in_degree(v)) for v in range(g.n)
-    }
-    degs_p = {
-        v: (pattern.out_degree(v), pattern.in_degree(v)) for v in range(pattern.n)
-    }
-    if sorted(degs_g.values()) != sorted(degs_p.values()):
-        return None
-    order = sorted(
-        range(pattern.n), key=lambda v: (v not in pinned, -sum(degs_p[v]), v)
-    )
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def consistent(p: int, q: int) -> bool:
-        if degs_p[p] != degs_g[q]:
-            return False
-        for p2, q2 in mapping.items():
-            if pattern.has_arc(p, p2) != g.has_arc(q, q2):
-                return False
-            if pattern.has_arc(p2, p) != g.has_arc(q2, q):
-                return False
-        return True
-
-    def solve(i: int):
-        if i == len(order):
-            return dict(mapping)
-        p = order[i]
-        candidates = [pinned[p]] if p in pinned else range(g.n)
-        for q in candidates:
-            if q in used or not consistent(p, q):
-                continue
-            mapping[p] = q
-            used.add(q)
-            result = solve(i + 1)
-            if result is not None:
-                return result
-            del mapping[p]
-            used.remove(q)
-        return None
-
-    return solve(0)

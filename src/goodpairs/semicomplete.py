@@ -6,9 +6,12 @@ roots in fixed position, a single arc whose removal starves both roots,
 or a layered kind-A witness with at least five levels.  `dispatch`
 tests the roots for every class, and `decide_semicomplete` is this
 class's finder for the other three: a NO with its evidence, or None.
-The pairs live here too, for every class: `dispatch.decide` answers YES
-with the verified greedy pair of `greedy_good_pair` and, past a greedy
-miss that no finder blocks, with `searched_good_pair`, the complete
+The two fixed shapes are one predicate each, `small_exception_violation`
+and `_arc_obstruction_violation`: the finder accepts a candidate only
+through it, and `validate_verdict` checks a verdict with it.  The pairs
+live here too, for every class: `dispatch.decide` answers YES with the
+verified greedy pair of `greedy_good_pair` and, past a greedy miss that
+no finder blocks, with `searched_good_pair`, the complete
 `branchings.search_good_pair`.  `construct_good_pair` is those two in
 one call.
 
@@ -26,6 +29,8 @@ check either.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
 
 from .branchings import (
     Branching,
@@ -75,17 +80,52 @@ EXCEPTION_PATTERNS: dict[str, tuple[Digraph, int, int]] = {
 }
 
 
-def match_small_exception(g: Digraph, u: int, v: int):
-    """(id, mapping) if g with roots u,v is one of the blocked shapes."""
-    from .digraph import small_digraph_match
+def small_exception_violation(
+    g: Digraph, u: int, v: int, name, mapping
+) -> str | None:
+    """None if `mapping` carries exception `name` onto g with its roots on
+    u and v, else what breaks it; mapping[i] is the image of pattern
+    vertex i.  The finder and `validate_verdict` both ask this.
+    """
+    if name not in EXCEPTION_PATTERNS:
+        return f"unknown exception id {name!r}"
+    pattern, pu, pv = EXCEPTION_PATTERNS[name]
+    m = mapping
+    if (
+        m is None
+        or pattern.n != g.n
+        or not all(g.is_vertex(x) for x in m)
+        or sorted(m) != list(range(g.n))
+    ):
+        return "mapping is not a bijection onto the input"
+    if m[pu] != u or m[pv] != v:
+        return "mapping does not send the pattern roots to the query roots"
+    for a in range(pattern.n):
+        for b in range(pattern.n):
+            if a != b and pattern.has_arc(a, b) != g.has_arc(m[a], m[b]):
+                return "mapping is not an isomorphism"
+    return None
 
+
+def match_small_exception(g: Digraph, u: int, v: int):
+    """(id, mapping) if g with roots u,v is one of the blocked shapes.
+
+    A pattern's roots go to u and v and its other vertices, at most two,
+    try every placement on the rest of g.  With both roots fixed no
+    pattern has an automorphism but the identity, so at most one
+    placement fits and the order of the tries cannot change the answer.
+    """
+    rest = [x for x in range(g.n) if x != u and x != v]
     for name, (pattern, pu, pv) in EXCEPTION_PATTERNS.items():
         if pattern.n != g.n:
             continue
-        mapping = small_digraph_match(g, pattern, pinned={pu: u, pv: v})
-        if mapping is not None:
-            ordered = tuple(mapping[i] for i in range(pattern.n))
-            return name, ordered
+        for placed in permutations(rest, g.n - 2):
+            others = iter(placed)
+            mapping = tuple(
+                u if i == pu else v if i == pv else next(others) for i in range(g.n)
+            )
+            if small_exception_violation(g, u, v, name, mapping) is None:
+                return name, mapping
     return None
 
 
@@ -251,31 +291,41 @@ def construct_good_pair(g: Digraph, u: int, v: int) -> BranchingPair:
     return pair
 
 
+def _arc_obstruction_violation(g: Digraph, u: int, v: int, arc) -> str | None:
+    """None if taking `arc` out of g cuts some vertex from u and some
+    vertex from v, else what breaks it.  The finder and
+    `validate_verdict` both ask this.
+    """
+    if arc is None or not g.is_arc(arc):
+        return "claimed arc missing from the input"
+    rest = g.without_arcs([arc])
+    if reach_mask(rest, 1 << u) == g.full_mask:
+        return "out-root still spans without the arc"
+    if coreach_mask(rest, 1 << v) == g.full_mask:
+        return "in-root still spanned without the arc"
+    return None
+
+
 def _obstruction_arc(g: Digraph, u: int, v: int) -> Arc | None:
     """First arc, in g.arcs() order, cutting both reach from u and to v.
 
     Needs every vertex reachable from u and reaching v.  An arc outside a
     spanning out-branching at u cannot cut reach from u, nor one outside a
     spanning in-branching at v reach to v, so only the (at most n-1) arcs
-    of both BFS trees are tested, in sorted order, and of those only the
-    ones that pass the level test (`branchings._may_cut`) on both trees,
-    with the arc's bit cleared in copies of the rows.
+    of both BFS trees are candidates, in sorted order, and of those only
+    the ones that pass the level test (`branchings._may_cut`) on both
+    trees.  A candidate is the answer when `_arc_obstruction_violation`,
+    the check `validate_verdict` runs, accepts it.
     """
-    full = g.full_mask
     _, parent, out_upto = _bfs(g, u)
     _, succ, in_upto = _bfs(g, v, "in")
-    h = Digraph.from_rows(g.out_masks[:], g.in_masks[:])
     common = [(x, y) for y, x in enumerate(parent) if x >= 0 and succ[x] == y]
-    for x, y in sorted(common):
-        e = (x, y)
-        if not (_may_cut(g, "out", out_upto, e) and _may_cut(g, "in", in_upto, e)):
-            continue
-        h.out_masks[x] ^= 1 << y
-        h.in_masks[y] ^= 1 << x
-        cut = reach_mask(h, 1 << u) != full and coreach_mask(h, 1 << v) != full
-        h.out_masks[x] ^= 1 << y
-        h.in_masks[y] ^= 1 << x
-        if cut:
+    for e in sorted(common):
+        if (
+            _may_cut(g, "out", out_upto, e)
+            and _may_cut(g, "in", in_upto, e)
+            and _arc_obstruction_violation(g, u, v, e) is None
+        ):
             return e
     return None
 

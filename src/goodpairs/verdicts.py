@@ -97,26 +97,11 @@ def validate_verdict(target, verdict: Verdict) -> str | None:
 
 
 def _check_small_exception(flat, verdict: Verdict) -> str | None:
-    from .semicomplete import EXCEPTION_PATTERNS
+    from .semicomplete import small_exception_violation
 
-    if verdict.exception_id not in EXCEPTION_PATTERNS:
-        return f"unknown exception id {verdict.exception_id!r}"
-    pattern, pu, pv = EXCEPTION_PATTERNS[verdict.exception_id]
-    m = verdict.mapping
-    if (
-        m is None
-        or pattern.n != flat.n
-        or not all(flat.is_vertex(x) for x in m)
-        or sorted(m) != list(range(flat.n))
-    ):
-        return "mapping is not a bijection onto the input"
-    if m[pu] != verdict.u or m[pv] != verdict.v:
-        return "mapping does not send the pattern roots to the query roots"
-    for a in range(pattern.n):
-        for b in range(pattern.n):
-            if a != b and pattern.has_arc(a, b) != flat.has_arc(m[a], m[b]):
-                return "mapping is not an isomorphism"
-    return None
+    return small_exception_violation(
+        flat, verdict.u, verdict.v, verdict.exception_id, verdict.mapping
+    )
 
 
 def _check_root_component(flat, verdict: Verdict) -> str | None:
@@ -132,15 +117,9 @@ def _check_root_component(flat, verdict: Verdict) -> str | None:
 
 
 def _check_arc_obstruction(flat, verdict: Verdict) -> str | None:
-    arc = verdict.arc
-    if arc is None or not flat.is_arc(arc):
-        return "claimed arc missing from the input"
-    rest = flat.without_arcs([arc])
-    if reach_mask(rest, 1 << verdict.u) == flat.full_mask:
-        return "out-root still spans without the arc"
-    if coreach_mask(rest, 1 << verdict.v) == flat.full_mask:
-        return "in-root still spanned without the arc"
-    return None
+    from .semicomplete import _arc_obstruction_violation
+
+    return _arc_obstruction_violation(flat, verdict.u, verdict.v, verdict.arc)
 
 
 def _refined_parts(flat: Digraph, refinement) -> tuple[Digraph, list[int]] | str:

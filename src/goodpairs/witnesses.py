@@ -25,6 +25,7 @@ from .digraph import (
     Digraph,
     bits,
     coreach_mask,
+    reach_mask,
     strong_components,
     unit_flow,
 )
@@ -105,13 +106,17 @@ def _backward_arc_violation(g: Digraph, w: TypeABWitness) -> str | None:
 
 
 def _in_initial_component(g: Digraph, mask: int, v: int) -> bool:
-    scc = strong_components(g, within=mask)
-    return any(scc.components[i] >> v & 1 for i in scc.initial)
+    """Whether v's strong component in g[mask] is initial: every vertex
+    of mask that reaches v inside it is reached from v."""
+    reach = reach_mask(g, 1 << v, mask)
+    return bool(reach >> v & 1) and not coreach_mask(g, 1 << v, mask) & ~reach
 
 
 def _in_terminal_component(g: Digraph, mask: int, v: int) -> bool:
-    scc = strong_components(g, within=mask)
-    return any(scc.components[i] >> v & 1 for i in scc.terminal)
+    """Whether v's strong component in g[mask] is terminal: every vertex
+    of mask that v reaches inside it reaches v."""
+    coreach = coreach_mask(g, 1 << v, mask)
+    return bool(coreach >> v & 1) and not reach_mask(g, 1 << v, mask) & ~coreach
 
 
 def validate_type_a(g: Digraph, w: TypeABWitness) -> str | None:

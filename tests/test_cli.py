@@ -403,3 +403,23 @@ def test_in_process_decides_do_not_keep_their_streams_alive():
     for _ in range(100):
         assert run(*args, stdin=DIGON_PAIR).exit_code == 0
     assert _live_text_wrappers() - before <= 5
+
+
+def test_in_process_decide_frees_its_verdict_without_a_collection():
+    # SystemExit's traceback sits in a reference cycle that CliRunner
+    # keeps, so whatever the frame raising it holds lives until the next
+    # collection; decide must raise it from a frame that holds no verdict
+    from goodpairs.verdicts import Verdict
+
+    def live_verdicts():
+        return sum(isinstance(o, Verdict) for o in gc.get_objects())
+
+    run("decide", "-", "--u", "a", "--v", "b", stdin=DIGON_PAIR)
+    gc.collect()
+    before = live_verdicts()
+    gc.disable()
+    try:
+        run("decide", "-", "--u", "a", "--v", "b", stdin=DIGON_PAIR)
+        assert live_verdicts() == before
+    finally:
+        gc.enable()

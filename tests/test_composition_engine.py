@@ -22,7 +22,7 @@ from goodpairs.composition_engine import (
     two_arc_strong_pair,
 )
 from goodpairs.dispatch import decide
-from goodpairs.digraph import Digraph, is_k_arc_strong, is_strong, small_digraph_match
+from goodpairs.digraph import Digraph, is_k_arc_strong, is_strong
 from goodpairs.errors import InvalidInput
 from goodpairs.families import (
     all_digraphs,
@@ -36,11 +36,16 @@ from goodpairs.families import (
     random_quasi_transitive,
     random_two_arc_strong_semicomplete,
 )
-from goodpairs.semicomplete import EXCEPTION_PATTERNS, match_small_exception
+from goodpairs.semicomplete import match_small_exception
 from goodpairs.oracle import oracle_good_pair
 from goodpairs.branchings import is_two_arc_strong, search_good_pair, verify_good_pair
 from goodpairs.verdicts import middle_blocked_violation, validate_verdict
-from test_semicomplete import count_greedy_calls, forbid, greedy_hits
+from test_semicomplete import (
+    brute_exception_match,
+    count_greedy_calls,
+    forbid,
+    greedy_hits,
+)
 
 
 def test_rejects_non_strong_or_single_part():
@@ -368,10 +373,8 @@ def _ref_ring(g, u, v):
 
 
 def _ref_blocked_quad(g, u, v):
-    pattern = EXCEPTION_PATTERNS["e"][0]
-    if g.n != pattern.n or u == v:
-        return False
-    return small_digraph_match(g, pattern, pinned={0: u, 3: v}) is not None
+    hit = brute_exception_match(g, u, v)
+    return hit is not None and hit[0] == "e"
 
 
 _REF_FLAT = (

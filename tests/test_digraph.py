@@ -15,7 +15,6 @@ from goodpairs.digraph import (
     is_strong,
     mask_of,
     reach_mask,
-    small_digraph_match,
     strong_components,
     unit_flow,
 )
@@ -241,26 +240,6 @@ def test_is_strong_matches_components_on_random_digraphs():
                 assert is_strong(g) == want, g
                 strong += want
     assert 50 < strong < 14 * 4 * 8 - 50
-
-
-def test_small_match_rotation():
-    g = cycle3()
-    mapping = small_digraph_match(g, cycle3(), pinned={0: 1})
-    assert mapping is not None
-    assert mapping[0] == 1
-    for a, b in cycle3().arcs():
-        assert g.has_arc(mapping[a], mapping[b])
-
-
-def test_small_match_rejects_wrong_shape():
-    assert small_digraph_match(tt3(), cycle3()) is None
-    assert small_digraph_match(cycle3(), tt3()) is None
-
-
-def test_small_match_respects_pin():
-    # pinning 0 to the sink of TT_3 cannot work: 0 has out-degree 2
-    assert small_digraph_match(tt3(), tt3(), pinned={0: 2}) is None
-    assert small_digraph_match(tt3(), tt3(), pinned={0: 0}) is not None
 
 
 @st.composite

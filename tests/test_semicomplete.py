@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -21,6 +21,7 @@ from goodpairs.digraph import (
 from goodpairs.dispatch import blocked, decide
 from goodpairs.errors import InternalInconsistency, InvalidInput, ResourceExceeded
 from goodpairs.families import (
+    all_digraphs,
     all_semicomplete,
     kind_a_instance,
     random_composition,
@@ -86,6 +87,57 @@ def test_relabelled_exception_found():
     ver = decide(g, 1, 0, "semicomplete")
     assert ver.reason == "small-exception" and ver.exception_id == "b"
     assert ver.mapping == (1, 2, 0)
+
+
+def _exception_images():
+    """(n, arc set, u, v) -> (id, mapping) for the image of every
+    exception under every bijection of its vertices, the first id in
+    EXCEPTION_PATTERNS order where two images meet."""
+    table = {}
+    for name, (pattern, pu, pv) in EXCEPTION_PATTERNS.items():
+        for m in permutations(range(pattern.n)):
+            arcs = frozenset((m[a], m[b]) for a, b in pattern.arcs())
+            table.setdefault((pattern.n, arcs, m[pu], m[pv]), (name, m))
+    return table
+
+
+_EXCEPTION_IMAGES = _exception_images()
+
+
+def brute_exception_match(g, u, v):
+    """The engine-free small-exception matcher: (id, mapping) if g with
+    roots u, v is the image of an exception under some bijection, else
+    None."""
+    return _EXCEPTION_IMAGES.get((g.n, frozenset(g.arcs()), u, v))
+
+
+def test_exceptions_have_no_root_fixing_automorphism():
+    # so a placement that fits is the only one, and the matcher's try
+    # order cannot change a mapping
+    for name, (pattern, pu, pv) in EXCEPTION_PATTERNS.items():
+        n, arcs = pattern.n, set(pattern.arcs())
+        fixing = [
+            m
+            for m in permutations(range(n))
+            if m[pu] == pu
+            and m[pv] == pv
+            and {(m[a], m[b]) for a, b in arcs} == arcs
+        ]
+        assert fixing == [tuple(range(n))], name
+
+
+def test_exception_matcher_matches_every_bijection_exhaustively():
+    # every digraph with n <= 4, every root pair, and its converse
+    cases = hits = 0
+    for n in range(1, 5):
+        for g in all_digraphs(n):
+            for h in (g, g.converse()):
+                for u, v in product(range(n), repeat=2):
+                    want = brute_exception_match(h, u, v)
+                    assert match_small_exception(h, u, v) == want, (h, u, v)
+                    cases += 1
+                    hits += want is not None
+    assert (cases, hits) == (132258, 172)
 
 
 def test_arc_obstruction_on_two_cycle():

@@ -233,6 +233,22 @@ def test_arc_obstruction_from_json_rejects_arcs_outside_the_input():
     for arc in ([5, 0], [0, 5], [0], [0, 1, 2], [], [-1, 0], ["a", 1], [0.0, 1]):
         ver = verdict_from_dict({**base, "arc": arc})
         assert validate_verdict(g, ver) is not None, arc
+    # a well-formed pair of vertices that the cycle does not join
+    ver = verdict_from_dict({**base, "arc": [1, 0]})
+    assert validate_verdict(g, ver) == "claimed arc missing from the input"
+
+
+def test_arc_obstruction_from_json_rejects_an_arc_that_cuts_one_side():
+    # on the directed triangle at roots 0, 0, (0,1) cuts every vertex from
+    # the out-root but none from the in-root, and (2,0) the other way round
+    g = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+    base = {"answer": "no", "u": 0, "v": 0, "reason": ARC_OBSTRUCTION}
+    for arc, reason in (
+        ([0, 1], "in-root still spanned without the arc"),
+        ([2, 0], "out-root still spans without the arc"),
+    ):
+        ver = verdict_from_dict({**base, "arc": arc})
+        assert validate_verdict(g, ver) == reason, arc
 
 
 def test_good_pair_from_json_rejects_arcs_outside_the_input():

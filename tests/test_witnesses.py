@@ -6,9 +6,10 @@ import pytest
 
 from goodpairs.branchings import _bfs
 from goodpairs.composition import Composition, directed_cycle, independent, singleton
-from goodpairs.digraph import Digraph, mask_of, unit_flow
+from goodpairs.digraph import Digraph, mask_of, strong_components, unit_flow
 from goodpairs.errors import ResourceExceeded
 from goodpairs.families import (
+    all_digraphs,
     all_semicomplete,
     kind_a_instance,
     kind_b_instance,
@@ -337,6 +338,40 @@ def test_filtered_enumeration_matches_unfiltered_reference():
         for g, w in (kind_a_instance(seed), kind_b_instance(seed)):
             assert assert_filtered_matches_reference(g, w.a, w.b) > 0
     assert found > 0
+
+
+def _assert_level_membership_matches_components(g, mask, vertices):
+    """The two-spread level tests agree with strong_components' initial
+    and terminal lists at every given vertex, in the level or not."""
+    scc = strong_components(g, within=mask)
+    initial = sum(scc.components[i] for i in scc.initial)
+    terminal = sum(scc.components[i] for i in scc.terminal)
+    for v in vertices:
+        got = _in_initial_component(g, mask, v), _in_terminal_component(g, mask, v)
+        assert got == (bool(initial >> v & 1), bool(terminal >> v & 1)), (g, mask, v)
+
+
+def test_level_membership_matches_strong_components_exhaustively():
+    cases = 0
+    for n in range(1, 5):
+        for g in all_digraphs(n):
+            for mask in range(1, 1 << n):
+                _assert_level_membership_matches_components(g, mask, range(n))
+                cases += mask.bit_count()
+    assert cases == 131857
+
+
+def test_level_membership_matches_strong_components_on_random_graphs():
+    rng = random.Random("level-membership")
+    for _ in range(2000):
+        n = rng.randint(1, 14)
+        p = rng.random()
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        g = Digraph(n, [ab for ab in pairs if rng.random() < p])
+        for _ in range(10):
+            mask = rng.randrange(1, 1 << n)
+            v = rng.choice([x for x in range(n) if mask >> x & 1])
+            _assert_level_membership_matches_components(g, mask, [v])
 
 
 def test_arc_condition():
