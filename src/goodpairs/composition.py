@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .digraph import Digraph, bits, strong_components
+from .digraph import Digraph, bits, is_strong, strong_components
 from .errors import InvalidInput
 
 
@@ -307,11 +307,10 @@ def qt_decompose(g: Digraph) -> QtDecomposition:
         raise InvalidInput("decomposition needs at least two vertices")
     if not is_quasi_transitive(g):
         raise InvalidInput("input digraph is not quasi-transitive")
-    scc = strong_components(g)
-    if scc.t == 1:
+    if is_strong(g):
         comp, order = composition_from_partition(g, strong_qt_parts(g)[0])
         return QtDecomposition("strong", comp, tuple(order))
-    built = composition_from_partition(g, scc.components)
+    built = composition_from_partition(g, strong_components(g))
     if built is None:
         raise InvalidInput("non-uniform join between strong components")
     comp, order = built

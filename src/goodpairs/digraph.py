@@ -3,11 +3,12 @@
 Vertices are the integers 0..n-1.  Vertex sets are Python-int bitmasks
 throughout; the graphs this package cares about are dense and tiny, so
 O(1) arc tests and whole-row mask operations beat any sparse structure.
+Strong components, too, are a plain list of vertex masks in acyclic
+order; a caller that needs a component's entering or leaving arcs reads
+them off the rows.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import InvalidInput
 
@@ -79,17 +80,11 @@ class Digraph:
     def m(self) -> int:
         return sum(map(int.bit_count, self.out_masks))
 
-    def out_degree(self, v: int, within: int | None = None) -> int:
-        row = self.out_masks[v]
-        if within is not None:
-            row &= within
-        return row.bit_count()
+    def out_degree(self, v: int) -> int:
+        return self.out_masks[v].bit_count()
 
-    def in_degree(self, v: int, within: int | None = None) -> int:
-        row = self.in_masks[v]
-        if within is not None:
-            row &= within
-        return row.bit_count()
+    def in_degree(self, v: int) -> int:
+        return self.in_masks[v].bit_count()
 
     @classmethod
     def from_rows(cls, out_masks: list[int], in_masks: list[int]) -> "Digraph":
@@ -184,20 +179,6 @@ def coreach_mask(g: Digraph, start: int, within: int | None = None) -> int:
     return _spread(g.in_masks, start & allowed, allowed)
 
 
-@dataclass
-class SccDecomposition:
-    """Strong components in acyclic order: cross arcs go low index -> high."""
-
-    components: list[int]  # vertex masks
-    comp_of: dict[int, int]
-    initial: list[int]  # component indices with no entering arc
-    terminal: list[int]  # component indices with no leaving arc
-
-    @property
-    def t(self) -> int:
-        return len(self.components)
-
-
 def is_strong(g: Digraph) -> bool:
     """Whether g is strong: n >= 1, and vertex 0 reaches every vertex
     and is reached by every vertex."""
@@ -209,25 +190,12 @@ def is_strong(g: Digraph) -> bool:
     )
 
 
-def strong_components(g: Digraph, within: int | None = None) -> SccDecomposition:
-    """Strong components of g restricted to `within` (default: all of g).
-
-    A strong input, one whose lowest vertex reaches and is reached by
-    every allowed vertex, is answered by those two row searches as the
-    one component Tarjan would give.  Otherwise an iterative Tarjan on
-    bitset rows finds the components, in acyclic order, and rows
-    restricted to `within` find the initial and terminal ones.
+def strong_components(g: Digraph) -> list[int]:
+    """Strong components of g as vertex masks in acyclic order: every
+    arc between two components goes from the lower index to the higher.
+    An iterative Tarjan on bitset rows finds them.
     """
-    allowed = g.full_mask if within is None else within
-    if allowed:
-        first = allowed & -allowed
-        if (
-            _spread(g.out_masks, first, allowed) == allowed
-            and _spread(g.in_masks, first, allowed) == allowed
-        ):
-            return SccDecomposition(
-                [allowed], {v: 0 for v in bits(allowed)}, [0], [0]
-            )
+    full = g.full_mask
     out_masks = g.out_masks
     index = [0] * g.n
     lowlink = [0] * g.n
@@ -240,7 +208,7 @@ def strong_components(g: Digraph, within: int | None = None) -> SccDecomposition
     # A vertex's next child is its lowest unvisited successor, as in a
     # scan of its row; its on-stack successors are read when it finishes,
     # since no component that holds one completes while it is open.
-    while roots := allowed & ~visited:
+    while roots := full & ~visited:
         work = [(roots & -roots).bit_length() - 1]
         while work:
             v = work[-1]
@@ -250,7 +218,7 @@ def strong_components(g: Digraph, within: int | None = None) -> SccDecomposition
                 visited |= 1 << v
                 on_stack |= 1 << v
                 stack.append(v)
-            fresh = out_masks[v] & allowed & ~visited
+            fresh = out_masks[v] & ~visited
             if fresh:
                 work.append((fresh & -fresh).bit_length() - 1)
                 continue
@@ -273,21 +241,7 @@ def strong_components(g: Digraph, within: int | None = None) -> SccDecomposition
                 components.append(comp)
 
     components.reverse()
-    comp_of = {v: i for i, comp in enumerate(components) for v in bits(comp)}
-
-    initial = []
-    terminal = []
-    for i, comp in enumerate(components):
-        outside = allowed & ~comp
-        out_row = in_row = 0
-        for v in bits(comp):
-            out_row |= g.out_masks[v]
-            in_row |= g.in_masks[v]
-        if not in_row & outside:
-            initial.append(i)
-        if not out_row & outside:
-            terminal.append(i)
-    return SccDecomposition(components, comp_of, initial, terminal)
+    return components
 
 
 def unit_flow(

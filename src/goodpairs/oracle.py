@@ -110,7 +110,8 @@ def oracle_all_pairs(
     Enumerates the out-branchings of each root once and reads off every
     compatible v from the leftover graph: the in-branching roots are
     exactly the vertices of its terminal strong component, provided that
-    component is unique.
+    component is unique.  The last component in acyclic order is
+    terminal, and it is the only one when every vertex reaches it.
     """
     if g.n > max_n:
         raise InvalidInput(f"all-pairs oracle limited to n <= {max_n}, got {g.n}")
@@ -120,9 +121,10 @@ def oracle_all_pairs(
             continue
         for tree in enumerate_out_branchings(g, u, budget=budget):
             leftover = set(tree.arcs)
-            scc = strong_components(g.without_arcs(leftover))
-            if len(scc.terminal) == 1:
-                yes[u] |= scc.components[scc.terminal[0]]
+            left = g.without_arcs(leftover)
+            last = strong_components(left)[-1]
+            if coreach_mask(left, last) == g.full_mask:
+                yes[u] |= last
             if yes[u] == g.full_mask:
                 break
     return yes

@@ -263,9 +263,9 @@ def tree_side_violation(g: Digraph, u: int, v: int, side: str) -> str | None:
     for x in bits(rest):
         if not g.has_arc(x, v) and x != v:
             return "some vertex misses the arc to the in-root"
-        if x != u and g.in_degree(x, within=rest) != 1:
+        if x != u and (g.in_masks[x] & rest).bit_count() != 1:
             return "side digraph is not a tree rooted at the out-root"
-    if g.in_degree(u, within=rest) != 0:
+    if g.in_masks[u] & rest:
         return "out-root has a parent inside the side digraph"
     if reach_mask(g, 1 << u, within=rest) != rest:
         return "side digraph is not an out-tree from the out-root"
@@ -352,6 +352,14 @@ def _refinement(cells) -> tuple[int, ...]:
     return tuple(cells)
 
 
+def _exception_id(name) -> str:
+    """JSON exception id, which must be a string: the checker looks it
+    up by hash, and a list has none."""
+    if not isinstance(name, str):
+        raise InvalidInput(f"malformed verdict document: exception {name!r}")
+    return name
+
+
 def _forcing(steps) -> tuple[tuple[str, str, int, int], ...]:
     """JSON forcing trace as tuples of [side, rule, int, int] steps."""
     kinds = (str, str, int, int)
@@ -394,7 +402,7 @@ def verdict_from_dict(d: dict) -> Verdict:
             v=d["v"],
             reason=d["reason"],
             pair=pair,
-            exception_id=d.get("exception"),
+            exception_id=_exception_id(d["exception"]) if "exception" in d else None,
             mapping=tuple(d["mapping"]) if "mapping" in d else None,
             side=d.get("side"),
             arc=tuple(d["arc"]) if "arc" in d else None,

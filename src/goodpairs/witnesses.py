@@ -217,29 +217,25 @@ def _closed_supersets(
     """In-closed vertex sets of g - banned containing required, avoiding excluded.
 
     In-closed means no arc of g - banned enters the set, so every yielded
-    set is a union of strong components forming a predecessor-closed family.
+    set is a union of strong components closed under predecessors.  The
+    walk decides each component in acyclic order: it is required when it
+    meets required's in-closure, and it can join once the tails of its
+    entering arcs have, which the mask built so far shows.
     """
     h = g.without_arcs(banned) if banned else g
     base = coreach_mask(h, required)
     if base & excluded:
         return
-    scc = strong_components(h)
-    t = scc.t
-    comp_required = set()
-    comp_excluded = set()
-    for i, m in enumerate(scc.components):
-        if m & base:
-            comp_required.add(i)
-        if m & excluded:
-            comp_excluded.add(i)
-    preds: list[set[int]] = []
-    for cb, m in enumerate(scc.components):
+    components = strong_components(h)
+    t = len(components)
+    entering = []
+    for m in components:
         tails = 0
         for b in bits(m):
             tails |= h.in_masks[b]
-        preds.append({scc.comp_of[a] for a in bits(tails & ~m)})
+        entering.append(tails & ~m)
 
-    def rec(i: int, chosen: set[int], mask: int):
+    def rec(i: int, mask: int):
         counter[0] += 1
         if counter[0] > budget:
             raise ResourceExceeded(
@@ -248,20 +244,17 @@ def _closed_supersets(
         if i == t:
             yield mask
             return
-        can_take = i not in comp_excluded and preds[i] <= chosen
-        if i in comp_required:
+        m = components[i]
+        can_take = not m & excluded and not entering[i] & ~mask
+        if m & base:
             if can_take:
-                chosen.add(i)
-                yield from rec(i + 1, chosen, mask | scc.components[i])
-                chosen.remove(i)
+                yield from rec(i + 1, mask | m)
             return
-        yield from rec(i + 1, chosen, mask)
+        yield from rec(i + 1, mask)
         if can_take:
-            chosen.add(i)
-            yield from rec(i + 1, chosen, mask | scc.components[i])
-            chosen.remove(i)
+            yield from rec(i + 1, mask | m)
 
-    yield from rec(0, set(), 0)
+    yield from rec(0, 0)
 
 
 def _opens(g: Digraph, u: int, crossing: Arc | None = None) -> list[Arc]:

@@ -70,19 +70,19 @@ def test_01_exhaustive_small_semicomplete_agreement():
 
 
 def _root_component_fires(g, u, v):
-    scc = strong_components(g)
-    if scc.t == 1:
+    components = strong_components(g)
+    if len(components) == 1:
         return False
-    return not (scc.components[0] >> u & 1 and scc.components[-1] >> v & 1)
+    return not (components[0] >> u & 1 and components[-1] >> v & 1)
 
 
 def _arc_obstruction_fires(g, u, v):
-    if strong_components(g).t != 1:
+    if len(strong_components(g)) != 1:
         return False
     for e in g.arcs():
         h = g.without_arcs([e])
-        scc = strong_components(h)
-        if not scc.components[0] >> u & 1 and not scc.components[-1] >> v & 1:
+        components = strong_components(h)
+        if not components[0] >> u & 1 and not components[-1] >> v & 1:
             return True
     return False
 
@@ -194,7 +194,7 @@ def test_06_wide_part_deletion_keeps_connectivity():
     for seed in range(100):
         for k in (1, 2):
             comp, wide = random_wide_composition(seed, k)
-            assert strong_components(comp.quotient).t == 1
+            assert len(strong_components(comp.quotient)) == 1
             assert all(p.n >= k for p in comp.parts)
             part = comp.parts[wide]
             assert part.n == k + 1 and not part.arcs()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from goodpairs.digraph import (
     Digraph,
-    SccDecomposition,
     bits,
     coreach_mask,
     is_k_arc_strong,
@@ -70,7 +69,6 @@ def test_arc_queries():
     assert g.has_arc(0, 2) and not g.has_arc(2, 0)
     assert g.m == 3
     assert g.out_degree(0) == 2 and g.in_degree(2) == 2
-    assert g.out_degree(0, within=mask_of([1])) == 1
 
 
 def test_arcs_and_m_follow_an_in_place_row_edit():
@@ -157,36 +155,24 @@ def test_reach_and_coreach():
 
 def test_scc_cycle_is_strong():
     # [TRIVIAL] a directed triangle is strongly connected
-    scc = strong_components(cycle3())
-    assert scc.t == 1 and is_strong(cycle3())
-    assert scc.components == [mask_of([0, 1, 2])]
-    assert scc.initial == [0] and scc.terminal == [0]
+    assert strong_components(cycle3()) == [mask_of([0, 1, 2])]
+    assert is_strong(cycle3())
 
 
 def test_scc_transitive_tournament_orders_singletons():
     # [DERIVED] acyclic, so singleton components in topological order
-    scc = strong_components(tt3())
-    assert scc.components == [1 << 0, 1 << 1, 1 << 2]
-    assert scc.initial == [0] and scc.terminal == [2]
+    assert strong_components(tt3()) == [1 << 0, 1 << 1, 1 << 2]
 
 
 def test_scc_flattened_middle_layer():
     # [DERIVED] 0 -> {1,2} -> 3 plus 0 -> 3: four singleton components,
     # 0 first and 3 last; cross arcs must respect the component order.
     g = Digraph(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
-    scc = strong_components(g)
-    assert scc.t == 4
-    assert scc.comp_of[0] == 0 and scc.comp_of[3] == 3
+    components = strong_components(g)
+    assert len(components) == 4
+    assert components[0] == 1 << 0 and components[3] == 1 << 3
     for a, b in g.arcs():
-        assert scc.comp_of[a] < scc.comp_of[b]
-    assert scc.initial == [0] and scc.terminal == [3]
-
-
-def test_scc_within_restricts():
-    g = cycle3()
-    scc = strong_components(g, within=mask_of([0, 1]))
-    assert scc.t == 2
-    assert scc.components == [1 << 0, 1 << 1]
+        assert components.index(1 << a) < components.index(1 << b)
 
 
 def test_local_connectivity_values():
@@ -222,7 +208,7 @@ def test_is_strong_matches_components_on_every_small_digraph():
     count = 0
     for n in range(1, 5):
         for g in all_digraphs(n):
-            assert is_strong(g) == (strong_components(g).t == 1), g
+            assert is_strong(g) == (len(strong_components(g)) == 1), g
             count += 1
     assert count == 4165
     assert not is_strong(Digraph(0))
@@ -236,7 +222,7 @@ def test_is_strong_matches_components_on_random_digraphs():
         for p in (0.1, 0.25, 0.5, 0.8):
             for _ in range(8):
                 g = Digraph(n, [ab for ab in pairs if rng.random() < p])
-                want = strong_components(g).t == 1
+                want = len(strong_components(g)) == 1
                 assert is_strong(g) == want, g
                 strong += want
     assert 50 < strong < 14 * 4 * 8 - 50
@@ -313,32 +299,6 @@ def test_induced_and_converse_match_arc_rebuild(case):
     want = Digraph(n, [(b, a) for a, b in arcs])
     assert conv == want and conv.in_masks == want.in_masks
     assert g == Digraph(n, arcs)
-
-
-def ends_by_arc_walk(g, components, within):
-    """Initial and terminal component indices from a walk over g's arcs."""
-    allowed = g.full_mask if within is None else within
-    comp_of = {v: i for i, c in enumerate(components) for v in bits(c)}
-    entered = [False] * len(components)
-    left = [False] * len(components)
-    for a, b in g.arcs():
-        if allowed >> a & 1 and allowed >> b & 1 and comp_of[a] != comp_of[b]:
-            entered[comp_of[b]] = True
-            left[comp_of[a]] = True
-    initial = [i for i, e in enumerate(entered) if not e]
-    terminal = [i for i, e in enumerate(left) if not e]
-    return initial, terminal
-
-
-@settings(max_examples=300, deadline=None)
-@given(_digraph_and_mask())
-def test_scc_ends_match_arc_walk(case):
-    n, arcs, mask = case
-    g = Digraph(n, arcs)
-    for within in (None, mask):
-        scc = strong_components(g, within=within)
-        initial, terminal = ends_by_arc_walk(g, scc.components, within)
-        assert scc.initial == initial and scc.terminal == terminal
 
 
 @settings(max_examples=200, deadline=None)
@@ -466,8 +426,10 @@ def test_row_flow_matches_the_set_reference():
 
 
 def tarjan_components(g, within=None):
-    """strong_components without its shortcut for strong inputs: Tarjan
-    on every input, then the initial and terminal components from rows."""
+    """Reference strong components of g restricted to `within`: a
+    recursive-style Tarjan over iterators, then the initial and terminal
+    components from rows.  Returns (components, initial, terminal), the
+    components as masks in acyclic order and the ends as indices."""
     allowed = g.full_mask if within is None else within
     index, lowlink, on_stack, stack, components = {}, {}, set(), [], []
     for root in bits(allowed):
@@ -503,7 +465,6 @@ def tarjan_components(g, within=None):
                             break
                     components.append(comp)
     components.reverse()
-    comp_of = {v: i for i, comp in enumerate(components) for v in bits(comp)}
     initial, terminal = [], []
     for i, comp in enumerate(components):
         outside = allowed & ~comp
@@ -515,36 +476,7 @@ def tarjan_components(g, within=None):
             initial.append(i)
         if not out_row & outside:
             terminal.append(i)
-    return SccDecomposition(components, comp_of, initial, terminal)
-
-
-def _scc_inputs():
-    """Seeded digraphs n 1..12 at several densities, strong ones among
-    them, each with the full set, a random mask and a strong sub-mask."""
-    rng = random.Random("scc-shortcut")
-    for n in range(1, 13):
-        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        for p in (0.1, 0.25, 0.5, 0.8):
-            for _ in range(6):
-                g = Digraph(n, [ab for ab in pairs if rng.random() < p])
-                masks = [None, rng.getrandbits(n), g.full_mask & ~(1 << rng.randrange(n))]
-                # a strong component of g as `within`, whole or less a vertex
-                comp = max(tarjan_components(g).components, key=int.bit_count)
-                masks += [comp, comp & (comp - 1)]
-                for within in masks:
-                    yield g, within
-
-
-def test_scc_shortcut_matches_tarjan():
-    strong = split = 0
-    for g, within in _scc_inputs():
-        want = tarjan_components(g, within)
-        assert strong_components(g, within) == want, (g, within)
-        if want.t == 1:
-            strong += 1
-        elif want.t > 1:
-            split += 1
-    assert strong > 600 and split > 300
+    return components, initial, terminal
 
 
 @settings(max_examples=300, deadline=None)
@@ -552,5 +484,9 @@ def test_scc_shortcut_matches_tarjan():
 def test_scc_matches_tarjan_with_and_without_within(case):
     n, arcs, mask = case
     g = Digraph(n, arcs)
-    for within in (None, mask):
-        assert strong_components(g, within) == tarjan_components(g, within)
+    assert strong_components(g) == tarjan_components(g)[0]
+    # restricted to a mask: the components of the induced subgraph, whose
+    # vertices keep their order, carried back to g's vertices
+    sub, old = g.induced(mask)
+    carried = [mask_of(old[i] for i in bits(c)) for c in strong_components(sub)]
+    assert carried == tarjan_components(g, mask)[0]

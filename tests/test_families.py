@@ -89,7 +89,7 @@ def test_family_sweep_labels_and_blockage():
 def test_family_b_quotient_shape():
     for back_arc in (False, True):
         comp, u, v = family_b(2, back_arc)
-        strong = strong_components(comp.quotient).t == 1
+        strong = len(strong_components(comp.quotient)) == 1
         assert strong == back_arc
         if not back_arc:
             assert is_transitive(comp.quotient)

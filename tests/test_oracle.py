@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from goodpairs.branchings import search_good_pair, verify_good_pair
 from goodpairs.digraph import Digraph
 from goodpairs.errors import InvalidInput, ResourceExceeded
+from goodpairs.families import all_digraphs
 from goodpairs.oracle import (
     enumerate_out_branchings,
     oracle_all_pairs,
@@ -104,3 +107,26 @@ def test_all_pairs_matches_single_pair_oracle():
     for u in range(4):
         for v in range(4):
             assert bool(matrix[u] >> v & 1) == (oracle_good_pair(g, u, v) is not None)
+
+
+def test_all_pairs_matches_single_pair_oracle_on_small_and_seeded_digraphs():
+    # every digraph with n <= 3, then 300 seeded ones with n 4-6 at
+    # random densities; the all-pairs oracle reads its YES roots off the
+    # last strong component of the leftover digraph
+    rng = random.Random("all-pairs")
+    graphs = [g for n in range(1, 4) for g in all_digraphs(n)]
+    for _ in range(300):
+        n = rng.randint(4, 6)
+        p = rng.uniform(0.3, 0.9)
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        graphs.append(Digraph(n, [ab for ab in pairs if rng.random() < p]))
+    pairs_checked = yes = 0
+    for g in graphs:
+        matrix = oracle_all_pairs(g)
+        for u in range(g.n):
+            for v in range(g.n):
+                want = oracle_good_pair(g, u, v) is not None
+                assert bool(matrix[u] >> v & 1) == want, (g, u, v)
+                pairs_checked += 1
+                yes += want
+    assert (pairs_checked, yes) == (8334, 4357)

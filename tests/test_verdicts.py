@@ -287,6 +287,18 @@ def test_small_exception_from_json_rejects_bool_mapping_entries():
         ), mapping
 
 
+def test_small_exception_from_json_must_name_a_string_id():
+    # a list id is unhashable, so it must be refused before the checker
+    # looks it up; a string that names no exception reaches the checker
+    g = two_cycle()
+    base = {"answer": "no", "u": 0, "v": 1, "reason": "small-exception"}
+    for bad in (["a"], {"a": 0}, 0, True, None):
+        with pytest.raises(InvalidInput, match="malformed verdict document: exception"):
+            verdict_from_dict({**base, "exception": bad, "mapping": [0, 1]})
+    d = {**base, "exception": "z", "mapping": [0, 1]}
+    assert validate_verdict(g, verdict_from_dict(d)) == "unknown exception id 'z'"
+
+
 def test_verdict_roots_from_json_must_be_int_vertices():
     k3 = Digraph(3, [(a, b) for a in range(3) for b in range(3) if a != b])
     out = {"root": 0, "kind": "out", "arcs": [[0, 2], [2, 1]]}

@@ -6,7 +6,7 @@ import pytest
 
 from goodpairs.branchings import _bfs
 from goodpairs.composition import Composition, directed_cycle, independent, singleton
-from goodpairs.digraph import Digraph, mask_of, strong_components, unit_flow
+from goodpairs.digraph import Digraph, bits, coreach_mask, mask_of, unit_flow
 from goodpairs.errors import ResourceExceeded
 from goodpairs.families import (
     all_digraphs,
@@ -28,6 +28,7 @@ from goodpairs.witnesses import (
     validate_witness,
 )
 from test_branchings import ban_rows
+from test_digraph import tarjan_components
 
 
 def complete_digraph(n):
@@ -341,11 +342,11 @@ def test_filtered_enumeration_matches_unfiltered_reference():
 
 
 def _assert_level_membership_matches_components(g, mask, vertices):
-    """The two-spread level tests agree with strong_components' initial
-    and terminal lists at every given vertex, in the level or not."""
-    scc = strong_components(g, within=mask)
-    initial = sum(scc.components[i] for i in scc.initial)
-    terminal = sum(scc.components[i] for i in scc.terminal)
+    """The two-spread level tests agree with the reference components'
+    initial and terminal lists at every given vertex, in the level or not."""
+    components, initial_ids, terminal_ids = tarjan_components(g, mask)
+    initial = sum(components[i] for i in initial_ids)
+    terminal = sum(components[i] for i in terminal_ids)
     for v in vertices:
         got = _in_initial_component(g, mask, v), _in_terminal_component(g, mask, v)
         assert got == (bool(initial >> v & 1), bool(terminal >> v & 1)), (g, mask, v)
@@ -373,6 +374,69 @@ def test_level_membership_matches_strong_components_on_random_graphs():
             v = rng.choice([x for x in range(n) if mask >> x & 1])
             _assert_level_membership_matches_components(g, mask, [v])
 
+
+def component_index_closed_supersets(g, required, excluded, banned, counter):
+    """_closed_supersets as a walk over sets of component indices: a
+    component joins when every component with an arc into it has."""
+    h = g.without_arcs(banned) if banned else g
+    base = coreach_mask(h, required)
+    if base & excluded:
+        return
+    components = tarjan_components(h)[0]
+    comp_of = {v: i for i, comp in enumerate(components) for v in bits(comp)}
+    comp_required = {i for i, m in enumerate(components) if m & base}
+    comp_excluded = {i for i, m in enumerate(components) if m & excluded}
+    preds = []
+    for m in components:
+        tails = 0
+        for b in bits(m):
+            tails |= h.in_masks[b]
+        preds.append({comp_of[a] for a in bits(tails & ~m)})
+
+    def rec(i, chosen, mask):
+        counter[0] += 1
+        if i == len(components):
+            yield mask
+            return
+        can_take = i not in comp_excluded and preds[i] <= chosen
+        if i not in comp_required:
+            yield from rec(i + 1, chosen, mask)
+        if can_take:
+            yield from rec(i + 1, chosen | {i}, mask | components[i])
+
+    yield from rec(0, set(), 0)
+
+
+def test_closed_supersets_match_component_index_walk():
+    # same sets, same order and the same node count on seeded digraphs,
+    # sparse ones with many components and semicomplete ones alike
+    rng = random.Random("closed-supersets")
+    sets = nodes = 0
+    for case in range(3000):
+        n = rng.randint(1, 11)
+        if case % 2:
+            g = random_strong_semicomplete(rng, n) if n >= 3 else complete_digraph(n)
+        else:
+            p = rng.uniform(0.05, 0.6)
+            pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+            g = Digraph(n, [ab for ab in pairs if rng.random() < p])
+        arcs = g.arcs()
+        banned = set(rng.sample(arcs, min(len(arcs), rng.randint(0, 3))))
+        # as the enumerators call it: a vertex or two required, a few
+        # others excluded
+        required = mask_of(rng.sample(range(n), min(n, rng.randint(1, 2))))
+        excluded = mask_of(rng.sample(range(n), min(n, rng.randint(0, 3)))) & ~required
+        got_count, want_count = [0], [0]
+        got = list(
+            _closed_supersets(g, required, excluded, banned, got_count, UNLIMITED)
+        )
+        want = list(
+            component_index_closed_supersets(g, required, excluded, banned, want_count)
+        )
+        assert got == want and got_count == want_count, (g, required, excluded, banned)
+        sets += len(got)
+        nodes += got_count[0]
+    assert (sets, nodes) == (7024, 21237)
 
 def test_arc_condition():
     comp = Composition(
